@@ -13,8 +13,7 @@ measured figure against the checked-in budgets:
   the step, not just in the decode;
 * ``cell_seconds_per_step`` (``benchmarks/cell_baseline.json``) — one
   pass through every fused recurrent cell an encoder step runs (EAM +
-  RAM GRUs, TIM relation + hyperrelation LSTMs), forward and backward,
-  which catches a silent fall-back to the unfused ~12-node tape.
+  RAM GRUs, TIM relation + hyperrelation LSTMs), forward and backward.
 
 Any figure exceeding ``baseline * tolerance`` (default 2x, generous
 enough to absorb CI hardware variation while still catching a return to
@@ -110,8 +109,7 @@ def main() -> int:
         "cell_budget_seconds", help="baseline * tolerance, the cell threshold"
     ).set(cell_budget_ms / 1000, dataset=cell_result["dataset"], dtype=cell_dtype)
 
-    print(f"dataset:            {result['dataset']} ({result['steps']} steps, "
-          f"{dtype}, batched={result['batched_decoder']})")
+    print(f"dataset:            {result['dataset']} ({result['steps']} steps, {dtype})")
     print(f"decoder step:       {decoder_ms:.2f} ms "
           f"(budget {decoder_budget_ms:.2f} ms = "
           f"{baseline['decoder_seconds_per_step'] * 1000:.2f} ms x {args.tolerance:g})")
@@ -120,10 +118,7 @@ def main() -> int:
           f"{baseline['seconds_per_step'] * 1000:.2f} ms x {args.tolerance:g})")
     print(f"recurrent cells:    {cell_ms:.2f} ms "
           f"(budget {cell_budget_ms:.2f} ms = "
-          f"{cell_baseline['cell_seconds_per_step'] * 1000:.2f} ms x "
-          f"{args.tolerance:g}; reference tape "
-          f"{cell_result['reference_seconds_per_step'] * 1000:.2f} ms, "
-          f"{cell_result['speedup']:.2f}x)")
+          f"{cell_baseline['cell_seconds_per_step'] * 1000:.2f} ms x {args.tolerance:g})")
     for name, stats in result["phases"].items():
         print(f"  phase {name:<11} {stats['seconds'] * 1000:8.1f} ms "
               f"over {stats['calls']} calls")
@@ -139,9 +134,6 @@ def main() -> int:
         BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
         print(f"baseline updated: {BASELINE_PATH}")
         cell_baseline["cell_seconds_per_step"] = cell_result["cell_seconds_per_step"]
-        cell_baseline["reference_seconds_per_step"] = cell_result[
-            "reference_seconds_per_step"
-        ]
         cell_baseline["dtype"] = cell_result["dtype"]
         CELL_BASELINE_PATH.write_text(json.dumps(cell_baseline, indent=2) + "\n")
         print(f"baseline updated: {CELL_BASELINE_PATH}")

@@ -394,7 +394,6 @@ def benchmark_decoder(
     warm_cache: bool = False,
     seed: int = 0,
     dtype: str = "float64",
-    batched: bool = True,
     registry: Optional[MetricsRegistry] = None,
     reporter=None,
     per_step_sleep: float = 0.0,
@@ -412,21 +411,15 @@ def benchmark_decoder(
     times the full training batch (``loss_on_snapshot`` + ``backward``),
     the headline the full-step budget gates on.
 
-    ``dtype`` and ``batched`` select the precision policy and the
-    batched-vs-loop decode path, so one harness produces every cell of
-    the EXPERIMENTS.md runtime table.  ``warm_cache`` prebuilds the
-    snapshot artifacts before anything is timed (see
+    ``dtype`` selects the precision policy.  ``warm_cache`` prebuilds
+    the snapshot artifacts before anything is timed (see
     :func:`benchmark_encoder`).
     """
     from repro.nn import losses
 
     dataset = bench_dataset(dataset_name)
     profile = BENCH_PROFILES[dataset_name]
-    model = RETIA(
-        build_retia_config(
-            dataset, profile, seed=seed, dtype=dtype, batched_decoder=batched
-        )
-    )
+    model = RETIA(build_retia_config(dataset, profile, seed=seed, dtype=dtype))
     model.set_history(dataset.train)
     model.train()
 
@@ -484,7 +477,6 @@ def benchmark_decoder(
         "dataset": dataset_name,
         "steps": len(snapshots),
         "dtype": model.config.dtype,
-        "batched_decoder": batched,
         "decoder_seconds_per_step": decoder_total / steps,
         "total_seconds": total,
         "seconds_per_step": total / steps,
@@ -522,13 +514,8 @@ def benchmark_cell(
     the EAM R-GRU over the ``(N, d)`` entity matrix, the RAM R-GRU over
     ``(2M, d)`` relations, and the TIM relation/hyperrelation LSTMs over
     their ``2d``-wide inputs — forward plus backward, isolating the cell
-    cost from message passing and decode.  The loop is timed twice, once
-    through the fused :func:`F.gru_cell`/:func:`F.lstm_cell` kernels and
-    once through the reference ~12-node composition (same cells, same
-    weights — the fused path is bit-identical, so the comparison is pure
-    graph overhead).  ``cell_seconds_per_step`` is the fused figure the
-    CI budget and perf history gate on; ``reference_seconds_per_step``
-    and ``speedup`` ride along for the EXPERIMENTS.md table.
+    cost from message passing and decode.  ``cell_seconds_per_step`` is
+    the figure the CI budget and perf history gate on.
     """
     from repro.autograd import DtypePolicy, Tensor
     from repro.graph import NUM_HYPERRELATIONS
@@ -570,29 +557,21 @@ def benchmark_cell(
                 for param in cell.parameters():
                     param.grad = None
 
-        def timed(fused: bool) -> float:
-            for cell, _, _, _ in batches:
-                cell.fused = fused
-            for _ in range(max(0, warmup_steps)):
-                one_step()
-            start = time.perf_counter()
-            for _ in range(steps):
-                one_step()
-                if per_step_sleep > 0:
-                    time.sleep(per_step_sleep)
-            return (time.perf_counter() - start) / max(1, steps)
-
-        reference_per_step = timed(fused=False)
-        fused_per_step = timed(fused=True)
+        for _ in range(max(0, warmup_steps)):
+            one_step()
+        start = time.perf_counter()
+        for _ in range(steps):
+            one_step()
+            if per_step_sleep > 0:
+                time.sleep(per_step_sleep)
+        per_step = (time.perf_counter() - start) / max(1, steps)
 
     result = {
         "dataset": dataset_name,
         "steps": steps,
         "dtype": np.dtype(dtype).name,
-        "cell_seconds_per_step": fused_per_step,
-        "seconds_per_step": fused_per_step,
-        "reference_seconds_per_step": reference_per_step,
-        "speedup": reference_per_step / fused_per_step if fused_per_step else 0.0,
+        "cell_seconds_per_step": per_step,
+        "seconds_per_step": per_step,
     }
     if registry is not None:
         record_cell_metrics(registry, result)
@@ -604,12 +583,7 @@ def benchmark_cell(
     if history_path is not None:
         from repro.bench.history import append_entry, make_entry
 
-        extra = {
-            "reference_seconds_per_step": reference_per_step,
-            "speedup": result["speedup"],
-        }
-        if per_step_sleep:
-            extra["injected_sleep"] = per_step_sleep
+        extra = {"injected_sleep": per_step_sleep} if per_step_sleep else None
         append_entry(history_path, make_entry(result, name="cell", extra=extra))
     return result
 
@@ -619,12 +593,8 @@ def record_cell_metrics(registry: MetricsRegistry, result: Dict) -> None:
     labels = {"dataset": result["dataset"], "dtype": result["dtype"]}
     registry.gauge(
         "cell_seconds_per_step",
-        help="all encoder recurrent cells, forward+backward, fused path",
+        help="all encoder recurrent cells, forward+backward",
     ).set(result["cell_seconds_per_step"], **labels)
-    registry.gauge(
-        "cell_reference_seconds_per_step",
-        help="all encoder recurrent cells, forward+backward, reference path",
-    ).set(result["reference_seconds_per_step"], **labels)
     registry.counter("bench_steps_total", help="timed cell steps").inc(
         result["steps"], **labels
     )

@@ -163,7 +163,7 @@ def _load_eval_model(args: argparse.Namespace):
         # Evaluate a float64 checkpoint under float32 (or vice versa):
         # parameters are cast on load, activations follow the policy.
         config_dict = dict(config_dict, dtype=args.dtype)
-    model = RETIA(RETIAConfig(**config_dict))
+    model = RETIA(RETIAConfig.from_dict(config_dict))
     model.load_state_dict(state)
     model.set_history(dataset.train)
     for t in dataset.valid.timestamps:
@@ -404,9 +404,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             elif component == "scale":
                 for field in ("workers", "cpus", "entities", "scorer", "spill", "peak_rss_mb"):
                     extra[field] = result[field]
-            elif component == "cell":
-                extra["reference_seconds_per_step"] = result["reference_seconds_per_step"]
-                extra["speedup"] = result["speedup"]
             elif component == "serve":
                 extra["chaos"] = result["chaos"]
                 extra["offered_qps"] = result["offered_qps"]
@@ -1054,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen drill against the model server, gated on p99 latency; "
         "scale: large-vocabulary memmap eval through the candidate "
         "scorer seam — pair with --dataset ICEWS-SCALE; cell: the "
-        "fused recurrent-cell micro-benchmark at model shapes)",
+        "recurrent-cell micro-benchmark at model shapes)",
     )
     bench.add_argument(
         "--warm-cache",

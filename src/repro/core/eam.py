@@ -39,13 +39,12 @@ class EntityAggregationModule(Module):
         num_layers: int = 2,
         dropout: float = 0.2,
         rng: Optional[np.random.Generator] = None,
-        fused_cells: bool = True,
     ):
         super().__init__()
         self.gcn = RGCNStack(
             2 * num_relations, dim, num_layers=num_layers, dropout=dropout, rng=rng
         )
-        self.gru = GRUCell(dim, dim, rng=rng, fused=fused_cells)
+        self.gru = GRUCell(dim, dim, rng=rng)
 
     def forward(
         self,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from repro.utils import l2_normalize_rows, seeded_rng
 
 RELATION_MODES = ("none", "mp", "mp_lstm", "full")
 HYPER_MODES = ("none", "hmp", "full")
+# Path switches retired once their fast path became the only one;
+# checkpoint config blobs written before then still carry them.
+RETIRED_CONFIG_KEYS = ("batched_decoder", "fused_cells")
 
 
 @dataclass(frozen=True)
@@ -75,17 +78,6 @@ class RETIAConfig:
     # honours REPRO_DTYPE so a CI leg can run the whole suite under
     # float32 models while raw-autograd tests stay float64.
     dtype: str = field(default_factory=lambda: os.environ.get("REPRO_DTYPE", "float64"))
-    # One stacked Conv-TransE pass over the k historical snapshots
-    # instead of k sequential decoder calls (bit-identical; see
-    # tests/test_decoder_fastpath.py).
-    batched_decoder: bool = True
-    # Single-node fused GRU/LSTM steps with pooled gate buffers instead
-    # of the ~12-node per-step composition (bit-identical; see
-    # tests/test_fused_cells.py).  REPRO_FUSED_CELLS=0 forces the
-    # reference path for the whole process (the CI matrix leg).
-    fused_cells: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_FUSED_CELLS", "1") != "0"
-    )
 
     def __post_init__(self):
         if self.relation_mode not in RELATION_MODES:
@@ -99,7 +91,15 @@ class RETIAConfig:
         # Normalise (and validate) to the canonical dtype name so config
         # equality and checkpoint round-trips are exact.
         object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
-        object.__setattr__(self, "fused_cells", bool(self.fused_cells))
+
+    @classmethod
+    def from_dict(cls, blob: dict) -> "RETIAConfig":
+        """Rebuild a config from a checkpoint's JSON config blob.
+
+        Drops the :data:`RETIRED_CONFIG_KEYS` older checkpoints carry;
+        any other unknown key still raises ``TypeError``.
+        """
+        return cls(**{k: v for k, v in blob.items() if k not in RETIRED_CONFIG_KEYS})
 
 
 def validate_snapshot_ids(snapshot, num_entities: int, num_relations: int) -> None:
@@ -162,21 +162,12 @@ class RETIA(Module):
             self.eam_relation_embedding = Parameter(np.zeros((2 * m, d)))
             init.xavier_uniform_(self.eam_relation_embedding, rng=rng)
 
-            self.tim = TwinInteractModule(m, d, rng=rng, fused_cells=config.fused_cells)
+            self.tim = TwinInteractModule(m, d, rng=rng)
             self.ram = RelationAggregationModule(
-                d,
-                num_layers=config.num_layers,
-                dropout=config.dropout,
-                rng=rng,
-                fused_cells=config.fused_cells,
+                d, num_layers=config.num_layers, dropout=config.dropout, rng=rng
             )
             self.eam = EntityAggregationModule(
-                m,
-                d,
-                num_layers=config.num_layers,
-                dropout=config.dropout,
-                rng=rng,
-                fused_cells=config.fused_cells,
+                m, d, num_layers=config.num_layers, dropout=config.dropout, rng=rng
             )
             self.entity_decoder = ConvTransE(
                 d, config.num_kernels, config.kernel_width, config.dropout, rng=rng
@@ -195,7 +186,8 @@ class RETIA(Module):
         self.static_constraint = None
         self.static_weight = 0.0
         # Candidate-scoring strategy for entity ranking (repro.scale).
-        # None keeps the legacy dense matmul path bit-for-bit.
+        # None keeps the BLAS matmul of predict_entities (see
+        # rank_entities for why it stays the default).
         self.scorer = None
 
     def set_scorer(self, scorer) -> None:
@@ -383,68 +375,43 @@ class RETIA(Module):
     # ------------------------------------------------------------------
     # Decoding (Eq. 11-12)
     # ------------------------------------------------------------------
-    def _entity_probabilities(
-        self, entity_list, relation_list, queries: np.ndarray
-    ) -> Union[Tensor, List[Tensor]]:
+    def _entity_probabilities(self, entity_list, relation_list, queries: np.ndarray) -> Tensor:
         """Per-historical-snapshot entity probabilities ``p_t^e``.
 
-        Returns a single stacked ``(T, B, N)`` tensor on the batched fast
-        path, or one ``(B, N)`` tensor per snapshot on the reference
-        loop; both shapes are accepted downstream by :func:`_sum_probs`
-        and :func:`repro.nn.losses.nll_of_summed_probs`.
+        One stacked Conv-TransE pass over the k snapshots returns a
+        ``(T, B, N)`` tensor, bit-identical to k per-snapshot decoder
+        calls (the loop kept as the oracle in ``tests/oracles.py``).
         """
         if not self.config.time_variability:
             entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         queries = np.asarray(queries, dtype=np.int64)
         with tracing.span("decoder", queries=len(queries), snapshots=len(entity_list)):
-            if self.config.batched_decoder:
-                snaps = len(entity_list)
-                t_rows = np.arange(snaps)[:, None]
-                entities = F.stack(entity_list)  # (T, N, d)
-                relations = F.stack(relation_list)  # (T, 2M, d)
-                subj = entities[(t_rows, queries[:, 0][None, :])]  # (T, B, d)
-                rel = relations[(t_rows, queries[:, 1][None, :])]  # (T, B, d)
-                return self.entity_decoder.probabilities_multi(subj, rel, entities)
-            probs = []
-            for entity, relation in zip(entity_list, relation_list):
-                subj = entity.gather_rows(queries[:, 0])
-                rel = relation.gather_rows(queries[:, 1])
-                probs.append(self.entity_decoder.probabilities(subj, rel, entity))
-        return probs
+            t_rows = np.arange(len(entity_list))[:, None]
+            entities = F.stack(entity_list)  # (T, N, d)
+            relations = F.stack(relation_list)  # (T, 2M, d)
+            subj = entities[(t_rows, queries[:, 0][None, :])]  # (T, B, d)
+            rel = relations[(t_rows, queries[:, 1][None, :])]  # (T, B, d)
+            return self.entity_decoder.probabilities_multi(subj, rel, entities)
 
-    def _relation_probabilities(
-        self, entity_list, relation_list, pairs: np.ndarray
-    ) -> Union[Tensor, List[Tensor]]:
-        """Per-historical-snapshot relation probabilities ``p_t^r``."""
+    def _relation_probabilities(self, entity_list, relation_list, pairs: np.ndarray) -> Tensor:
+        """Per-historical-snapshot relation probabilities ``p_t^r``, ``(T, B, M)``."""
         if not self.config.time_variability:
             entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         pairs = np.asarray(pairs, dtype=np.int64)
         m = self.config.num_relations
         with tracing.span("decoder", queries=len(pairs), snapshots=len(entity_list)):
-            if self.config.batched_decoder:
-                snaps = len(entity_list)
-                t_rows = np.arange(snaps)[:, None]
-                entities = F.stack(entity_list)  # (T, N, d)
-                relations = F.stack(relation_list)  # (T, 2M, d)
-                subj = entities[(t_rows, pairs[:, 0][None, :])]
-                obj = entities[(t_rows, pairs[:, 1][None, :])]
-                candidates = relations[(t_rows, np.arange(m)[None, :])]  # (T, M, d)
-                return self.relation_decoder.probabilities_multi(subj, obj, candidates)
-            probs = []
-            for entity, relation in zip(entity_list, relation_list):
-                subj = entity.gather_rows(pairs[:, 0])
-                obj = entity.gather_rows(pairs[:, 1])
-                probs.append(self.relation_decoder.probabilities(subj, obj, relation[:m]))
-        return probs
+            t_rows = np.arange(len(entity_list))[:, None]
+            entities = F.stack(entity_list)  # (T, N, d)
+            relations = F.stack(relation_list)  # (T, 2M, d)
+            subj = entities[(t_rows, pairs[:, 0][None, :])]
+            obj = entities[(t_rows, pairs[:, 1][None, :])]
+            candidates = relations[(t_rows, np.arange(m)[None, :])]  # (T, M, d)
+            return self.relation_decoder.probabilities_multi(subj, obj, candidates)
 
     @staticmethod
-    def _sum_probs(probs: Union[Tensor, List[Tensor]]) -> np.ndarray:
-        if isinstance(probs, Tensor):  # stacked (T, B, C) from the fast path
-            return probs.data.sum(axis=0)
-        total = probs[0].data.copy()
-        for p in probs[1:]:
-            total += p.data
-        return total
+    def _sum_probs(probs: Tensor) -> np.ndarray:
+        """Sum stacked ``(T, B, C)`` probabilities over the snapshots."""
+        return probs.data.sum(axis=0)
 
     # ------------------------------------------------------------------
     # ExtrapolationModel contract
@@ -493,6 +460,11 @@ class RETIA(Module):
         streams candidate scoring, so the full ``(B, N)`` score matrix
         need never exist.  ``mask`` uses the filtered-setting
         convention: ``True`` excludes a candidate, targets never are.
+
+        The scorer-less path stays the default: its BLAS matmul is faster
+        than the ``dense`` scorer's ``einsum`` kernel on wide vocabularies
+        (measured in DESIGN.md §9), and the two differ by sub-ulp logit
+        rounding, enough to move tied ranks and so the checked metrics.
         """
         from repro.eval.metrics import ranks_from_scores
 
@@ -519,9 +491,9 @@ class RETIA(Module):
         was_training = self.training
         self.eval()
         with no_grad(), self._dtype_policy:
-            # Same gathers and batched decoder pass as
-            # _entity_probabilities' fast path (queries_stacked is
-            # bitwise identical to the per-snapshot loop in eval mode).
+            # Same gathers and stacked decoder pass as
+            # _entity_probabilities (queries_stacked is bitwise identical
+            # to the per-snapshot loop in eval mode).
             snaps = len(entity_list)
             t_rows = np.arange(snaps)[:, None]
             entities = F.stack(entity_list)

@@ -40,13 +40,12 @@ class RelationAggregationModule(Module):
         num_layers: int = 2,
         dropout: float = 0.2,
         rng: Optional[np.random.Generator] = None,
-        fused_cells: bool = True,
     ):
         super().__init__()
         self.gcn = RGCNStack(
             2 * NUM_HYPERRELATIONS, dim, num_layers=num_layers, dropout=dropout, rng=rng
         )
-        self.gru = GRUCell(dim, dim, rng=rng, fused=fused_cells)
+        self.gru = GRUCell(dim, dim, rng=rng)
         # Bias the R-GRU update gate toward keeping R_Lstm^t at
         # initialisation, so the aggregated candidate enters as a learned
         # residual refinement rather than immediately overwriting the

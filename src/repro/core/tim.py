@@ -41,13 +41,12 @@ class TwinInteractModule(Module):
         num_relations: int,
         dim: int,
         rng: Optional[np.random.Generator] = None,
-        fused_cells: bool = True,
     ):
         super().__init__()
         self.num_relations = num_relations
         self.dim = dim
-        self.lstm = LSTMCell(2 * dim, dim, rng=rng, fused=fused_cells)
-        self.hyper_lstm = LSTMCell(2 * dim, dim, rng=rng, fused=fused_cells)
+        self.lstm = LSTMCell(2 * dim, dim, rng=rng)
+        self.hyper_lstm = LSTMCell(2 * dim, dim, rng=rng)
 
     # ------------------------------------------------------------------
     # Eq. 7: common association constraints via mean pooling

@@ -37,10 +37,10 @@ def nll_of_summed_probs(
     ----------
     prob_snapshots:
         Either one ``(B, num_classes)`` probability tensor per historical
-        snapshot (already softmax-normalised, Eq. 11–12), or a single
-        stacked ``(T, B, num_classes)`` tensor from the batched decoder
-        fast path — the per-snapshot sum then collapses to one
-        ``sum(axis=0)``.
+        snapshot (already softmax-normalised, Eq. 11–12; the recurrent
+        baselines' per-snapshot decoders), or a single stacked
+        ``(T, B, num_classes)`` tensor from RETIA's batched decoder — the
+        per-snapshot sum then collapses to one ``sum(axis=0)``.
     targets:
         Ground-truth class index per row.
     """

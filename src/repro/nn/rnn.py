@@ -33,17 +33,16 @@ class GRUCell(Module):
     ``h' = (1 - z) * n + z * h`` with reset gate ``r``, update gate ``z``
     and candidate ``n = tanh(W_in x + r * (W_hn h))``.
 
-    By default the step runs through the fused :func:`F.gru_cell` kernel
-    — one autograd node, pooled gate buffers, bit-identical values and
-    gradients (DESIGN.md §11).  Pass ``fused=False`` (or set the
-    attribute) to run the original ~12-node composition instead.
+    The step runs through the fused :func:`F.gru_cell` kernel — one
+    autograd node, pooled gate buffers, values and gradients bit-identical
+    to the ~12-node reference composition kept in ``tests/oracles.py``
+    (DESIGN.md §11).
     """
 
-    def __init__(self, input_size: int, hidden_size: int, rng=None, fused: bool = True):
+    def __init__(self, input_size: int, hidden_size: int, rng=None):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = fused
         self.weight_ih = Parameter(np.zeros((3 * hidden_size, input_size)))
         self.weight_hh = Parameter(np.zeros((3 * hidden_size, hidden_size)))
         self.bias_ih = Parameter(np.zeros(3 * hidden_size))
@@ -53,17 +52,7 @@ class GRUCell(Module):
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         """One GRU step: returns the next hidden state."""
-        if self.fused:
-            return F.gru_cell(
-                x, h, self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh
-            )
-        gates_x = x @ self.weight_ih.T + self.bias_ih
-        gates_h = h @ self.weight_hh.T + self.bias_hh
-        hs = self.hidden_size
-        r = (gates_x[:, :hs] + gates_h[:, :hs]).sigmoid()
-        z = (gates_x[:, hs : 2 * hs] + gates_h[:, hs : 2 * hs]).sigmoid()
-        n = (gates_x[:, 2 * hs :] + r * gates_h[:, 2 * hs :]).tanh()
-        return (1.0 - z) * n + z * h
+        return F.gru_cell(x, h, self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh)
 
 
 class LSTMCell(Module):
@@ -75,17 +64,20 @@ class LSTMCell(Module):
     match a standard LSTM; as in the released RETIA code we keep the cell
     state at ``hidden_size`` and initialise it to zeros at the first
     timestamp (documented substitution, DESIGN.md §5).
+
+    The step runs through the fused :func:`F.lstm_cell` kernel, whose
+    values and gradients are bit-identical to the reference composition
+    in ``tests/oracles.py`` (DESIGN.md §11).
     """
 
     #: Sigmoid outputs within this distance of 0/1 count as saturated
     #: (the probe layer's gate-collapse signal).
     GATE_SATURATION_TAU = 0.05
 
-    def __init__(self, input_size: int, hidden_size: int, rng=None, fused: bool = True):
+    def __init__(self, input_size: int, hidden_size: int, rng=None):
         super().__init__()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.fused = fused
         self.weight_ih = Parameter(np.zeros((4 * hidden_size, input_size)))
         self.weight_hh = Parameter(np.zeros((4 * hidden_size, hidden_size)))
         self.bias_ih = Parameter(np.zeros(4 * hidden_size))
@@ -126,24 +118,12 @@ class LSTMCell(Module):
         if state is None:
             state = self.init_state(x.shape[0])
         h, c = state
-        if self.fused:
-            hook = self._record_gate_stats if self.collect_gate_stats else None
-            return F.lstm_cell(
-                x, h, c,
-                self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh,
-                gate_hook=hook,
-            )
-        gates = x @ self.weight_ih.T + self.bias_ih + h @ self.weight_hh.T + self.bias_hh
-        hs = self.hidden_size
-        i = gates[:, :hs].sigmoid()
-        f = gates[:, hs : 2 * hs].sigmoid()
-        g = gates[:, 2 * hs : 3 * hs].tanh()
-        o = gates[:, 3 * hs :].sigmoid()
-        if self.collect_gate_stats:
-            self._record_gate_stats(i.data, f.data, o.data)
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
-        return h_next, c_next
+        hook = self._record_gate_stats if self.collect_gate_stats else None
+        return F.lstm_cell(
+            x, h, c,
+            self.weight_ih, self.weight_hh, self.bias_ih, self.bias_hh,
+            gate_hook=hook,
+        )
 
     # ------------------------------------------------------------------
     # Gate-saturation probing

@@ -1,8 +1,8 @@
 """Hierarchical span tracing with a zero-cost uninstrumented path.
 
-This subsumes the old flat ``repro.timing`` phase timers.  Code is
-annotated with :func:`span` blocks; what happens inside depends on what
-is installed on the current thread:
+This subsumes the old flat phase timers.  Code is annotated with
+:func:`span` blocks; what happens inside depends on what is installed
+on the current thread:
 
 * nothing installed — the block costs two thread-local attribute
   lookups and records nothing (the hot-path default);

@@ -41,9 +41,13 @@ independently.  Every per-element value is therefore identical at any
 block size — asserted to the last ulp by ``tests/test_scale.py``.
 
 The *default* evaluation path (``model.scorer is None``) keeps the
-legacy matmul decoder bit-for-bit; the seam's ``dense`` reference
-differs from it only by sub-ulp logit rounding, which the ``scale-gate``
-CI job checks is rank-invisible on ICEWS14.
+matmul decoder, and it stays the default for two reasons.  Its BLAS
+matmul is faster than the non-BLAS ``einsum`` kernel above (DESIGN.md
+§9 has the measurement on ICEWS18's 23k-entity vocabulary).  And the
+seam's ``dense`` reference differs from it by sub-ulp logit rounding:
+the ``scale-gate`` CI job checks that this is rank-invisible on
+ICEWS14, but on wider vocabularies it can move tied ranks, so
+switching the default would shift checked metrics.
 """
 
 from __future__ import annotations

@@ -177,9 +177,9 @@ def score_entities(model, snapshot: EmbeddingSnapshot, queries, scorer=None) -> 
     """Decoder-only entity scores ``(B, N)`` from a frozen snapshot.
 
     Reuses the model's batched time-variability decode
-    (:meth:`~repro.core.decoder.ConvTransE.probabilities_multi` when
-    ``batched_decoder`` is on) against the frozen stacks, then sums the
-    per-snapshot probabilities exactly as ``predict_entities`` does.
+    (:meth:`~repro.core.decoder.ConvTransE.probabilities_multi`) against
+    the frozen stacks, then sums the per-snapshot probabilities exactly
+    as ``predict_entities`` does.
     The caller must hold the model lock — the decoder weights are live.
 
     ``scorer`` (a :class:`repro.scale.CandidateScorer` or spec string)

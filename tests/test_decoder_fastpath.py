@@ -1,10 +1,11 @@
 """Decoder fast path and precision policy.
 
 Covers the PR's claims head on: the batched time-variability Conv-TransE
-decode is *bit-identical* to the per-snapshot reference loop (losses,
-gradients and predictions), float32 models train to the same place as
-float64 within tolerance, the dtype survives a RunState round-trip (and
-a cross-dtype resume fails loudly), the stacked ``nll_of_summed_probs``
+decode is *bit-identical* to the per-snapshot reference loop kept in
+``tests/oracles.py`` (losses, gradients and predictions), float32
+models train to the same place as float64 within tolerance, the dtype
+survives a RunState round-trip (and a cross-dtype resume fails
+loudly), the stacked ``nll_of_summed_probs``
 matches the sequential sum, the logits-space BCE stays exact at extreme
 logits, evaluation-protocol query dedup leaves every rank unchanged, and
 the previously unseeded default generators (Dropout / RReLU /
@@ -23,6 +24,7 @@ from repro.graph import TemporalKG
 from repro.nn.layers import Dropout, RReLU
 from repro.nn.losses import binary_cross_entropy_with_logits, nll_of_summed_probs
 from repro.resilience import ResilienceConfig, RunState, RunStateError
+from tests.oracles import forbidden, use_reference_decoder
 
 
 def tiny_graph():
@@ -80,8 +82,11 @@ def make_trainer(model, *, checkpoint_dir=None, epochs=1):
 class TestBatchedVsLoop:
     def _pair(self, **overrides):
         graph = tiny_graph()
-        batched = make_model(batched_decoder=True, **overrides)
-        loop = make_model(batched_decoder=False, **overrides)
+        batched = make_model(**overrides)
+        loop = use_reference_decoder(make_model(**overrides))
+        # The loop oracle must never reach the stacked kernel.
+        for decoder in (loop.entity_decoder, loop.relation_decoder):
+            object.__setattr__(decoder, "probabilities_multi", forbidden)
         for model in (batched, loop):
             model.set_history(graph)
         return graph, batched, loop

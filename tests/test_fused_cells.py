@@ -1,15 +1,19 @@
 """Fused recurrent-cell kernels (DESIGN.md §11).
 
-Covers the PR's claims head on: the single-node ``F.gru_cell`` /
-``F.lstm_cell`` kernels are *bit-identical* to the reference cell
-compositions — forward values, parameter gradients and input gradients
-to the ulp at float32 and float64, across batch shapes and every LSTM
-output-usage pattern — gate-saturation probing sees the same statistics
-on the fused path, zero-state buffers are cached per batch size, the
-workspace pool actually recycles gate buffers (including under
-``no_grad``), and a fused-vs-unfused two-epoch training run lands on the
-same ``RETIA.fingerprint()``, kill-drill resume included.
+The single-node ``F.gru_cell`` / ``F.lstm_cell`` kernels behind
+``GRUCell`` / ``LSTMCell`` are *bit-identical* to the reference cell
+compositions in ``tests/oracles.py`` — forward values, parameter
+gradients and input gradients to the ulp at float32 and float64, across
+batch shapes and every LSTM output-usage pattern.  Gate-saturation
+probing sees the same statistics on both, zero-state buffers are cached
+per batch size, the workspace pool actually recycles gate buffers
+(including under ``no_grad``), a RETIA run on the oracle cells and one
+on the production cells land on the same two-epoch
+``RETIA.fingerprint()``, kill-drill resume included, and a stale
+caller passing the retired ``fused_cells`` switch fails loudly.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +26,12 @@ from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.nn.rnn import GRUCell, LSTMCell
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, ResilienceConfig, SimulatedCrash
+from tests.oracles import (
+    forbidden,
+    reference_gru_step,
+    reference_lstm_step,
+    use_reference_cells,
+)
 
 DTYPES = ("float32", "float64")
 
@@ -97,17 +107,16 @@ class TestGRUBitExact:
     def test_forward_and_grads_match_reference(self, dtype, batch):
         with DtypePolicy(dtype):
             rng = np.random.default_rng(3)
-            cell = GRUCell(7, 6, rng=rng, fused=False)
+            cell = GRUCell(7, 6, rng=rng)
             resolved = np.dtype(dtype)
             x = Tensor((rng.standard_normal((batch, 7)) * 3).astype(resolved),
                        requires_grad=True)
             h = Tensor((rng.standard_normal((batch, 6)) * 3).astype(resolved),
                        requires_grad=True)
             w = Tensor(rng.standard_normal((batch, 6)).astype(resolved))
-            ref = cell(x, h)
+            ref = reference_gru_step(cell, x, h)
             (ref * w).sum().backward()
             expected = grab_grads(gru_parts(cell, x, h))
-            cell.fused = True
             fused = cell(x, h)
             assert np.array_equal(ref.data, fused.data)
             assert fused.data.dtype == ref.data.dtype
@@ -118,16 +127,15 @@ class TestGRUBitExact:
     def test_nonzero_bias_hh_disables_the_fold_and_still_matches(self, dtype):
         with DtypePolicy(dtype):
             rng = np.random.default_rng(4)
-            cell = GRUCell(5, 4, rng=rng, fused=False)
+            cell = GRUCell(5, 4, rng=rng)
             cell.bias_hh.data[:] = rng.standard_normal(12).astype(np.dtype(dtype))
             x = Tensor(rng.standard_normal((6, 5)).astype(np.dtype(dtype)),
                        requires_grad=True)
             h = Tensor(rng.standard_normal((6, 4)).astype(np.dtype(dtype)),
                        requires_grad=True)
-            ref = cell(x, h)
+            ref = reference_gru_step(cell, x, h)
             ref.sum().backward()
             expected = grab_grads(gru_parts(cell, x, h))
-            cell.fused = True
             fused = cell(x, h)
             assert np.array_equal(ref.data, fused.data)
             fused.sum().backward()
@@ -138,21 +146,20 @@ class TestGRUBitExact:
         # actual encoder usage pattern.
         with DtypePolicy("float64"):
             rng = np.random.default_rng(5)
-            cell = GRUCell(4, 4, rng=rng, fused=False)
+            cell = GRUCell(4, 4, rng=rng)
             xs = [Tensor(rng.standard_normal((3, 4))) for _ in range(4)]
             h0 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
-            def run():
+            def run(step):
                 h = h0
                 for x in xs:
-                    h = cell(x, h)
+                    h = step(x, h)
                 return h
 
-            ref = run()
+            ref = run(partial(reference_gru_step, cell))
             ref.sum().backward()
             expected = grab_grads(gru_parts(cell, xs[0], h0))
-            cell.fused = True
-            fused = run()
+            fused = run(cell)
             assert np.array_equal(ref.data, fused.data)
             fused.sum().backward()
             assert_same_grads(expected, gru_parts(cell, xs[0], h0), "gru chained")
@@ -165,7 +172,7 @@ class TestLSTMBitExact:
         with DtypePolicy(dtype):
             rng = np.random.default_rng(6)
             resolved = np.dtype(dtype)
-            cell = LSTMCell(10, 4, rng=rng, fused=False)
+            cell = LSTMCell(10, 4, rng=rng)
             x = Tensor((rng.standard_normal((8, 10)) * 2).astype(resolved),
                        requires_grad=True)
             h = Tensor(rng.standard_normal((8, 4)).astype(resolved), requires_grad=True)
@@ -178,10 +185,9 @@ class TestLSTMBitExact:
                     return c_next.sum()
                 return h_next.sum() + c_next.sum()
 
-            rh, rc = cell(x, (h, c))
+            rh, rc = reference_lstm_step(cell, x, (h, c))
             loss_of(rh, rc).backward()
             expected = grab_grads(lstm_parts(cell, x, h, c))
-            cell.fused = True
             fh, fc = cell(x, (h, c))
             assert np.array_equal(rh.data, fh.data)
             assert np.array_equal(rc.data, fc.data)
@@ -193,22 +199,21 @@ class TestLSTMBitExact:
     def test_chained_steps_match_reference(self):
         with DtypePolicy("float64"):
             rng = np.random.default_rng(7)
-            cell = LSTMCell(6, 3, rng=rng, fused=False)
+            cell = LSTMCell(6, 3, rng=rng)
             xs = [Tensor(rng.standard_normal((4, 6))) for _ in range(3)]
             h0 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
             c0 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
 
-            def run():
+            def run(step):
                 h, c = h0, c0
                 for x in xs:
-                    h, c = cell(x, (h, c))
+                    h, c = step(x, (h, c))
                 return h, c
 
-            rh, rc = run()
+            rh, rc = run(partial(reference_lstm_step, cell))
             (rh.sum() + rc.sum()).backward()
             expected = grab_grads(lstm_parts(cell, xs[0], h0, c0))
-            cell.fused = True
-            fh, fc = run()
+            fh, fc = run(cell)
             assert np.array_equal(rh.data, fh.data)
             assert np.array_equal(rc.data, fc.data)
             (fh.sum() + fc.sum()).backward()
@@ -222,15 +227,14 @@ class TestGateStatsParity:
     def test_fused_and_reference_record_identical_stats(self):
         with DtypePolicy("float64"):
             rng = np.random.default_rng(8)
-            cell = LSTMCell(6, 4, rng=rng, fused=False)
+            cell = LSTMCell(6, 4, rng=rng)
             x = Tensor(rng.standard_normal((5, 6)) * 4)
             state = (Tensor(rng.standard_normal((5, 4))),
                      Tensor(rng.standard_normal((5, 4))))
             cell.collect_gate_stats = True
-            cell(x, state)
-            cell(x, state)
+            reference_lstm_step(cell, x, state)
+            reference_lstm_step(cell, x, state)
             reference = cell.pop_gate_stats()
-            cell.fused = True
             cell.collect_gate_stats = True
             cell(x, state)
             cell(x, state)
@@ -328,23 +332,28 @@ class TestWorkspacePool:
 # End to end: training fingerprints and kill-drill resume
 # ----------------------------------------------------------------------
 class TestTrainingParity:
-    def test_two_epoch_fingerprints_match_across_fused_flag(self):
+    def test_two_epoch_fingerprints_match_across_fused_flag(self, monkeypatch):
         train, valid, _ = small_dataset()
-        logs = {}
-        prints = {}
-        for fused in (False, True):
-            model = make_model(fused_cells=fused)
-            trainer = Trainer(model, TrainerConfig(epochs=2, patience=10))
-            logs[fused] = trainer.fit(train, valid)
-            prints[fused] = model.fingerprint()
-        assert prints[True] == prints[False]
-        assert [e.loss_joint for e in logs[True]] == [
-            e.loss_joint for e in logs[False]
+        reference = use_reference_cells(make_model())
+        with monkeypatch.context() as patch:
+            # The oracle run must never touch the fused kernels.
+            patch.setattr(F, "gru_cell", forbidden)
+            patch.setattr(F, "lstm_cell", forbidden)
+            reference_log = Trainer(reference, TrainerConfig(epochs=2, patience=10)).fit(
+                train, valid
+            )
+        production = make_model()
+        production_log = Trainer(production, TrainerConfig(epochs=2, patience=10)).fit(
+            train, valid
+        )
+        assert production.fingerprint() == reference.fingerprint()
+        assert [e.loss_joint for e in production_log] == [
+            e.loss_joint for e in reference_log
         ]
 
     def test_kill_drill_resume_on_fused_path_matches_unfused_reference(self, tmp_path):
         train, valid, _ = small_dataset()
-        reference = make_model(fused_cells=False)
+        reference = use_reference_cells(make_model())
         Trainer(
             reference,
             TrainerConfig(epochs=2, patience=10),
@@ -356,7 +365,7 @@ class TestTrainingParity:
             handle_signals=False,
         )
         crashed = Trainer(
-            make_model(fused_cells=True),
+            make_model(),
             TrainerConfig(epochs=2, patience=10),
             resilience=resilience,
             fault_injector=FaultInjector(kill_at_batch=5),
@@ -364,7 +373,7 @@ class TestTrainingParity:
         with pytest.raises(SimulatedCrash):
             crashed.fit(train, valid)
 
-        resumed_model = make_model(fused_cells=True)
+        resumed_model = make_model()
         Trainer(
             resumed_model,
             TrainerConfig(epochs=2, patience=10),
@@ -372,22 +381,10 @@ class TestTrainingParity:
         ).fit(train, valid, resume=True)
         assert resumed_model.fingerprint() == reference.fingerprint()
 
-    def test_config_flag_reaches_every_cell(self):
-        fused = make_model(fused_cells=True)
-        unfused = make_model(fused_cells=False)
-        for model, expected in ((fused, True), (unfused, False)):
-            assert model.eam.gru.fused is expected
-            assert model.ram.gru.fused is expected
-            assert model.tim.lstm.fused is expected
-            assert model.tim.hyper_lstm.fused is expected
-
-    def test_env_default_controls_the_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_CELLS", "0")
-        assert RETIAConfig(num_entities=3, num_relations=2).fused_cells is False
-        monkeypatch.setenv("REPRO_FUSED_CELLS", "1")
-        assert RETIAConfig(num_entities=3, num_relations=2).fused_cells is True
-        monkeypatch.delenv("REPRO_FUSED_CELLS")
-        assert RETIAConfig(num_entities=3, num_relations=2).fused_cells is True
+    def test_retired_fused_cells_switch_is_rejected(self):
+        # A stale caller fails loudly instead of being silently ignored.
+        with pytest.raises(TypeError):
+            RETIAConfig(num_entities=3, num_relations=2, fused_cells=False)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _load_eval_model, build_parser, main
 from repro.core import RETIA, RETIAConfig
+from repro.datasets import load_dataset
 from repro.graph import TemporalKG
 from repro.io import (
     TKGFormatError,
@@ -212,6 +214,33 @@ class TestCLI:
         path = str(tmp_path / "bad.npz")
         save_checkpoint(path, {"w": np.zeros(1)})
         assert main(["evaluate", "--dataset", "YAGO", "--checkpoint", path]) == 1
+
+    def test_evaluate_loads_checkpoint_with_retired_config_keys(self, tmp_path, capsys):
+        # Checkpoints written while the fused-cell and batched-decoder
+        # switches existed carry both keys in their config blob.
+        dataset = load_dataset("YAGO")
+        config = RETIAConfig(
+            dataset.num_entities, dataset.num_relations, dim=8, num_kernels=4
+        )
+        model = RETIA(config)
+        blob = dict(asdict(config), fused_cells=False, batched_decoder=True)
+        path = str(tmp_path / "old.npz")
+        save_checkpoint(path, model.state_dict(), blob)
+
+        args = build_parser().parse_args(
+            ["evaluate", "--dataset", "YAGO", "--checkpoint", path]
+        )
+        _, rebuilt = _load_eval_model(args)
+        assert rebuilt.config == config
+        assert rebuilt.fingerprint() == model.fingerprint()
+        assert main(["evaluate", "--dataset", "YAGO", "--checkpoint", path]) == 0
+        assert "MRR" in capsys.readouterr().out
+
+    def test_config_from_dict_still_rejects_unknown_keys(self):
+        blob = asdict(RETIAConfig(4, 2))
+        assert RETIAConfig.from_dict(dict(blob, fused_cells=True)) == RETIAConfig(4, 2)
+        with pytest.raises(TypeError):
+            RETIAConfig.from_dict(dict(blob, fused_cell=True))
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
