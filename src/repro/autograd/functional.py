@@ -49,11 +49,25 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(out_data, tensors, backward, "stack")
 
 
+def softmax_array(
+    data: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Numerically stable softmax of a raw array along ``axis``.
+
+    The max-shift lands in ``out`` (a new array when ``None``; pass
+    ``out=data`` to overwrite the input), then exp and the normalisation
+    run in place on it: one buffer where shift / exp / divide would take
+    three, with per-element values bitwise equal to that composition.
+    """
+    out = np.subtract(data, data.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = softmax_array(x.data, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:

@@ -19,6 +19,11 @@ from repro.autograd import functional as F
 from repro.nn import Conv2d, Dropout, Linear, Module
 from repro.utils import seeded_rng
 
+#: Logit bytes one softmax-and-sum block of :meth:`ConvTransE.summed_probabilities`
+#: covers (all T snapshots of its rows): about 1 MB, so the in-place passes
+#: over a block run in cache.
+SUM_BLOCK_BYTES = 1 << 20
+
 
 class ConvTransE(Module):
     """Score queries against a candidate embedding matrix.
@@ -108,3 +113,28 @@ class ConvTransE(Module):
         queries = self.queries_stacked(firsts, seconds)  # (T, B, d)
         scores = queries @ candidates.transpose(0, 2, 1)  # (T, B, C)
         return F.softmax(scores, axis=-1)
+
+    def summed_probabilities(
+        self, firsts: Tensor, seconds: Tensor, candidates: Tensor
+    ) -> np.ndarray:
+        """No-grad decode: ``probabilities_multi(...).data.sum(0)``, ``(B, C)``.
+
+        The queries and the single batched matmul are those of
+        :meth:`probabilities_multi`, so the logits are bitwise the same
+        (a row-blocked matmul would not be: BLAS reduction order follows
+        the block shape).  Softmax and the sum over the T snapshots then
+        run in place on row blocks of that one logit array, sized by
+        :data:`SUM_BLOCK_BYTES` so each block stays cache-resident,
+        writing into a single ``(B, C)`` result — no further full-size
+        temporaries.
+        """
+        queries = self.queries_stacked(firsts, seconds).data  # (T, B, d)
+        logits = queries @ candidates.data.transpose(0, 2, 1)  # (T, B, C)
+        snaps, batch, width = logits.shape
+        out = np.empty((batch, width), dtype=logits.dtype)
+        rows = max(1, SUM_BLOCK_BYTES // (snaps * width * logits.itemsize))
+        for start in range(0, batch, rows):
+            block = logits[:, start : start + rows]
+            F.softmax_array(block, axis=-1, out=block)
+            block.sum(axis=0, out=out[start : start + rows])
+        return out

@@ -375,6 +375,42 @@ class RETIA(Module):
     # ------------------------------------------------------------------
     # Decoding (Eq. 11-12)
     # ------------------------------------------------------------------
+    def _decode_window(self, entity_list, relation_list):
+        """The snapshots the decoder sums over: all k, or the last only."""
+        if not self.config.time_variability:
+            return entity_list[-1:], relation_list[-1:]
+        return entity_list, relation_list
+
+    def _decoder_span(self, rows: int, entity_list):
+        window = len(entity_list) if self.config.time_variability else 1
+        return tracing.span("decoder", queries=rows, snapshots=window)
+
+    def _entity_inputs(self, entity_list, relation_list, queries: np.ndarray):
+        """Stacked entity-decoder inputs ``(subj, rel, entities)``.
+
+        ``(T, B, d)`` query-side gathers and the ``(T, N, d)`` candidate
+        stack over the decode window.
+        """
+        entity_list, relation_list = self._decode_window(entity_list, relation_list)
+        t_rows = np.arange(len(entity_list))[:, None]
+        entities = F.stack(entity_list)  # (T, N, d)
+        relations = F.stack(relation_list)  # (T, 2M, d)
+        subj = entities[(t_rows, queries[:, 0][None, :])]  # (T, B, d)
+        rel = relations[(t_rows, queries[:, 1][None, :])]  # (T, B, d)
+        return subj, rel, entities
+
+    def _relation_inputs(self, entity_list, relation_list, pairs: np.ndarray):
+        """Stacked relation-decoder inputs ``(subj, obj, relations)``."""
+        entity_list, relation_list = self._decode_window(entity_list, relation_list)
+        m = self.config.num_relations
+        t_rows = np.arange(len(entity_list))[:, None]
+        entities = F.stack(entity_list)  # (T, N, d)
+        relations = F.stack(relation_list)  # (T, 2M, d)
+        subj = entities[(t_rows, pairs[:, 0][None, :])]
+        obj = entities[(t_rows, pairs[:, 1][None, :])]
+        candidates = relations[(t_rows, np.arange(m)[None, :])]  # (T, M, d)
+        return subj, obj, candidates
+
     def _entity_probabilities(self, entity_list, relation_list, queries: np.ndarray) -> Tensor:
         """Per-historical-snapshot entity probabilities ``p_t^e``.
 
@@ -382,36 +418,35 @@ class RETIA(Module):
         ``(T, B, N)`` tensor, bit-identical to k per-snapshot decoder
         calls (the loop kept as the oracle in ``tests/oracles.py``).
         """
-        if not self.config.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         queries = np.asarray(queries, dtype=np.int64)
-        with tracing.span("decoder", queries=len(queries), snapshots=len(entity_list)):
-            t_rows = np.arange(len(entity_list))[:, None]
-            entities = F.stack(entity_list)  # (T, N, d)
-            relations = F.stack(relation_list)  # (T, 2M, d)
-            subj = entities[(t_rows, queries[:, 0][None, :])]  # (T, B, d)
-            rel = relations[(t_rows, queries[:, 1][None, :])]  # (T, B, d)
-            return self.entity_decoder.probabilities_multi(subj, rel, entities)
+        with self._decoder_span(len(queries), entity_list):
+            inputs = self._entity_inputs(entity_list, relation_list, queries)
+            return self.entity_decoder.probabilities_multi(*inputs)
 
     def _relation_probabilities(self, entity_list, relation_list, pairs: np.ndarray) -> Tensor:
         """Per-historical-snapshot relation probabilities ``p_t^r``, ``(T, B, M)``."""
-        if not self.config.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         pairs = np.asarray(pairs, dtype=np.int64)
-        m = self.config.num_relations
-        with tracing.span("decoder", queries=len(pairs), snapshots=len(entity_list)):
-            t_rows = np.arange(len(entity_list))[:, None]
-            entities = F.stack(entity_list)  # (T, N, d)
-            relations = F.stack(relation_list)  # (T, 2M, d)
-            subj = entities[(t_rows, pairs[:, 0][None, :])]
-            obj = entities[(t_rows, pairs[:, 1][None, :])]
-            candidates = relations[(t_rows, np.arange(m)[None, :])]  # (T, M, d)
-            return self.relation_decoder.probabilities_multi(subj, obj, candidates)
+        with self._decoder_span(len(pairs), entity_list):
+            inputs = self._relation_inputs(entity_list, relation_list, pairs)
+            return self.relation_decoder.probabilities_multi(*inputs)
 
-    @staticmethod
-    def _sum_probs(probs: Tensor) -> np.ndarray:
-        """Sum stacked ``(T, B, C)`` probabilities over the snapshots."""
-        return probs.data.sum(axis=0)
+    def _summed_entity_probabilities(
+        self, entity_list, relation_list, queries: np.ndarray
+    ) -> np.ndarray:
+        """No-grad ``(B, N)`` sum of :meth:`_entity_probabilities` over the snapshots."""
+        queries = np.asarray(queries, dtype=np.int64)
+        with self._decoder_span(len(queries), entity_list):
+            inputs = self._entity_inputs(entity_list, relation_list, queries)
+            return self.entity_decoder.summed_probabilities(*inputs)
+
+    def _summed_relation_probabilities(
+        self, entity_list, relation_list, pairs: np.ndarray
+    ) -> np.ndarray:
+        """No-grad ``(B, M)`` sum of :meth:`_relation_probabilities` over the snapshots."""
+        pairs = np.asarray(pairs, dtype=np.int64)
+        with self._decoder_span(len(pairs), entity_list):
+            inputs = self._relation_inputs(entity_list, relation_list, pairs)
+            return self.relation_decoder.summed_probabilities(*inputs)
 
     # ------------------------------------------------------------------
     # ExtrapolationModel contract
@@ -436,10 +471,10 @@ class RETIA(Module):
         was_training = self.training
         self.eval()
         with no_grad(), self._dtype_policy:
-            probs = self._entity_probabilities(entity_list, relation_list, queries)
+            summed = self._summed_entity_probabilities(entity_list, relation_list, queries)
         if was_training:
             self.train()
-        return self._sum_probs(probs)
+        return summed
 
     def rank_entities(
         self,
@@ -452,56 +487,47 @@ class RETIA(Module):
         """Average-tie gold ranks for entity queries at timestamp ``ts``.
 
         The seam the evaluation protocol ranks through.  Without a
-        configured scorer this *is* the historical protocol code —
-        dedup, :meth:`predict_entities`, scatter,
-        :func:`~repro.eval.metrics.ranks_from_scores` — bit for bit.
-        With one, query representations are built once (same gathers
-        and stacked decoder pass as the dense path) and the strategy
-        streams candidate scoring, so the full ``(B, N)`` score matrix
-        need never exist.  ``mask`` uses the filtered-setting
-        convention: ``True`` excludes a candidate, targets never are.
+        configured scorer this *is* the protocol's own code — dedup,
+        :meth:`predict_entities` on the distinct queries, then
+        :func:`~repro.eval.metrics.ranks_from_scores` with the dedup
+        index as ``rows=`` — bit for bit.  With one, query
+        representations are built once (same gathers and stacked
+        decoder pass as the dense path) and the strategy streams
+        candidate scoring, so the full ``(B, N)`` score matrix need
+        never exist.  ``mask`` uses the filtered-setting convention:
+        ``True`` excludes a candidate, targets never are.
 
-        The scorer-less path stays the default: its BLAS matmul is faster
-        than the ``dense`` scorer's ``einsum`` kernel on wide vocabularies
-        (measured in DESIGN.md §9), and the two differ by sub-ulp logit
-        rounding, enough to move tied ranks and so the checked metrics.
+        The scorer-less path stays the default: its single BLAS matmul
+        with the in-place blocked softmax-and-sum of
+        :meth:`~repro.core.decoder.ConvTransE.summed_probabilities` is
+        faster than the ``dense`` scorer's ``einsum`` kernel on wide
+        vocabularies (measured in DESIGN.md §9), and the two differ by
+        sub-ulp logit rounding, enough to move tied ranks and so the
+        checked metrics.
         """
-        from repro.eval.metrics import ranks_from_scores
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute (the e2e benchmark's layer tracer) sees every call.
+        from repro.eval.metrics import dedup_rows, ranks_from_scores
 
         queries = np.asarray(queries, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        unique_queries, inverse = dedup_rows(queries, dedup)
         scorer = self.scorer
         if scorer is None:
-            if dedup:
-                unique_queries, inverse = np.unique(queries, axis=0, return_inverse=True)
-                # return_inverse shape for axis-unique varies across numpy 2.x.
-                scores = self.predict_entities(unique_queries, ts)[inverse.ravel()]
-            else:
-                scores = self.predict_entities(queries, ts)
-            return ranks_from_scores(scores, targets, mask)
+            scores = self.predict_entities(unique_queries, ts)
+            return ranks_from_scores(scores, targets, mask, rows=inverse)
 
-        if dedup:
-            unique_queries, inverse = np.unique(queries, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-        else:
-            unique_queries, inverse = queries, None
         entity_list, relation_list = self._evolved_for(ts)
-        if not self.config.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         was_training = self.training
         self.eval()
         with no_grad(), self._dtype_policy:
             # Same gathers and stacked decoder pass as
             # _entity_probabilities (queries_stacked is bitwise identical
             # to the per-snapshot loop in eval mode).
-            snaps = len(entity_list)
-            t_rows = np.arange(snaps)[:, None]
-            entities = F.stack(entity_list)
-            relations = F.stack(relation_list)
-            subj = entities[(t_rows, unique_queries[:, 0][None, :])]
-            rel = relations[(t_rows, unique_queries[:, 1][None, :])]
+            subj, rel, _ = self._entity_inputs(entity_list, relation_list, unique_queries)
             reps = self.entity_decoder.queries_stacked(subj, rel).data
-            candidates = [e.data for e in entity_list]
+            window, _ = self._decode_window(entity_list, relation_list)
+            candidates = [e.data for e in window]
         if was_training:
             self.train()
         if getattr(scorer, "needs_history", False):
@@ -524,10 +550,10 @@ class RETIA(Module):
         was_training = self.training
         self.eval()
         with no_grad(), self._dtype_policy:
-            probs = self._relation_probabilities(entity_list, relation_list, pairs)
+            summed = self._summed_relation_probabilities(entity_list, relation_list, pairs)
         if was_training:
             self.train()
-        return self._sum_probs(probs)
+        return summed
 
     def observe(self, snapshot: Snapshot) -> None:
         """Record revealed facts; online updates are handled by Trainer's

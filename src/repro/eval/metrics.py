@@ -7,10 +7,30 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 
+def dedup_rows(keys: np.ndarray, dedup: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Distinct rows of ``keys`` and each row's index among them.
+
+    The pair feeds :func:`ranks_from_scores`: score the distinct rows,
+    then pass the index as ``rows=``.  ``dedup=False`` returns ``keys``
+    unchanged with a ``None`` index.
+    """
+    if not dedup:
+        return keys, None
+    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    # return_inverse shape for axis-unique varies across numpy 2.x.
+    return unique, inverse.ravel()
+
+
+#: Score bytes one counting block of :func:`ranks_from_scores` covers
+#: (about 1 MB), so the comparison masks stay cache-sized.
+RANK_BLOCK_BYTES = 1 << 20
+
+
 def ranks_from_scores(
     scores: np.ndarray,
     targets: np.ndarray,
     filter_mask: Optional[np.ndarray] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Rank of each target among its candidate scores (1 = best).
 
@@ -18,32 +38,59 @@ def ranks_from_scores(
     deterministic and unbiased (a model scoring everything equally gets
     the expected random rank, not rank 1).
 
+    Comparisons run in the scores' own floating dtype: widening float32
+    to float64 is exact and order-preserving, so it could not change a
+    rank.  Counting goes block by block, so no full-size temporary is
+    built.
+
     Parameters
     ----------
     scores:
-        ``(B, C)`` candidate scores, higher is better.
+        ``(U, C)`` candidate scores, higher is better.
     targets:
-        ``(B,)`` index of the ground-truth candidate per row.
+        ``(B,)`` index of the ground-truth candidate per ranked row.
     filter_mask:
         Optional boolean ``(B, C)``; ``True`` marks candidates to exclude
         (known true facts under a filtered setting).  The target itself is
         never excluded.
+    rows:
+        Optional ``(B,)`` score row of each ranked row — the inverse map
+        of a query dedup — so ``scores[rows]`` is never materialised.
+        ``None`` means row ``i`` ranks against ``scores[i]``.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if not np.issubdtype(scores.dtype, np.floating):
+        scores = scores.astype(np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    if scores.ndim != 2 or len(targets) != scores.shape[0]:
+    count = len(targets)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+    if scores.ndim != 2 or count != (scores.shape[0] if rows is None else len(rows)):
         raise ValueError("scores must be (B, C) with one target per row")
-    if filter_mask is not None:
-        scores = scores.copy()
-        mask = np.asarray(filter_mask, dtype=bool).copy()
-        mask[np.arange(len(targets)), targets] = False
-        scores[mask] = -np.inf
+    mask = None if filter_mask is None else np.asarray(filter_mask, dtype=bool)
 
-    rows = np.arange(len(targets))
-    target_scores = scores[rows, targets][:, None]
-    greater = (scores > target_scores).sum(axis=1)
-    ties = (scores == target_scores).sum(axis=1) - 1  # excl. the target
-    return 1.0 + greater + ties / 2.0
+    ranks = np.empty(count, dtype=np.float64)
+    block = max(1, RANK_BLOCK_BYTES // max(1, scores.shape[1] * scores.itemsize))
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        local = np.arange(stop - start)
+        block_targets = targets[start:stop]
+        block_scores = scores[start:stop] if rows is None else scores[rows[start:stop]]
+        target_scores = block_scores[local, block_targets][:, None]
+        greater = block_scores > target_scores
+        ties = block_scores == target_scores
+        if mask is not None:
+            # Excluding a candidate is what the filtered setting's "set
+            # it to -inf" does to these counts for any finite target.
+            valid = ~mask[start:stop]
+            valid[local, block_targets] = True
+            greater &= valid
+            ties &= valid
+        # ties counts the target itself once.
+        ranks[start:stop] = (
+            1.0 + np.count_nonzero(greater, axis=1) + (np.count_nonzero(ties, axis=1) - 1) / 2.0
+        )
+    return ranks
 
 
 def log_spaced_rank_edges(max_rank: int = 1_000_000) -> Tuple[float, ...]:

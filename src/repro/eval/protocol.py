@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.eval.filters import FilterIndex
 from repro.eval.interface import ExtrapolationModel
-from repro.eval.metrics import RankAccumulator, ranks_from_scores
+from repro.eval.metrics import RankAccumulator, dedup_rows, ranks_from_scores
 from repro.graph import Snapshot, TemporalKG
 
 
@@ -58,8 +58,8 @@ def score_timestamp(
     Entity queries cover both directions — object queries ``(s, r, ?)``
     and subject queries ``(?, r, o)`` expressed as ``(o, r + M, ?)`` —
     and the relation task ranks ``(s, ?, o)`` among the M true
-    relations.  ``dedup=True`` scores each distinct query once and
-    scatters the rows back (the :func:`evaluate_extrapolation`
+    relations.  ``dedup=True`` scores each distinct query once and ranks
+    every row against its query's scores (the :func:`evaluate_extrapolation`
     convention); ``dedup=False`` scores every row directly (the
     diagnostics convention).  The two produce equal score *values* but
     feed differently-shaped batches to the model, so bit-exact
@@ -91,26 +91,19 @@ def score_timestamp(
         # code below, bit for bit.
         entity_ranks = model.rank_entities(queries, targets, ts, mask=mask, dedup=dedup)
     else:
-        if dedup:
-            # A (subject, relation) pair with several true objects appears
-            # once per object; the model scores depend only on the pair, so
-            # score each distinct query once and scatter the rows back.
-            unique_queries, inverse = np.unique(queries, axis=0, return_inverse=True)
-            # return_inverse shape for axis-unique varies across numpy 2.x.
-            scores = model.predict_entities(unique_queries, ts)[inverse.ravel()]
-        else:
-            scores = model.predict_entities(queries, ts)
-        entity_ranks = ranks_from_scores(scores, targets, mask)
+        # A (subject, relation) pair with several true objects appears
+        # once per object; the model scores depend only on the pair, so
+        # with dedup each distinct query is scored once and every row
+        # ranks against its query's score row.
+        unique_queries, inverse = dedup_rows(queries, dedup)
+        scores = model.predict_entities(unique_queries, ts)
+        entity_ranks = ranks_from_scores(scores, targets, mask, rows=inverse)
 
     relation_ranks = None
     if evaluate_relations:
-        pairs = np.stack([s, o], axis=1)
-        if dedup:
-            unique_pairs, pair_inverse = np.unique(pairs, axis=0, return_inverse=True)
-            rel_scores = model.predict_relations(unique_pairs, ts)[pair_inverse.ravel()]
-        else:
-            rel_scores = model.predict_relations(pairs, ts)
-        relation_ranks = ranks_from_scores(rel_scores, r)
+        unique_pairs, pair_inverse = dedup_rows(np.stack([s, o], axis=1), dedup)
+        rel_scores = model.predict_relations(unique_pairs, ts)
+        relation_ranks = ranks_from_scores(rel_scores, r, rows=pair_inverse)
 
     return TimestampScores(
         ts=ts,

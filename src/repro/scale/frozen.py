@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.autograd import DtypePolicy, Tensor, no_grad
+from repro.eval.metrics import dedup_rows
 from repro.scale.scorers import BlockedScorer, CandidateScorer, DenseScorer, get_scorer
 from repro.scale.store import EmbeddingStore
 
@@ -180,11 +181,7 @@ class FrozenWindowModel:
         """Streamed gold ranks through the configured scorer."""
         queries = np.asarray(queries, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        if dedup:
-            unique_queries, inverse = np.unique(queries, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-        else:
-            unique_queries, inverse = queries, None
+        unique_queries, inverse = dedup_rows(queries, dedup)
         reps = self._entity_query_reps(unique_queries)
         if self.scorer.needs_history:
             self.scorer.sync_history(self.history_before(ts), self.num_relations)

@@ -34,20 +34,25 @@ block shape, so a chunked matmul is *not* bitwise-reproducible against
 the unchunked one.  The seam therefore computes logits with
 ``np.einsum`` (non-optimized), whose per-element sequential reduction
 over ``d`` is independent of how the query/candidate axes are blocked;
-softmax runs on full candidate rows (the denominator needs every
-candidate, which is also why "pruned" strategies still touch each
-candidate's logit once); and the sum over T hits each element
-independently.  Every per-element value is therefore identical at any
-block size — asserted to the last ulp by ``tests/test_scale.py``.
+softmax (the shared in-place kernel
+:func:`repro.autograd.functional.softmax_array`) runs on full candidate
+rows (the denominator needs every candidate, which is also why
+"pruned" strategies still touch each candidate's logit once); and the
+sum over T hits each element independently.  Every per-element value
+is therefore identical at any block size — asserted to the last ulp by
+``tests/test_scale.py``.  Gold ranks are always counted by
+:func:`repro.eval.metrics.ranks_from_scores`.
 
 The *default* evaluation path (``model.scorer is None``) keeps the
-matmul decoder, and it stays the default for two reasons.  Its BLAS
-matmul is faster than the non-BLAS ``einsum`` kernel above (DESIGN.md
-§9 has the measurement on ICEWS18's 23k-entity vocabulary).  And the
-seam's ``dense`` reference differs from it by sub-ulp logit rounding:
-the ``scale-gate`` CI job checks that this is rank-invisible on
-ICEWS14, but on wider vocabularies it can move tied ranks, so
-switching the default would shift checked metrics.
+decoder's own no-grad decode,
+:meth:`repro.core.decoder.ConvTransE.summed_probabilities`, and it
+stays the default for two reasons.  Its single BLAS matmul is faster
+than the non-BLAS ``einsum`` kernel above (DESIGN.md §9 has the
+measurement on ICEWS18's 23k-entity vocabulary).  And the seam's
+``dense`` reference differs from it by sub-ulp logit rounding: the
+``scale-gate`` CI job checks that this is rank-invisible on ICEWS14,
+but on wider vocabularies it can move tied ranks, so switching the
+default would shift checked metrics.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.autograd.functional import softmax_array
+from repro.eval.metrics import ranks_from_scores
 from repro.scale.candidates import HistoryCandidateIndex
 
 #: Default query rows per streamed block (memory ~ T · block · C floats).
@@ -161,11 +168,10 @@ class CandidateScorer:
     ) -> np.ndarray:
         """Average-tie gold ranks, streamed block by block.
 
-        Equivalent to scoring everything and calling
-        :func:`repro.eval.metrics.ranks_from_scores` — same float64
-        comparisons, same ``1 + greater + ties/2`` arithmetic — but the
-        ``(B, C)`` score matrix only ever exists one query block at a
-        time.
+        Each query block's summed probabilities go straight to
+        :func:`repro.eval.metrics.ranks_from_scores` with the rows it
+        serves, so the ``(B, C)`` score matrix only ever exists one
+        query block at a time.
         """
         del query_ids  # used by history-filtered scoring only
         targets = np.asarray(targets, dtype=np.int64)
@@ -183,8 +189,12 @@ class CandidateScorer:
             if not rows.size:
                 continue
             summed = self._block_sum_probs(queries, candidates, start, stop)
-            scores = summed[inverse[rows] - start].astype(np.float64, copy=False)
-            ranks[rows] = _count_ranks(scores, targets[rows], None if mask is None else mask[rows])
+            ranks[rows] = ranks_from_scores(
+                summed,
+                targets[rows],
+                None if mask is None else mask[rows],
+                rows=inverse[rows] - start,
+            )
         return ranks
 
     def topk(
@@ -199,26 +209,6 @@ class CandidateScorer:
             summed = self._block_sum_probs(queries, candidates, start, stop)
             out.extend(select_topk(row, k) for row in summed)
         return out
-
-
-def _count_ranks(scores: np.ndarray, targets: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-    """The counting core of ``ranks_from_scores`` on one score block.
-
-    ``mask`` rows use ``valid = ~mask`` with the target forced valid —
-    exactly what the reference's "set excluded entries to -inf" does to
-    the greater/ties counts, without mutating the scores.
-    """
-    local = np.arange(len(targets))
-    target_scores = scores[local, targets][:, None]
-    if mask is None:
-        greater = (scores > target_scores).sum(axis=1)
-        ties = (scores == target_scores).sum(axis=1) - 1
-    else:
-        valid = ~np.asarray(mask, dtype=bool)
-        valid[local, targets] = True
-        greater = ((scores > target_scores) & valid).sum(axis=1)
-        ties = ((scores == target_scores) & valid).sum(axis=1) - 1
-    return 1.0 + greater + ties / 2.0
 
 
 class BlockedScorer(CandidateScorer):
@@ -282,11 +272,7 @@ class BlockedScorer(CandidateScorer):
                     np.asarray(table[cs:ce]),
                     out=logits[t, :, cs:ce],
                 )
-        # In-place softmax over the candidate axis — per-element values
-        # identical to F.softmax's shift/exp/normalise.
-        logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
+        softmax_array(logits, axis=-1, out=logits)
         return logits.sum(axis=0)
 
 
@@ -431,14 +417,9 @@ class HistoryFilteredScorer(CandidateScorer):
             logits = np.stack(
                 [np.einsum("d,cd->c", queries[t, unique_row], gathered[t]) for t in range(snaps)]
             )
-            logits -= logits.max(axis=-1, keepdims=True)
-            np.exp(logits, out=logits)
-            logits /= logits.sum(axis=-1, keepdims=True)
-            scores = logits.sum(axis=0).astype(np.float64, copy=False)
-            target_score = scores[np.searchsorted(ids, targets[row])]
-            greater = (scores > target_score).sum()
-            ties = (scores == target_score).sum() - 1
-            ranks[row] = 1.0 + greater + ties / 2.0
+            scores = softmax_array(logits, axis=-1, out=logits).sum(axis=0)
+            target = np.searchsorted(ids, targets[row])
+            ranks[row] = ranks_from_scores(scores[None, :], [target])[0]
         return ranks
 
 

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import DtypePolicy, Tensor, no_grad
 
 
 class SnapshotUnavailable(RuntimeError):
@@ -90,21 +90,20 @@ def capture(
         if was_training and hasattr(model, "train"):
             model.train()
 
-    if spill_dir is None:
-        def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
-            return Tensor(tensor.data.copy())
-    else:
-        from repro.autograd import DtypePolicy
-        from repro.scale import EmbeddingStore
+    def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
+        if spill_dir is None:
+            table = tensor.data.copy()
+        else:
+            from repro.scale import EmbeddingStore
 
-        def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
             path = os.path.join(spill_dir, f"{kind}_v{int(version)}_t{index}.npy")
             table = EmbeddingStore.save(path, tensor.data).data
-            # Construct under the table's own dtype so the Tensor wraps
-            # the memmap without copying: rows then load lazily as the
-            # decoder gathers them.
-            with DtypePolicy(table.dtype):
-                return Tensor(table)
+        # Construct under the table's own dtype so a float32 model
+        # publishes float32 stacks, and a spilled memmap is wrapped
+        # without copying: rows then load lazily as the decoder
+        # gathers them.
+        with DtypePolicy(table.dtype):
+            return Tensor(table)
 
     return EmbeddingSnapshot(
         ts=int(ts),
@@ -176,10 +175,9 @@ class SnapshotStore:
 def score_entities(model, snapshot: EmbeddingSnapshot, queries, scorer=None) -> "np.ndarray":
     """Decoder-only entity scores ``(B, N)`` from a frozen snapshot.
 
-    Reuses the model's batched time-variability decode
-    (:meth:`~repro.core.decoder.ConvTransE.probabilities_multi`) against
-    the frozen stacks, then sums the per-snapshot probabilities exactly
-    as ``predict_entities`` does.
+    Reuses the model's no-grad time-variability decode
+    (:meth:`~repro.core.decoder.ConvTransE.summed_probabilities`)
+    against the frozen stacks, exactly as ``predict_entities`` does.
     The caller must hold the model lock — the decoder weights are live.
 
     ``scorer`` (a :class:`repro.scale.CandidateScorer` or spec string)
@@ -200,8 +198,7 @@ def score_entities(model, snapshot: EmbeddingSnapshot, queries, scorer=None) -> 
     try:
         if scorer is None:
             with no_grad(), model._dtype_policy:
-                probs = model._entity_probabilities(entity_list, relation_list, queries)
-            return model._sum_probs(probs)
+                return model._summed_entity_probabilities(entity_list, relation_list, queries)
         from repro.scale import get_scorer
 
         strategy = get_scorer(scorer)

@@ -10,7 +10,12 @@ they replaced live here, test-only, as bit-exactness oracles:
 * :func:`reference_entity_probabilities` /
   :func:`reference_relation_probabilities` — one decoder call per
   historical snapshot, returning a list, summed by
-  :func:`reference_sum_probs`.
+  :func:`reference_sum_probs`;
+* :func:`reference_softmax` — the shift / exp / normalise composition
+  with a fresh buffer per step, which ``F.softmax`` runs in one;
+* :func:`reference_ranks` — the gathered, float64-widened, whole-row
+  count ``ranks_from_scores`` replaced with a blocked count in the
+  scores' own dtype.
 
 :func:`use_reference_cells` and :func:`use_reference_decoder` rebind a
 ``RETIA`` instance onto them, so model-level parity tests compare a
@@ -117,12 +122,64 @@ def reference_sum_probs(probs: List[Tensor]) -> np.ndarray:
 
 
 def use_reference_decoder(model):
-    """Route ``model``'s decode through the per-snapshot loop."""
+    """Route ``model``'s decode through the per-snapshot loop.
+
+    Both the training decode (per-snapshot probability tensors) and the
+    no-grad summed decode behind ``predict_entities`` /
+    ``predict_relations`` / serving are rebound.
+    """
+    entity = partial(reference_entity_probabilities, model)
+    relation = partial(reference_relation_probabilities, model)
+    object.__setattr__(model, "_entity_probabilities", entity)
+    object.__setattr__(model, "_relation_probabilities", relation)
     object.__setattr__(
-        model, "_entity_probabilities", partial(reference_entity_probabilities, model)
+        model,
+        "_summed_entity_probabilities",
+        lambda *args: reference_sum_probs(entity(*args)),
     )
     object.__setattr__(
-        model, "_relation_probabilities", partial(reference_relation_probabilities, model)
+        model,
+        "_summed_relation_probabilities",
+        lambda *args: reference_sum_probs(relation(*args)),
     )
-    object.__setattr__(model, "_sum_probs", reference_sum_probs)
     return model
+
+
+# ----------------------------------------------------------------------
+# Softmax and ranking
+# ----------------------------------------------------------------------
+def reference_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax as three fresh buffers: shift, exp, normalise."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    out_data = exp / exp.sum(axis=axis, keepdims=True)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            grad = np.asarray(grad)
+            inner = (grad * out_data).sum(axis=axis, keepdims=True)
+            x._accumulate(out_data * (grad - inner))
+
+    return Tensor._from_op(out_data, (x,), backward, "softmax")
+
+
+def reference_ranks(scores, targets, filter_mask=None, rows=None) -> np.ndarray:
+    """Average-tie ranks the long way round.
+
+    Gathers ``scores[rows]`` into a full matrix, widens it to float64,
+    sets excluded candidates to ``-inf`` and counts with ``>`` / ``==``
+    sums over whole rows.
+    """
+    scores = np.asarray(scores)
+    if rows is not None:
+        scores = scores[np.asarray(rows, dtype=np.int64)]
+    scores = scores.astype(np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if filter_mask is not None:
+        mask = np.asarray(filter_mask, dtype=bool).copy()
+        mask[np.arange(len(targets)), targets] = False
+        scores[mask] = -np.inf
+    target_scores = scores[np.arange(len(targets)), targets][:, None]
+    greater = (scores > target_scores).sum(axis=1)
+    ties = (scores == target_scores).sum(axis=1) - 1  # excl. the target
+    return 1.0 + greater + ties / 2.0

@@ -15,16 +15,23 @@ ConvTransE) make two identical constructions bit-equal.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, default_dtype
+from repro.autograd import DtypePolicy, Tensor, default_dtype, no_grad
+from repro.autograd import functional as F
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
-from repro.core.decoder import ConvTransE
+from repro.core.decoder import SUM_BLOCK_BYTES, ConvTransE
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.eval import evaluate_extrapolation
+from repro.eval.metrics import RANK_BLOCK_BYTES, ranks_from_scores
 from repro.graph import TemporalKG
 from repro.nn.layers import Dropout, RReLU
 from repro.nn.losses import binary_cross_entropy_with_logits, nll_of_summed_probs
 from repro.resilience import ResilienceConfig, RunState, RunStateError
-from tests.oracles import forbidden, use_reference_decoder
+from tests.oracles import (
+    forbidden,
+    reference_ranks,
+    reference_softmax,
+    use_reference_decoder,
+)
 
 
 def tiny_graph():
@@ -84,9 +91,10 @@ class TestBatchedVsLoop:
         graph = tiny_graph()
         batched = make_model(**overrides)
         loop = use_reference_decoder(make_model(**overrides))
-        # The loop oracle must never reach the stacked kernel.
+        # The loop oracle must never reach the stacked kernels.
         for decoder in (loop.entity_decoder, loop.relation_decoder):
             object.__setattr__(decoder, "probabilities_multi", forbidden)
+            object.__setattr__(decoder, "summed_probabilities", forbidden)
         for model in (batched, loop):
             model.set_history(graph)
         return graph, batched, loop
@@ -127,6 +135,14 @@ class TestBatchedVsLoop:
             batched.predict_relations(pairs, 3), loop.predict_relations(pairs, 3)
         )
 
+    def test_served_scores_bitwise_equal(self):
+        from repro.serve import capture, score_entities
+
+        graph, batched, loop = self._pair()
+        queries = np.array([[0, 0], [1, 1], [2, 2], [0, 3]])
+        served = [score_entities(m, capture(m, 3, version=1), queries) for m in (batched, loop)]
+        np.testing.assert_array_equal(served[0], served[1])
+
     def test_holds_in_train_mode_with_dropout(self):
         graph, batched, loop = self._pair()
         batched.train()
@@ -152,6 +168,102 @@ class TestBatchedVsLoop:
             batched.loss_on_snapshot(target)[0].data,
             loop.loss_on_snapshot(target)[0].data,
         )
+
+
+# ----------------------------------------------------------------------
+# No-grad decode-to-rank kernels are bitwise equal to their oracles
+# ----------------------------------------------------------------------
+WIDE = 5003  # candidates: wide enough for several rows per block, not a round number
+DTYPES = [np.float32, np.float64]
+# Batch sizes relative to a kernel's rows per block.
+BATCHES = {
+    "one": lambda block: 1,
+    "below": lambda block: block - 1,
+    "at": lambda block: block,
+    "ragged": lambda block: 2 * block + 3,
+}
+
+
+class TestSoftmaxKernel:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_forward_and_grad_bitwise(self, dtype, axis):
+        rng = np.random.default_rng(1)
+        data = (4.0 * rng.normal(size=(3, 5, WIDE))).astype(dtype)
+        data[..., 100:200] = data[..., :100]  # tied logits
+        grad = rng.normal(size=data.shape).astype(dtype)
+        with DtypePolicy(dtype):
+            x = Tensor(data, requires_grad=True)
+            y = Tensor(data.copy(), requires_grad=True)
+            out, ref = F.softmax(x, axis=axis), reference_softmax(y, axis=axis)
+            out.backward(grad)
+            ref.backward(grad)
+        assert out.data.dtype == x.grad.dtype == dtype
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_array_equal(data, x.data)  # input untouched
+        np.testing.assert_array_equal(x.grad, y.grad)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_in_place_form_matches(self, dtype):
+        rng = np.random.default_rng(2)
+        data = rng.normal(size=(4, WIDE)).astype(dtype)
+        with DtypePolicy(dtype):
+            expected = reference_softmax(Tensor(data)).data
+        buffer = data.copy()
+        assert F.softmax_array(buffer, out=buffer) is buffer
+        np.testing.assert_array_equal(buffer, expected)
+
+
+class TestSummedProbabilities:
+    def _case(self, dtype, batch, snaps=3, dim=8):
+        rng = np.random.default_rng(batch)
+        with DtypePolicy(dtype):
+            decoder = ConvTransE(dim, num_kernels=4).eval()
+            firsts = Tensor(rng.normal(size=(snaps, batch, dim)))
+            seconds = Tensor(rng.normal(size=(snaps, batch, dim)))
+            table = rng.normal(size=(snaps, WIDE, dim))
+            table[:, 100:200] = table[:, :100]  # tied candidates
+            candidates = Tensor(table)
+        return decoder, firsts, seconds, candidates
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("batch_of", BATCHES.values(), ids=BATCHES.keys())
+    def test_matches_summed_probabilities_multi(self, dtype, batch_of):
+        snaps = 3
+        block = SUM_BLOCK_BYTES // (snaps * WIDE * np.dtype(dtype).itemsize)
+        assert block > 2  # several rows per block, so every case is distinct
+        decoder, firsts, seconds, candidates = self._case(dtype, batch_of(block), snaps)
+        with no_grad(), DtypePolicy(dtype):
+            expected = decoder.probabilities_multi(firsts, seconds, candidates).data.sum(0)
+            got = decoder.summed_probabilities(firsts, seconds, candidates)
+        assert got.dtype == dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got[:, 100:200], got[:, :100])
+
+
+class TestBlockedRanks:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("batch_of", BATCHES.values(), ids=BATCHES.keys())
+    @pytest.mark.parametrize("masked", [False, True], ids=["raw", "filtered"])
+    def test_rows_match_reference(self, dtype, batch_of, masked):
+        block = RANK_BLOCK_BYTES // (WIDE * np.dtype(dtype).itemsize)
+        count = batch_of(block)
+        rng = np.random.default_rng(count)
+        unique = max(1, count // 2)
+        # Three decimals over 5k candidates: ties are everywhere, and
+        # every target gets at least one tied rival.
+        scores = np.round(rng.random((unique, WIDE)), 3).astype(dtype)
+        rows = rng.integers(0, unique, size=count)
+        targets = rng.integers(0, WIDE - 1, size=count)
+        scores[rows, targets + 1] = scores[rows, targets]
+        mask = rng.random((count, WIDE)) < 0.3 if masked else None
+        got = ranks_from_scores(scores, targets, mask, rows=rows)
+        np.testing.assert_array_equal(got, reference_ranks(scores, targets, mask, rows=rows))
+        np.testing.assert_array_equal(got, ranks_from_scores(scores[rows], targets, mask))
+
+    def test_rows_length_must_match_targets(self):
+        with pytest.raises(ValueError):
+            ranks_from_scores(np.zeros((2, 3)), [0, 1, 2], rows=[0, 1])
 
 
 # ----------------------------------------------------------------------

@@ -355,8 +355,27 @@ class TestServeScorerSeam:
         dense = score_entities(model, ram_snapshot, queries, scorer="dense")
         blocked = score_entities(model, spilled, queries, scorer="blocked:2:5")
         assert np.array_equal(blocked, dense)
-        # Against the legacy matmul path only sub-ulp rounding may differ.
-        np.testing.assert_allclose(dense, legacy, rtol=1e-12, atol=1e-15)
+        # Against the legacy matmul path only last-bits logit rounding
+        # may differ, a few ulp of the model's own dtype.
+        assert legacy.dtype == dense.dtype == np.dtype(model.config.dtype)
+        if legacy.dtype == np.float64:
+            np.testing.assert_allclose(dense, legacy, rtol=1e-12, atol=1e-15)
+        else:
+            np.testing.assert_allclose(dense, legacy, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_capture_keeps_the_model_dtype(self, splits, tmp_path, dtype):
+        from repro.serve import capture
+
+        train, valid, _ = splits
+        model = revealed_model(train, valid, dtype=dtype)
+        ts = int(valid.timestamps[-1]) + 1
+        for snapshot in (
+            capture(model, ts, version=1),
+            capture(model, ts, version=2, spill_dir=str(tmp_path)),
+        ):
+            stacks = snapshot.entity_list + snapshot.relation_list
+            assert {t.data.dtype for t in stacks} == {np.dtype(dtype)}
 
 
 class TestMixedScorerRefusal:
