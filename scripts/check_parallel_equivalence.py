@@ -24,10 +24,10 @@ Four checks, each against the repo's determinism contract (DESIGN.md,
    equivalence checks above still gate unconditionally, because the
    contract is about bits, not seconds.
 
-Timings can be appended to a ``BENCH_history.jsonl`` trajectory
-(``--history``) with the worker count and detected core count on every
-entry, so cross-run gates (``repro.cli bench --component eval``) can
-compare like with like.
+The timings come from the perf registry's ``eval`` series
+(:mod:`repro.bench.measure`) and can be appended to a
+``BENCH_history.jsonl`` trajectory (``--history``), one entry per worker
+count, each its own series for ``repro.cli bench --component eval``.
 
 Usage:
     PYTHONPATH=src python scripts/check_parallel_equivalence.py \
@@ -43,7 +43,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.bench import append_entry, benchmark_eval, make_entry
+from repro.bench.measure import measure, record
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.eval import diagnose_extrapolation, evaluate_extrapolation, known_entities_of
@@ -217,21 +217,12 @@ def main() -> int:
     print(f"eval speedup (min-of-{args.bench_repeats} per worker count):")
     timings = {}
     for workers in sorted(set(args.workers) | {1}):
-        results = [
-            benchmark_eval(
-                args.dataset, workers=workers, seed=args.seed, registry=registry
-            )
-            for _ in range(args.bench_repeats)
-        ]
-        best = min(results, key=lambda r: r["eval_seconds_per_step"])
-        timings[workers] = best["eval_seconds_per_step"]
+        run = measure(
+            "eval", args.dataset, repeats=args.bench_repeats, seed=args.seed, workers=workers
+        )
+        record(run, registry, history_path=args.history)
+        timings[workers] = min(run.samples["eval_s"])
         print(f"  workers={workers}: {timings[workers] * 1000:.2f} ms/step")
-        if args.history:
-            append_entry(
-                args.history,
-                make_entry(best, name="eval",
-                           extra={"workers": workers, "cpus": cpus}),
-            )
     top = max(timings)
     speedup = timings[1] / timings[top] if timings[top] > 0 else float("inf")
     waived = cpus < top

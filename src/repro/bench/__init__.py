@@ -1,20 +1,18 @@
-"""Benchmark harness regenerating every table and figure of the paper.
+"""Benchmark harness: the paper's tables and figures, and the perf gate.
 
 :mod:`repro.bench.runner` knows how to build, train and evaluate every
 method on every synthetic benchmark (with caching, so tables that share
 trained models — e.g. Table III entity scores, Table VII relation scores
 and Table VIII timings — train each model once per pytest session).
 :mod:`repro.bench.tables` renders paper-style result tables.
+:mod:`repro.bench.measure` is the registry of perf series and their
+runner; :mod:`repro.bench.history` holds their history, the reference
+file and the one verdict (``repro.cli bench`` drives both).
 """
 
 from repro.bench.history import (
-    DEFAULT_TOLERANCE,
-    DEFAULT_WINDOW,
     HistoryError,
-    RegressionVerdict,
     append_entry,
-    component_key,
-    detect_regression,
     make_entry,
     read_history,
     summarize_history,
@@ -25,11 +23,6 @@ from repro.bench.runner import (
     DEFAULT_METHODS,
     BenchProfile,
     TrainedMethod,
-    benchmark_cell,
-    benchmark_decoder,
-    benchmark_encoder,
-    benchmark_eval,
-    benchmark_scale,
     get_trained,
     retia_variant,
 )
@@ -39,19 +32,9 @@ __all__ = [
     "BenchProfile",
     "BENCH_PROFILES",
     "DEFAULT_METHODS",
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_WINDOW",
     "HistoryError",
-    "RegressionVerdict",
     "TrainedMethod",
     "append_entry",
-    "benchmark_cell",
-    "benchmark_decoder",
-    "benchmark_encoder",
-    "benchmark_eval",
-    "benchmark_scale",
-    "component_key",
-    "detect_regression",
     "get_trained",
     "make_entry",
     "read_history",

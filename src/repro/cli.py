@@ -22,9 +22,11 @@ eval / checkpoint / non-finite skip) that ``report`` reconstructs and
 model and runs the paper's test protocol (optionally with online
 continuous training).  ``diagnose`` decomposes that protocol into
 per-relation / per-timestamp / seen-unseen views with a bounded rank
-histogram.  ``bench`` times the encoder, appends the measurement to a
-``BENCH_history.jsonl`` trajectory and (``--gate``) fails on a
-noise-aware regression against the rolling noise floor.  ``drill`` runs
+histogram.  ``bench`` measures one series of the perf registry
+(:mod:`repro.bench.measure`), appends it to a ``BENCH_history.jsonl``
+trajectory and (``--gate``) judges it against that history or
+``benchmarks/baseline.json``, re-measuring once before it calls a
+straddling result inconclusive.  ``drill`` runs
 the fault-injection harness (NaN loss, mid-run kill, checkpoint
 corruption) against a short training run and reports whether the
 runtime recovered.
@@ -285,146 +287,85 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark a component, append to history, gate on regression."""
-    from repro.bench import (
-        benchmark_cell,
-        benchmark_decoder,
-        benchmark_encoder,
-        benchmark_eval,
-        benchmark_scale,
-        component_key,
-        detect_regression,
-        make_entry,
-        append_entry,
+    """Measure one registry series, gate it, record it.
+
+    Exit codes: 0 ok (or not gated), 1 regressed, 2 unusable history or
+    baseline file, 3 inconclusive after one re-measure.
+    """
+    from repro.bench.history import (
+        STRADDLES,
+        HistoryError,
+        judge,
+        load_baseline,
         read_history,
+        update_baseline,
         write_summary,
     )
+    from repro.bench.measure import MEASUREMENTS, measure, record
+    from repro.obs import MetricsRegistry
 
-    component = args.component
-    key = component_key(component)
-    baseline_entries = read_history(args.history) if args.history else []
-    if component == "eval":
-        # A 1-worker and an 8-worker run are different timing series;
-        # the gate must only ever compare like with like.
-        baseline_entries = [
-            e for e in baseline_entries if e.get("workers") == args.eval_workers
-        ]
-    elif component == "serve":
-        # Likewise, a chaos drill and a clean run are different series.
-        baseline_entries = [
-            e for e in baseline_entries if bool(e.get("chaos")) == args.chaos
-        ]
-    elif component == "scale":
-        # Scale entries are a series per (workers, scorer strategy):
-        # a top-k run and a blocked run have different cost shapes.
-        from repro.scale import get_scorer
+    label_args = {"workers": args.eval_workers, "scorer": args.scorer, "chaos": args.chaos}
+    labels = {
+        k: v
+        for k, v in label_args.items()
+        if k in MEASUREMENTS[args.component].labels and v is not None
+    }
+    try:
+        history = read_history(args.history) if args.history else []
+        baseline = load_baseline() if args.gate else {}
+    except HistoryError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 2
 
-        strategy = get_scorer(args.scorer or "blocked:128:8192")
-        scale_spec = strategy.spec() if strategy is not None else "dense"
-        baseline_entries = [
-            e
-            for e in baseline_entries
-            if e.get("workers") == args.eval_workers and e.get("scorer") == scale_spec
-        ]
-    results = []
-    for repeat in range(args.repeats):
-        if component == "serve":
-            from repro.serve import benchmark_serve
-
-            result = benchmark_serve(
-                args.dataset,
-                chaos=args.chaos,
-                seed=args.seed,
-                dtype=args.dtype,
-            )
-        elif component == "decoder":
-            result = benchmark_decoder(
-                args.dataset,
-                warm_cache=args.warm_cache,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        elif component == "cell":
-            result = benchmark_cell(
-                args.dataset,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        elif component == "eval":
-            result = benchmark_eval(
-                args.dataset,
-                workers=args.eval_workers,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        elif component == "scale":
-            result = benchmark_scale(
-                args.dataset,
-                workers=args.eval_workers,
-                seed=args.seed,
-                dtype=args.dtype,
-                scorer=args.scorer or "blocked:128:8192",
-            )
-        else:
-            result = benchmark_encoder(
-                args.dataset,
-                warm_cache=args.warm_cache,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        results.append(result)
-        print(
-            f"repeat {repeat + 1}/{args.repeats}: "
-            f"{component} {result[key] * 1000:.2f} ms/step, "
-            f"full step {result['seconds_per_step'] * 1000:.2f} ms/step"
+    def run_once():
+        run = measure(
+            args.component,
+            args.dataset,
+            repeats=args.repeats,
+            seed=args.seed,
+            per_step_sleep=args.inject_sleep_ms / 1000.0,
+            **labels,
         )
-    candidate = min(r[key] for r in results)
-    verdict = detect_regression(
-        baseline_entries,
-        candidate,
-        name=component,
-        dataset=args.dataset,
-        key=key,
-        window=args.window,
-        tolerance=args.tolerance,
-    )
-    print(verdict)
+        for figure, values in run.samples.items():
+            shown = ", ".join(f"{v:.4g}" for v in values)
+            print(f"{run.name} {figure}: {shown}")
+        return run
+
+    run = run_once()
+    status_code = 0
+    if args.gate:
+        verdict = judge(run.key, run.samples, history, baseline)
+        if verdict.status == STRADDLES:
+            print(f"{verdict}\nre-measuring once and judging the pooled samples")
+            run = run.pooled(run_once())
+            verdict = judge(run.key, run.samples, history, baseline, pooled=True)
+        print(verdict)
+        status_code = verdict.exit_code
+    for figure, stats in run.stats().items():
+        print(
+            f"{figure}: min {stats['min']:.4g}  median {stats['median']:.4g}  "
+            f"MAD {stats['mad']:.3g}  over {len(run.samples[figure])} sample(s)"
+        )
+    registry = MetricsRegistry()
+    record(run, registry, history_path=None if args.dry_run else args.history)
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write(registry.to_json() + "\n")
+        print(f"metrics written to {args.metrics_out}")
     if args.history and not args.dry_run:
-        for result in results:
-            extra = {}
-            if args.inject_sleep_ms:
-                extra["injected_sleep"] = args.inject_sleep_ms / 1000.0
-            if component == "eval":
-                extra["workers"] = result["workers"]
-                extra["cpus"] = result["cpus"]
-            elif component == "scale":
-                for field in ("workers", "cpus", "entities", "scorer", "spill", "peak_rss_mb"):
-                    extra[field] = result[field]
-            elif component == "serve":
-                extra["chaos"] = result["chaos"]
-                extra["offered_qps"] = result["offered_qps"]
-                extra["qps"] = result["qps"]
-                extra["availability"] = result["availability"]
-                extra["shed_rate"] = result["shed_rate"]
-                extra["serve_p50_seconds"] = result["serve_p50_seconds"]
-                extra["serve_p99_seconds"] = result["serve_p99_seconds"]
-            append_entry(
-                args.history,
-                make_entry(result, name=component, extra=extra or None),
-            )
         entries = read_history(args.history)
+        print(f"1 entry appended to {args.history} ({len(entries)} total)")
         if args.summary:
-            write_summary(args.summary, entries, name=component, window=args.window)
+            write_summary(args.summary, entries)
             print(f"summary written to {args.summary}")
-        print(f"{len(results)} entr{'y' if len(results) == 1 else 'ies'} appended "
-              f"to {args.history} ({len(entries)} total)")
-    if args.gate and verdict.regressed:
-        return 1
-    return 0
+    if args.update_baseline:
+        try:
+            update_baseline(run)
+        except HistoryError as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
+            return 2
+        print(f"baseline updated for {run.name} {run.dataset} {run.dtype}")
+    return status_code
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -586,7 +527,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ModelServer,
         ServeConfig,
         default_chaos_plan,
-        record_serve_metrics,
         run_loadgen,
         summarize_responses,
     )
@@ -761,9 +701,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if summary is None:
         print("no responses recorded", file=sys.stderr)
         return 1
-    record_serve_metrics(
-        registry, {"dataset": args.dataset, "chaos": args.chaos, **summary}
-    )
     print(
         f"requests: {summary['requests']}  ok: {summary['ok']}  "
         f"shed: {summary['shed']}  deadline: {summary['deadline_exceeded']}  "
@@ -1039,25 +976,19 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.set_defaults(handler=cmd_diagnose)
 
     bench = commands.add_parser(
-        "bench", help="benchmark a component and gate against recorded history"
+        "bench", help="measure a perf series and gate it against history or baseline"
     )
     _add_dataset_argument(bench)
     bench.add_argument(
         "--component",
-        choices=("encoder", "decoder", "eval", "serve", "scale", "cell"),
-        default="encoder",
-        help="which component to time and gate on (eval: the full "
-        "sharded evaluation protocol at --eval-workers; serve: the "
-        "loadgen drill against the model server, gated on p99 latency; "
-        "scale: large-vocabulary memmap eval through the candidate "
-        "scorer seam — pair with --dataset ICEWS-SCALE; cell: the "
-        "recurrent-cell micro-benchmark at model shapes)",
-    )
-    bench.add_argument(
-        "--warm-cache",
-        action="store_true",
-        help="prebuild every snapshot's cache artifacts before timing "
-        "(encoder/decoder components)",
+        choices=("train_step", "cell", "eval", "scale", "serve"),
+        default="train_step",
+        help="which registry series to measure (train_step: encoder, decoder "
+        "and full training step; cell: the recurrent-cell micro-benchmark; "
+        "eval: the sharded evaluation protocol at --eval-workers; scale: "
+        "large-vocabulary memmap eval through the candidate scorer seam — "
+        "pair with --dataset ICEWS-SCALE; serve: the loadgen drill against "
+        "the model server, gated on mean query latency)",
     )
     bench.add_argument(
         "--scorer",
@@ -1070,35 +1001,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="arm the fault plan for --component serve (chaos and clean "
-        "runs are gated as separate history series)",
+        "runs are separate series)",
     )
     bench.add_argument(
         "--eval-workers",
         type=int,
-        default=1,
-        help="worker count for --component eval; history gating only "
-        "compares entries recorded at the same worker count",
+        default=None,
+        help="worker count for --component eval (default 1) and scale "
+        "(default 2); each worker count is its own series",
     )
-    bench.add_argument(
-        "--dtype",
-        choices=("float32", "float64"),
-        default="float64",
-        help="precision policy the benchmarked model runs under",
-    )
-    bench.add_argument("--repeats", type=int, default=3, help="timed repeats (min-of-k)")
+    bench.add_argument("--repeats", type=int, default=3, help="timed repeats per run")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--history", help="BENCH_history.jsonl trajectory to read/append")
-    bench.add_argument("--summary", help="also write a rolling BENCH_encoder.json here")
+    bench.add_argument("--summary", help="also write a rolling per-series summary JSON here")
     bench.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 when the candidate regresses past the rolling noise floor",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=1.2, help="allowed slowdown factor"
-    )
-    bench.add_argument(
-        "--window", type=int, default=10, help="history entries the gate considers"
+        help="judge the run against its series' history (x1.2 over the "
+        "window minimum) or benchmarks/baseline.json: exit 1 on a "
+        "regression, 3 when still inconclusive after one re-measure",
     )
     bench.add_argument(
         "--inject-sleep-ms",
@@ -1110,6 +1031,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--dry-run",
         action="store_true",
         help="measure and gate but do not append to the history",
+    )
+    bench.add_argument(
+        "--metrics-out", help="write the run's bench_figure gauges as MetricsRegistry JSON"
+    )
+    bench.add_argument(
+        "--update-baseline",
+        action="store_true",
+        help="write the run's per-figure minimum into benchmarks/baseline.json",
     )
     bench.set_defaults(handler=cmd_bench)
 

@@ -1,8 +1,8 @@
 """Run-wide observability: metrics, span tracing and JSONL run reports.
 
 Dependency-free layers, designed so that *uninstrumented* code
-pays nothing (the hot-path contract checked by
-``scripts/check_encoder_budget.py``):
+pays nothing (the hot-path contract the ``train_step`` perf series
+gates, ``repro.cli bench``):
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms with labeled series and one JSON

@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` owns named metrics; each metric owns labeled
 series (a Prometheus-style data model without the wire format).  The
 registry serialises to a stable JSON structure consumed by
-``scripts/check_encoder_budget.py``, ``scripts/check_run_health.py`` and
+``repro.cli bench --metrics-out``, ``scripts/check_run_health.py`` and
 the CI artifact uploads:
 
     registry = MetricsRegistry()

@@ -18,8 +18,8 @@ See DESIGN.md §8 for the serve robustness contract and the README
   (closed→open→half-open, legal transitions enforced);
 * :mod:`repro.serve.server` — :class:`ModelServer` composing the above
   with a supervised refresh worker, probes and drain;
-* :mod:`repro.serve.loadgen` — open-loop Poisson traffic and
-  :func:`benchmark_serve` behind ``repro.cli bench --component serve``.
+* :mod:`repro.serve.loadgen` — open-loop Poisson traffic and its SLO
+  summary (the ``serve`` series of ``repro.cli bench`` drives it).
 """
 
 from repro.serve.batcher import (
@@ -41,9 +41,7 @@ from repro.serve.breaker import (
 )
 from repro.serve.loadgen import (
     LoadgenConfig,
-    benchmark_serve,
     default_chaos_plan,
-    record_serve_metrics,
     run_loadgen,
     summarize_responses,
 )
@@ -81,9 +79,7 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "LoadgenConfig",
-    "benchmark_serve",
     "default_chaos_plan",
-    "record_serve_metrics",
     "run_loadgen",
     "summarize_responses",
     "STATUS_DEADLINE",

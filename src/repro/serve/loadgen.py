@@ -1,4 +1,4 @@
-"""Open-loop synthetic traffic for the serving layer, plus its bench.
+"""Open-loop synthetic traffic for the serving layer.
 
 :func:`run_loadgen` drives a started :class:`~repro.serve.ModelServer`
 with Poisson arrivals (open loop: the arrival schedule is fixed up
@@ -10,14 +10,11 @@ reduces the responses to the serving SLO quantities: p50/p99 latency,
 achieved QPS, shed rate and **availability** (OK responses over non-shed
 requests — the number the CI ``serve-chaos`` job gates at 99%).
 
-:func:`benchmark_serve` wraps the whole drill — model build, server
-boot, optional chaos plan (:class:`~repro.resilience.ServeFaultInjector`
-with refresh failures, poisoned ingest, slow batches and skewed
-deadlines all enabled), loadgen, drain — and records the result into
-``BENCH_history.jsonl`` behind ``repro.cli bench --component serve``
-with the existing noise-aware regression gate (gating key:
-``serve_mean_seconds`` — the p50/p99 SLO figures are recorded alongside
-but are too noisy as order statistics of ~100 samples to gate on).
+The ``serve`` series of the perf registry (:mod:`repro.bench.measure`)
+wraps the whole drill — model build, server boot, optional
+:func:`default_chaos_plan`, loadgen, drain — and gates on the mean
+OK-query latency (the p50/p99 SLO figures are too noisy as order
+statistics of ~100 samples to gate on).
 """
 
 from __future__ import annotations
@@ -30,10 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import MetricsRegistry
 from repro.obs import tracing
 from repro.obs.tracing import TraceContext
-from repro.serve.breaker import STATE_CLOSED
 from repro.serve.server import (
     STATUS_DEADLINE,
     STATUS_ERROR,
@@ -41,7 +36,6 @@ from repro.serve.server import (
     STATUS_OK,
     STATUS_UNAVAILABLE,
     ModelServer,
-    ServeConfig,
     ServeResponse,
 )
 from repro.utils import seeded_rng
@@ -289,11 +283,9 @@ def summarize_responses(
         "qps": total / wall_seconds if wall_seconds > 0 else float("nan"),
         "serve_p50_seconds": p50,
         "serve_p99_seconds": p99,
-        # Mean OK-query latency twice: once as the component gating key
-        # (stable, compute-dominated) and once as the generic full-step
-        # figure every history entry carries.
+        # Mean OK-query latency: the bench gate's figure (stable,
+        # compute-dominated, unlike the order statistics above).
         "serve_mean_seconds": mean_latency,
-        "seconds_per_step": mean_latency,
         "max_staleness": max((r.staleness for r in responses), default=0),
     }
 
@@ -318,145 +310,4 @@ def default_chaos_plan():
         slow_batch_seconds=0.02,
         skew_every=10,
         skew_seconds=0.05,
-    )
-
-
-def benchmark_serve(
-    dataset_name: str = "ICEWS14",
-    requests: int = 160,
-    qps: float = 400.0,
-    chaos: bool = False,
-    seed: int = 0,
-    dtype: str = "float64",
-    registry: Optional[MetricsRegistry] = None,
-    reporter=None,
-    history_path: Optional[str] = None,
-    serve_config: Optional[ServeConfig] = None,
-    fault_injector=None,
-) -> Dict:
-    """Boot a server on a synthetic dataset, run the loadgen, drain.
-
-    The model is untrained (serving cost depends on history shape and
-    embedding sizes, not parameter values — same rationale as
-    :func:`~repro.bench.runner.benchmark_eval`), with train+valid
-    history revealed.  ``chaos=True`` enables :func:`default_chaos_plan`
-    unless an explicit ``fault_injector`` is given.  The headline
-    figures — ``serve_p50_seconds``/``serve_p99_seconds``, achieved QPS,
-    shed rate, availability — land in the result dict, the metrics
-    registry, one ``bench`` run-report event, and (when ``history_path``
-    is set) ``BENCH_history.jsonl`` for the noise-aware gate.
-    """
-    from repro.bench.runner import BENCH_PROFILES, bench_dataset, build_retia_config
-    from repro.core import RETIA, TrainerConfig
-    from repro.core.trainer import OnlineAdapter
-
-    dataset = bench_dataset(dataset_name)
-    profile = BENCH_PROFILES[dataset_name]
-    model = RETIA(build_retia_config(dataset, profile, seed=seed, dtype=dtype))
-    model.set_history(dataset.train)
-    for t in dataset.valid.timestamps:
-        model.record_snapshot(dataset.valid.snapshot(int(t)))
-    model.eval()
-    adapter = OnlineAdapter(
-        model,
-        TrainerConfig(online_steps=1, online_lr=1e-3, seed=seed),
-    )
-    if chaos and fault_injector is None:
-        fault_injector = default_chaos_plan()
-    config = serve_config if serve_config is not None else ServeConfig(
-        max_batch=32,
-        max_queue=128,
-        batch_wait_ms=1.0,
-        default_deadline_ms=500.0,
-        refresh_attempts=3,
-        refresh_backoff_ms=5.0,
-        breaker_failure_threshold=3,
-        breaker_recovery_ms=50.0,
-        seed=seed,
-    )
-    server = ModelServer(
-        model,
-        adapter=adapter,
-        config=config,
-        reporter=reporter,
-        registry=registry,
-        fault_injector=fault_injector,
-    )
-    test_times = [int(t) for t in dataset.test.timestamps]
-    server.start(ts=test_times[0])
-    ingest_snapshots = [dataset.test.snapshot(t) for t in test_times]
-    load = LoadgenConfig(requests=requests, qps=qps, seed=seed)
-    start = time.perf_counter()
-    responses = run_loadgen(
-        server,
-        dataset.num_entities,
-        dataset.num_relations,
-        ingest_snapshots=ingest_snapshots,
-        config=load,
-    )
-    wall = time.perf_counter() - start
-    recovered = None
-    if chaos:
-        # Deterministic half-open recovery demonstration: wait out the
-        # breaker's recovery window, then send one clean probe ingest.
-        # If the drill left the breaker open this drives
-        # open → half-open → closed; if it already closed, the probe is
-        # an ordinary accepted ingest and recovery still holds.
-        time.sleep(config.breaker_recovery_ms / 1000.0 + 0.01)
-        server.ingest(ingest_snapshots[-1])
-        recovered = server.breaker.state == STATE_CLOSED
-    result = {
-        "dataset": dataset_name,
-        "dtype": model.config.dtype,
-        "chaos": chaos,
-        "steps": requests,
-        "offered_qps": qps,
-        "total_seconds": wall,
-        "breaker": server.breaker.snapshot(),
-        "breaker_recovered": recovered,
-        "store": server.store.describe(),
-    }
-    result.update(summarize_responses(responses, wall))
-    if fault_injector is not None:
-        result["faults"] = fault_injector.summary()
-    scratch = registry if registry is not None else MetricsRegistry()
-    record_serve_metrics(scratch, result)
-    # The bench event goes out *before* drain so the report still ends
-    # with the drain → run_end terminator the health check requires.
-    if reporter is not None:
-        reporter.emit("bench", name="serve", metrics=scratch.to_dict(), result=result)
-    result["clean_drain"] = server.drain()
-    if history_path is not None:
-        from repro.bench.history import append_entry, make_entry
-
-        extra = {
-            "chaos": chaos,
-            "offered_qps": qps,
-            "qps": result["qps"],
-            "availability": result["availability"],
-            "shed_rate": result["shed_rate"],
-            "serve_p50_seconds": result["serve_p50_seconds"],
-            "serve_p99_seconds": result["serve_p99_seconds"],
-        }
-        append_entry(history_path, make_entry(result, name="serve", extra=extra))
-    return result
-
-
-def record_serve_metrics(registry: MetricsRegistry, result: Dict) -> None:
-    """Write one :func:`benchmark_serve` summary into ``registry``."""
-    labels = {"dataset": result["dataset"], "chaos": str(result["chaos"])}
-    registry.gauge(
-        "serve_p50_seconds", help="median query latency under the loadgen"
-    ).set(result["serve_p50_seconds"], **labels)
-    registry.gauge(
-        "serve_p99_seconds", help="tail query latency under the loadgen"
-    ).set(result["serve_p99_seconds"], **labels)
-    registry.gauge("serve_qps", help="achieved requests per second").set(
-        result["qps"], **labels
-    )
-    registry.gauge(
-        "serve_availability", help="OK responses over non-shed requests"
-    ).set(result["availability"], **labels)
-    registry.gauge("serve_shed_rate", help="shed responses over all requests").set(
-        result["shed_rate"], **labels
     )
