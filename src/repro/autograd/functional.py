@@ -346,7 +346,7 @@ class WorkspacePool:
     and given back once the step's backward has consumed them (or at the
     end of the forward under ``no_grad``).  Buffers are exclusively
     owned between :meth:`take` and :meth:`give`, so the lock only guards
-    the free-list itself — data-parallel shard threads can share one
+    the free-list itself — threads sharing one model can share one
     pool.  ``give`` is best-effort: a graph discarded without running
     backward simply never returns its buffers, and the GC reclaims them
     with the closures.

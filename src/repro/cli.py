@@ -39,6 +39,7 @@ import json
 import os
 import sys
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -122,8 +123,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             epochs=args.epochs,
             patience=args.patience,
             seed=args.seed,
-            grad_shards=args.grad_shards,
-            train_workers=args.train_workers,
         ),
         resilience=resilience,
         reporter=reporter,
@@ -157,7 +156,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_eval_model(args: argparse.Namespace):
     """Rebuild a checkpointed model with train+valid history revealed."""
     dataset = load_dataset(args.dataset)
-    state, config_dict = load_checkpoint(args.checkpoint)
+    try:
+        state, config_dict = load_checkpoint(args.checkpoint)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        print(f"cannot read checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
+        return dataset, None
     if config_dict is None:
         print("checkpoint has no config blob; cannot rebuild the model", file=sys.stderr)
         return dataset, None
@@ -890,21 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="emit gradient/embedding/gate probes every N batches (0: off)",
-    )
-    train.add_argument(
-        "--grad-shards",
-        type=int,
-        default=0,
-        help="data-parallel gradient shards per snapshot; the shard plan "
-        "defines the math, so results are identical for every worker "
-        "count (0: serial single-loss path)",
-    )
-    train.add_argument(
-        "--train-workers",
-        type=int,
-        default=1,
-        help="threads executing the gradient shards (results do not "
-        "depend on this; requires --grad-shards > 0 to matter)",
     )
     train.set_defaults(handler=cmd_train)
 

@@ -46,7 +46,6 @@ from repro.resilience import (
     TrainingInterrupted,
     load_run_state,
 )
-from repro.parallel.train import GradShardExecutor
 from repro.utils import seeded_rng
 
 
@@ -63,12 +62,6 @@ class TrainerConfig:
     online_steps: int = 1
     online_lr: float = 1e-3
     seed: int = 0
-    #: gradient shards per batch (0 = serial path).  The shard count
-    #: defines the math (fixed-order reduction, per-shard RNG streams)
-    #: and is checkpointed; ``train_workers`` only sets how many threads
-    #: compute the shards and never changes a bit of the result.
-    grad_shards: int = 0
-    train_workers: int = 1
 
 
 @dataclass
@@ -181,7 +174,6 @@ class Trainer:
             trainer_rng_state=self._rng.bit_generator.state,
             model_rng_states=self.model.rng_state(),
             dtype=self._model_dtype(),
-            grad_shards=self.config.grad_shards,
             status=status,
         )
 
@@ -201,14 +193,6 @@ class Trainer:
                 f"checkpoint was trained in {state.dtype} but the model is "
                 f"{own_dtype}; cross-dtype resume is not bit-exact — rebuild "
                 f"the model with dtype={state.dtype!r} (or retrain)"
-            )
-        if state.grad_shards != self.config.grad_shards:
-            raise RunStateError(
-                f"checkpoint was trained with grad_shards={state.grad_shards} "
-                f"but this trainer is configured with grad_shards="
-                f"{self.config.grad_shards}; the shard plan defines the "
-                f"reduction order and RNG streams, so cross-plan resume is "
-                f"not bit-exact — resume with the same grad_shards"
             )
         self.model.load_state_dict(state.model_state)
         self.model.mark_updated()
@@ -335,15 +319,6 @@ class Trainer:
             pending = None
 
         every = res.checkpoint_every_batches if self.checkpoints else 0
-        # Data-parallel executor: built once per fit; replicas re-sync
-        # from the (possibly restored) master before every batch.
-        executor = (
-            GradShardExecutor(
-                model, cfg.grad_shards, cfg.train_workers, base_seed=cfg.seed
-            )
-            if cfg.grad_shards > 0
-            else None
-        )
         with GracefulInterrupt(enabled=res.handle_signals) as interrupt:
             for epoch in range(start_epoch, cfg.epochs):
                 self._current_epoch = epoch
@@ -393,23 +368,12 @@ class Trainer:
                         probing = self.probes is not None and self.probes.arm(
                             self._global_batch
                         )
-                        if executor is not None:
-                            # Sharded forward/backward; reduced gradients
-                            # land on the master parameters, so the guard
-                            # applies them without another backward.
-                            joint, loss_e, loss_r = executor.compute(
-                                snapshot, self._global_batch
-                            )
-                        else:
-                            joint, loss_e, loss_r = model.loss_on_snapshot(snapshot)
+                        joint, loss_e, loss_r = model.loss_on_snapshot(snapshot)
                         if self.fault_injector is not None:
                             self.fault_injector.poison_loss(joint, self._global_batch)
                         if probing:
                             self.probes.before_step()
-                        if executor is not None:
-                            stepped = self.guard.guarded_apply(joint, cfg.grad_clip)
-                        else:
-                            stepped = self.guard.guarded_step(joint, cfg.grad_clip)
+                        stepped = self.guard.guarded_step(joint, cfg.grad_clip)
                         if probing:
                             self.probes.after_step(
                                 epoch, self._global_batch, stepped
@@ -494,18 +458,6 @@ class Trainer:
                         spans_dropped=collector.dropped,
                         valid_mrr=entry.valid_mrr,
                     )
-                if executor is not None:
-                    for stats in executor.drain_telemetry():
-                        if self.reporter is not None:
-                            self.reporter.emit(
-                                "worker",
-                                scope="train",
-                                worker=stats["worker"],
-                                shards=stats["shards"],
-                                seconds=stats["seconds"],
-                                epoch=epoch,
-                                batches=stats["batches"],
-                            )
 
                 stop = False
                 if metric > best_metric + 1e-9:

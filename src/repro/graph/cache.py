@@ -88,13 +88,13 @@ class SnapshotCache:
 
     Thread-safe: all LRU-dict mutation (lookups move entries, inserts
     evict) happens under one internal lock, matching
-    :class:`~repro.obs.MetricsRegistry`'s discipline, so data-parallel
-    worker threads sharing a model replica cannot corrupt the
-    ``OrderedDict``.  **One cache per process**: the lock does not (and
-    cannot) span processes, so process-pool workers must each own their
-    model replica and its cache — never a cache reached through shared
-    memory.  Pickling/deepcopy (which is how replicas are made) drops
-    the lock and recreates a fresh one in the copy.
+    :class:`~repro.obs.MetricsRegistry`'s discipline, so threads
+    sharing one model cannot corrupt the ``OrderedDict``.  **One cache
+    per process**: the lock does not (and cannot) span processes, so
+    sharded-eval pool workers must each own their model copy and its
+    cache — never a cache reached through shared memory.
+    Pickling/deepcopy (which is how those copies are made) drops the
+    lock and recreates a fresh one in the copy.
 
     Parameters
     ----------

@@ -51,8 +51,8 @@ EVENT_SCHEMAS: Dict[str, tuple] = {
     "observe": ("time", "facts", "steps", "skips"),
     # Benchmark measurements (MetricsRegistry dumps ride in ``metrics``).
     "bench": ("name", "metrics"),
-    # Parallel execution: one per worker slot per batch run (eval) or
-    # per epoch (data-parallel training); ``scope`` is "eval"/"train".
+    # Sharded evaluation: one per worker slot per batch run; ``scope``
+    # is always "eval".
     "worker": ("scope", "worker", "shards", "seconds"),
     # Model introspection: one per probe firing (repro.obs.probes).
     "probe": (

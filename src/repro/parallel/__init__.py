@@ -1,9 +1,10 @@
-"""Deterministic parallel execution: sharded eval, data-parallel training.
+"""Deterministic sharded evaluation.
 
 The package-wide contract (see :mod:`repro.parallel.plan`): the math is
 defined by the shard plan, never by the execution — worker counts
-change wall-clock time, not one bit of any metric, loss, optimizer
-moment or model fingerprint.
+change wall-clock time, not one bit of any metric or diagnostics
+decomposition.  Training has one path, the serial loop in
+:class:`~repro.core.Trainer`.
 """
 
 from repro.parallel.eval import (
@@ -12,27 +13,13 @@ from repro.parallel.eval import (
     diagnose_extrapolation_sharded,
     evaluate_extrapolation_sharded,
 )
-from repro.parallel.plan import (
-    derive_rng_states,
-    reseed_generators,
-    shard_bounds,
-    shard_sequence,
-    tree_reduce,
-    tree_reduce_arrays,
-)
-from repro.parallel.train import GradShardExecutor, ShardedLoss
+from repro.parallel.plan import shard_bounds, shard_sequence
 
 __all__ = [
     "DEFAULT_SHARD_TIMEOUT",
-    "GradShardExecutor",
     "ShardedEvalError",
-    "ShardedLoss",
-    "derive_rng_states",
     "diagnose_extrapolation_sharded",
     "evaluate_extrapolation_sharded",
-    "reseed_generators",
     "shard_bounds",
     "shard_sequence",
-    "tree_reduce",
-    "tree_reduce_arrays",
 ]

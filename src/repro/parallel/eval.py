@@ -389,9 +389,7 @@ def _score_all(
     return scored, telemetry
 
 
-def _emit_worker_telemetry(
-    telemetry: Sequence[dict], scope: str, reporter=None, registry=None
-) -> None:
+def _emit_worker_telemetry(telemetry: Sequence[dict], reporter=None, registry=None) -> None:
     for stats in telemetry:
         if reporter is not None:
             extra = {}
@@ -401,7 +399,7 @@ def _emit_worker_telemetry(
                 extra["scorer"] = stats["scorer"]
             reporter.emit(
                 "worker",
-                scope=scope,
+                scope="eval",
                 worker=stats["worker"],
                 shards=stats["shards"],
                 seconds=stats["seconds"],
@@ -410,7 +408,7 @@ def _emit_worker_telemetry(
                 **extra,
             )
         if registry is not None:
-            labels = {"scope": scope, "worker": str(stats["worker"])}
+            labels = {"scope": "eval", "worker": str(stats["worker"])}
             registry.counter(
                 "parallel_worker_shards_total",
                 help="shards processed per parallel worker",
@@ -462,7 +460,7 @@ def evaluate_extrapolation_sharded(
             shard_relation = RankAccumulator()
             shard_relation.update(entry.relation_ranks)
             relation_acc.merge(shard_relation)
-    _emit_worker_telemetry(telemetry, "eval", reporter=reporter, registry=registry)
+    _emit_worker_telemetry(telemetry, reporter=reporter, registry=registry)
     return EvaluationResult(entity=entity_acc.summary(), relation=relation_acc.summary())
 
 
@@ -502,7 +500,7 @@ def diagnose_extrapolation_sharded(
     for entry in scored:
         accumulators.update(entry)
     report = accumulators.report(setting, evaluate_relations)
-    _emit_worker_telemetry(telemetry, "eval", reporter=reporter, registry=registry)
+    _emit_worker_telemetry(telemetry, reporter=reporter, registry=registry)
     if reporter is not None:
         emit_diagnostic_event(reporter, report, scorer=_scorer_spec(model))
     return report

@@ -1,33 +1,18 @@
-"""Deterministic partitioning and reduction primitives.
+"""Deterministic partitioning primitives for sharded evaluation.
 
 Everything in :mod:`repro.parallel` rests on one rule: **the math is
 defined by the plan, never by the execution**.  A shard plan depends
-only on the data (timestamps, triple counts) and on explicit knobs
-(``grad_shards``); worker counts, thread scheduling and process pools
-only decide *who* computes each shard, not *what* is computed.  This
-module holds the three primitives that make that rule hold bitwise:
-
-* :func:`shard_bounds` — contiguous ``[start, stop)`` splits of ``n``
-  items into ``k`` parts, the same splits ``np.array_split`` produces,
-  so a shard's content is a pure function of ``(n, k)``;
-* :func:`tree_reduce` — pairwise reduction in fixed index order.  Float
-  addition is not associative, so a deterministic parallel sum must fix
-  its bracketing; the balanced tree here is the documented contract
-  (shards 0..7 reduce as ``((0+1)+(2+3))+((4+5)+(6+7))``) and is
-  independent of which worker finished first;
-* :func:`derive_rng_states` — per-shard RNG streams derived from
-  ``np.random.SeedSequence([base_seed, global_batch, shard, stream])``.
-  Derivation is *stateless*: it never consumes from a parent generator,
-  so a resumed run (which replays ``global_batch``) regenerates the
-  exact streams of the uninterrupted run, and shard ``i``'s stream is
-  the same whether one worker or eight computed it.
+only on the data (the ordered test timestamps); worker counts, thread
+scheduling and process pools only decide *who* computes each shard, not
+*what* is computed.  :func:`shard_bounds` gives contiguous
+``[start, stop)`` splits of ``n`` items into ``k`` parts — the same
+splits ``np.array_split`` produces — so a shard's content is a pure
+function of ``(n, k)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
-
-import numpy as np
+from typing import List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -58,76 +43,3 @@ def shard_sequence(items: Sequence[T], n_shards: int) -> List[List[T]]:
     """Split ``items`` into ``n_shards`` contiguous lists (some may be
     empty), preserving order."""
     return [list(items[a:b]) for a, b in shard_bounds(len(items), n_shards)]
-
-
-def tree_reduce(values: Sequence[T], combine: Callable[[T, T], T]) -> T:
-    """Pairwise reduction in fixed index order.
-
-    ``combine`` is applied level by level: neighbours ``(0, 1)``,
-    ``(2, 3)``, ... are combined first, then the results pairwise again,
-    until one value remains.  The bracketing depends only on
-    ``len(values)``, so a parallel reduction that first *collects* its
-    operands into index order and then calls this is bit-deterministic
-    regardless of completion order.
-    """
-    if not values:
-        raise ValueError("tree_reduce needs at least one value")
-    level = list(values)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(combine(level[i], level[i + 1]))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-def tree_reduce_arrays(arrays: Sequence[Optional[np.ndarray]]) -> Optional[np.ndarray]:
-    """Fixed-order pairwise sum of optional gradient arrays.
-
-    ``None`` entries (a parameter unused by some shard) act as exact
-    zeros; the result is ``None`` only when every entry is ``None``
-    (mirroring "no gradient at all" on the serial path).
-    """
-
-    def add(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a + b
-
-    return tree_reduce(list(arrays), add)
-
-
-def derive_rng_states(
-    base_seed: int, global_batch: int, shard_index: int, n_streams: int
-) -> List[dict]:
-    """Bit-generator states for one shard's RNG streams.
-
-    One PCG64 state per stream (a model's distinct dropout/RReLU
-    generators, in traversal order), each seeded from
-    ``SeedSequence([base_seed, global_batch, shard_index, stream])``.
-    The derivation touches no ambient RNG, so it is reproducible from
-    the checkpointed ``global_batch`` alone.
-    """
-    states = []
-    for stream in range(n_streams):
-        seq = np.random.SeedSequence([base_seed, global_batch, shard_index, stream])
-        states.append(np.random.Generator(np.random.PCG64(seq)).bit_generator.state)
-    return states
-
-
-def reseed_generators(
-    generators: Sequence[np.random.Generator],
-    base_seed: int,
-    global_batch: int,
-    shard_index: int,
-) -> None:
-    """Pin every generator in ``generators`` to its derived stream."""
-    for generator, state in zip(
-        generators,
-        derive_rng_states(base_seed, global_batch, shard_index, len(generators)),
-    ):
-        generator.bit_generator.state = state

@@ -84,14 +84,6 @@ class RunState:
     # were all float64), so the schema version stays at 1.
     dtype: str = "float64"
 
-    # Gradient-shard plan of the run that produced this state (0 = the
-    # serial path).  The shard plan defines the math — resuming under a
-    # different plan would not be bit-exact — so it travels with the
-    # checkpoint and mismatches are rejected on restore.  Optional in
-    # the meta blob (absent in pre-parallel archives, which were all
-    # serial), so the schema version stays at 1.
-    grad_shards: int = 0
-
     status: str = STATUS_RUNNING
     version: int = RUNSTATE_VERSION
 
@@ -137,7 +129,6 @@ class RunState:
             "trainer_rng_state": self.trainer_rng_state,
             "model_rng_states": self.model_rng_states,
             "dtype": self.dtype,
-            "grad_shards": self.grad_shards,
         }
         payload[_META_KEY] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -158,6 +149,16 @@ class RunState:
             raise RunStateError(
                 f"unsupported RunState version {version!r} "
                 f"(this build reads version {RUNSTATE_VERSION})"
+            )
+        # Archives written while data-parallel training existed carry the
+        # run's gradient-shard plan; 0 was the serial path.  A sharded
+        # run's moments and RNG streams cannot be continued serially
+        # bit-for-bit, so such archives are refused rather than resumed.
+        grad_shards = meta.get("grad_shards", 0)
+        if grad_shards != 0:
+            raise RunStateError(
+                f"RunState meta has grad_shards={grad_shards!r}; only serial "
+                f"checkpoints (grad_shards absent or 0) can be resumed"
             )
         model_state: Dict[str, np.ndarray] = {}
         best_state: Dict[str, np.ndarray] = {}
@@ -203,7 +204,6 @@ class RunState:
             trainer_rng_state=meta.get("trainer_rng_state"),
             model_rng_states=list(meta.get("model_rng_states", [])),
             dtype=str(meta.get("dtype", "float64")),
-            grad_shards=int(meta.get("grad_shards", 0)),
             status=str(meta.get("status", STATUS_RUNNING)),
             version=int(version),
         )

@@ -76,27 +76,6 @@ class NonFiniteGuard:
             return False
         opt.zero_grad()
         loss.backward()
-        return self._clip_check_step(grad_clip)
-
-    def guarded_apply(self, loss, grad_clip: Optional[float] = None) -> bool:
-        """Guarded step for *pre-computed* gradients.
-
-        The data-parallel path (:class:`~repro.parallel.GradShardExecutor`)
-        reduces per-shard gradients onto the parameters itself; ``loss``
-        here is the reduced scalar (anything with ``item()``, or a plain
-        float) and is only checked, never back-propagated.  Clipping,
-        finiteness checks, rollback and LR backoff behave exactly as in
-        :meth:`guarded_step`.
-        """
-        value = loss.item() if hasattr(loss, "item") else float(loss)
-        if not np.isfinite(value):
-            self._register_failure("loss")
-            return False
-        return self._clip_check_step(grad_clip)
-
-    def _clip_check_step(self, grad_clip: Optional[float]) -> bool:
-        """The shared tail: clip, check grads, step, roll back overflow."""
-        opt = self.optimizer
         if grad_clip is not None:
             clip_grad_norm(opt.parameters, grad_clip)
         for p in opt.parameters:

@@ -215,6 +215,24 @@ class TestCLI:
         save_checkpoint(path, {"w": np.zeros(1)})
         assert main(["evaluate", "--dataset", "YAGO", "--checkpoint", path]) == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"not an archive", b"PK\x03\x04trunc"],
+        ids=["missing", "garbage", "truncated-zip"],
+    )
+    def test_unreadable_checkpoint_is_one_line_and_exit_1(
+        self, tmp_path, capsys, command, content
+    ):
+        path = tmp_path / "model.npz"
+        if content is not None:
+            path.write_bytes(content)
+        assert main([command, "--dataset", "YAGO", "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot read checkpoint {path}" in err
+        assert "Traceback" not in err
+
     def test_evaluate_loads_checkpoint_with_retired_config_keys(self, tmp_path, capsys):
         # Checkpoints written while the fused-cell and batched-decoder
         # switches existed carry both keys in their config blob.

@@ -1,10 +1,10 @@
 """Tests for deterministic parallel execution (repro.parallel).
 
 The contract under test: **the math is defined by the plan, never by
-the execution**.  Sharded evaluation and data-parallel training must be
-bit-identical to their serial counterparts for every worker count; the
-concurrency-hardened pieces they rest on (SnapshotCache locking,
-GracefulInterrupt escalation) are covered here too.
+the execution**.  Sharded evaluation must be bit-identical to the
+serial drivers for every worker count; the concurrency-hardened pieces
+the runtime rests on (SnapshotCache locking, GracefulInterrupt
+escalation) are covered here too.
 """
 
 import copy
@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
+from repro.core import RETIA, RETIAConfig
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.eval import (
     diagnose_extrapolation,
@@ -27,17 +27,11 @@ from repro.eval import (
 from repro.graph import Snapshot, SnapshotCache
 from repro.obs import MetricsRegistry, RunReporter, read_events
 from repro.parallel import (
-    GradShardExecutor,
     ShardedEvalError,
-    ShardedLoss,
-    derive_rng_states,
     diagnose_extrapolation_sharded,
     evaluate_extrapolation_sharded,
-    reseed_generators,
     shard_bounds,
     shard_sequence,
-    tree_reduce,
-    tree_reduce_arrays,
 )
 from repro.resilience import GracefulInterrupt
 
@@ -110,66 +104,6 @@ class TestShardBounds:
         blocks = shard_sequence(list("abcdefg"), 3)
         assert blocks == [["a", "b", "c"], ["d", "e"], ["f", "g"]]
         assert [x for block in blocks for x in block] == list("abcdefg")
-
-
-class TestTreeReduce:
-    def test_bracketing_is_the_documented_tree(self):
-        combine = lambda a, b: f"({a}+{b})"  # noqa: E731
-        assert tree_reduce(list("01234567"), combine) == (
-            "(((0+1)+(2+3))+((4+5)+(6+7)))"
-        )
-        # Odd tail is carried up a level, not folded early.
-        assert tree_reduce(list("01234"), combine) == "(((0+1)+(2+3))+4)"
-        assert tree_reduce(["x"], combine) == "x"
-
-    def test_depends_only_on_length_not_values(self):
-        values = [0.1, 0.2, 0.7, 1e-9, 3e7]
-        twice = [tree_reduce(values, lambda a, b: a + b) for _ in range(2)]
-        assert twice[0] == twice[1]
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            tree_reduce([], lambda a, b: a + b)
-
-    def test_array_reduction_treats_none_as_exact_zero(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([0.25, -1.0])
-        out = tree_reduce_arrays([None, a, None, b])
-        np.testing.assert_array_equal(out, a + b)
-        assert tree_reduce_arrays([None, None]) is None
-
-    def test_single_operand_passes_through_unscaled(self):
-        a = np.array([3.0])
-        assert tree_reduce_arrays([a]) is a
-
-
-class TestRngDerivation:
-    def test_derivation_is_stateless_and_repeatable(self):
-        first = derive_rng_states(7, 3, 1, 2)
-        second = derive_rng_states(7, 3, 1, 2)
-        assert first == second
-
-    def test_streams_differ_across_every_coordinate(self):
-        base = derive_rng_states(7, 3, 1, 1)[0]
-        assert derive_rng_states(8, 3, 1, 1)[0] != base
-        assert derive_rng_states(7, 4, 1, 1)[0] != base
-        assert derive_rng_states(7, 3, 2, 1)[0] != base
-        states = derive_rng_states(7, 3, 1, 2)
-        assert states[0] != states[1]
-
-    def test_reseed_pins_generators_to_derived_streams(self):
-        generators = [np.random.default_rng(999), np.random.default_rng(1000)]
-        reseed_generators(generators, base_seed=5, global_batch=2, shard_index=0)
-        draws = [g.random(4) for g in generators]
-        fresh = [
-            np.random.Generator(np.random.PCG64()) for _ in generators
-        ]
-        for g, state in zip(
-            fresh, derive_rng_states(5, 2, 0, len(fresh))
-        ):
-            g.bit_generator.state = state
-        for got, expected in zip(draws, fresh):
-            np.testing.assert_array_equal(got, expected.random(4))
 
 
 # ----------------------------------------------------------------------
@@ -283,95 +217,6 @@ class TestShardedEvaluation:
         assert total_shards == registry.get("parallel_worker_shards_total").value(
             scope="eval", worker="0"
         ) + registry.get("parallel_worker_shards_total").value(scope="eval", worker="1")
-
-
-# ----------------------------------------------------------------------
-# Data-parallel training
-# ----------------------------------------------------------------------
-class TestGradShardExecutor:
-    def _master(self, splits):
-        train, valid, _ = splits
-        model = make_model()
-        model.set_history(train)
-        return model, train
-
-    def test_losses_and_grads_invariant_to_worker_count(self, splits):
-        model, train = self._master(splits)
-        snapshot = train.snapshot(int(train.timestamps[-1]))
-        reference = None
-        for workers in (1, 2, 3):
-            executor = GradShardExecutor(model, grad_shards=3, workers=workers)
-            joint, entity, relation = executor.compute(snapshot, global_batch=4)
-            grads = [
-                None if p.grad is None else p.grad.copy() for p in model.parameters()
-            ]
-            payload = (joint.item(), entity.item(), relation.item())
-            if reference is None:
-                reference = (payload, grads)
-                continue
-            assert payload == reference[0]
-            for got, expected in zip(grads, reference[1]):
-                if expected is None:
-                    assert got is None
-                else:
-                    np.testing.assert_array_equal(got, expected)
-
-    def test_compute_is_repeatable_at_fixed_global_batch(self, splits):
-        model, train = self._master(splits)
-        snapshot = train.snapshot(int(train.timestamps[0]))
-        executor = GradShardExecutor(model, grad_shards=2, workers=2)
-        first = executor.compute(snapshot, global_batch=7)[0].item()
-        second = executor.compute(snapshot, global_batch=7)[0].item()
-        assert first == second
-        # A different global batch derives different dropout streams.
-        other = executor.compute(snapshot, global_batch=8)[0].item()
-        assert other != first
-
-    def test_trainer_fingerprint_invariant_to_worker_count(self, splits):
-        train, valid, _ = splits
-        outcomes = []
-        for workers in (1, 2, 4):
-            model = make_model()
-            trainer = Trainer(
-                model,
-                TrainerConfig(
-                    epochs=1, patience=5, seed=0, grad_shards=4, train_workers=workers
-                ),
-            )
-            log = trainer.fit(train, valid)
-            outcomes.append(
-                (model.fingerprint(), [(e.loss_joint, e.loss_entity, e.loss_relation) for e in log])
-            )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-
-    def test_telemetry_covers_all_shards_and_drains(self, splits):
-        model, train = self._master(splits)
-        snapshot = train.snapshot(int(train.timestamps[0]))
-        executor = GradShardExecutor(model, grad_shards=4, workers=2)
-        executor.compute(snapshot, global_batch=0)
-        stats = executor.drain_telemetry()
-        assert [s["worker"] for s in stats] == [0, 1]
-        assert sum(s["shards"] for s in stats) == 4
-        assert all(s["batches"] == 1 for s in stats)
-        assert all(s["shards"] == 0 for s in executor.drain_telemetry())
-
-    def test_empty_snapshot_and_bad_plan_rejected(self, splits):
-        model, train = self._master(splits)
-        with pytest.raises(ValueError):
-            GradShardExecutor(model, grad_shards=0)
-        with pytest.raises(ValueError):
-            GradShardExecutor(model, grad_shards=2, workers=0)
-        empty = Snapshot(np.zeros((0, 3), dtype=np.int64), 20, 4, ts=0)
-        executor = GradShardExecutor(model, grad_shards=2)
-        with pytest.raises(ValueError, match="non-empty"):
-            executor.compute(empty, global_batch=0)
-
-    def test_sharded_loss_quacks_enough_for_fault_injection(self):
-        loss = ShardedLoss(1.5, np.dtype(np.float64))
-        assert loss.item() == 1.5
-        # FaultInjector.poison_loss overwrites .data in place.
-        loss.data = np.asarray(np.nan, dtype=np.float64)
-        assert np.isnan(loss.item())
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ detection falling back to the previous good file, and non-finite
 sentinels leaving parameters finite and unchanged.
 """
 
+import json
 import os
 import signal
 from pathlib import Path
@@ -35,6 +36,10 @@ from repro.resilience import (
     truncate_file,
     write_payload,
 )
+
+
+#: Marks a meta key to delete when rewriting an archive.
+_ABSENT = object()
 
 
 def small_dataset():
@@ -123,12 +128,63 @@ class TestRunStateRoundtrip:
 
     def test_unknown_version_rejected(self):
         payload = RunState().to_payload()
-        import json
         meta = json.loads(bytes(payload["meta"]).decode())
         meta["version"] = 999
         payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with pytest.raises(RunStateError):
             RunState.from_payload(payload)
+
+
+class TestRunStateCompatibility:
+    """Archives written while the run state carried a gradient-shard plan."""
+
+    @staticmethod
+    def _with_plan(path, out, plan):
+        """Copy of the archive at ``path`` with ``grad_shards`` set or absent."""
+        payload = read_payload(path)
+        meta = json.loads(bytes(payload["meta"]).decode())
+        meta.pop("grad_shards", None)
+        if plan is not _ABSENT:
+            meta["grad_shards"] = plan
+        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        return write_payload(str(out), payload)
+
+    def test_new_archives_carry_no_plan(self, tmp_path):
+        path = write_payload(str(tmp_path / "s.npz"), RunState().to_payload())
+        assert "grad_shards" not in json.loads(bytes(read_payload(path)["meta"]).decode())
+
+    @pytest.mark.parametrize("plan", [_ABSENT, 0], ids=["absent", "zero"])
+    def test_serial_archives_round_trip_and_resume(self, tmp_path, plan):
+        train, valid, _ = small_dataset()
+        reference = make_model()
+        ref_log = make_trainer(reference, epochs=2).fit(train, valid)
+
+        crash_dir = tmp_path / "crash"
+        with pytest.raises(SimulatedCrash):
+            make_trainer(
+                make_model(), checkpoint_dir=str(crash_dir), epochs=2,
+                injector=FaultInjector(kill_at_batch=9),
+            ).fit(train, valid)
+        latest = CheckpointManager(str(crash_dir)).latest()
+        old = self._with_plan(latest, tmp_path / "old.npz", plan)
+
+        state = load_run_state(old)
+        assert state.batch_index > 0
+        assert RunState.from_payload(state.to_payload()).global_batch == state.global_batch
+        resumed_model = make_model()
+        log = make_trainer(resumed_model, epochs=2).fit(train, valid, resume=old)
+        assert resumed_model.fingerprint() == reference.fingerprint()
+        assert [e.loss_joint for e in log] == [e.loss_joint for e in ref_log]
+
+    @pytest.mark.parametrize("plan", [2, 1, None])
+    def test_sharded_archives_refused_naming_the_plan(self, tmp_path, plan):
+        source = write_payload(str(tmp_path / "s.npz"), RunState().to_payload())
+        old = self._with_plan(source, tmp_path / "old.npz", plan)
+        with pytest.raises(RunStateError, match=f"grad_shards={plan!r}.*serial"):
+            load_run_state(old)
+        train, valid, _ = small_dataset()
+        with pytest.raises(RunStateError, match="grad_shards"):
+            make_trainer(make_model(), epochs=1).fit(train, valid, resume=old)
 
 
 # ----------------------------------------------------------------------
