@@ -4,10 +4,10 @@
 Two checks, each against the repo's determinism contract (DESIGN.md,
 "Parallel determinism"):
 
-1. **Sharded evaluation equivalence** — ``evaluate_extrapolation_sharded``
-   and ``diagnose_extrapolation_sharded`` at every probed worker count
-   must produce *exactly* the summaries/decompositions of the serial
-   drivers (``==`` on every float; no tolerance).
+1. **Sharded evaluation equivalence** — ``evaluate_extrapolation`` and
+   ``diagnose_extrapolation`` at every probed ``workers=k`` must produce
+   *exactly* the summaries/decompositions they produce at ``workers=1``
+   (``==`` on every float; no tolerance).
 2. **Speedup** — the per-step eval timing at the highest worker count
    must beat 1 worker by ``--min-speedup`` (default 1.8x at 4 workers).
    Parallel speedup needs parallel hardware: when the machine exposes
@@ -40,7 +40,6 @@ from repro.core import RETIA, RETIAConfig
 from repro.datasets import load_dataset
 from repro.eval import diagnose_extrapolation, evaluate_extrapolation, known_entities_of
 from repro.obs import MetricsRegistry
-from repro.parallel import diagnose_extrapolation_sharded, evaluate_extrapolation_sharded
 
 
 def revealed_model(dataset, seed: int) -> RETIA:
@@ -62,26 +61,22 @@ def revealed_model(dataset, seed: int) -> RETIA:
 
 
 def check_eval_equivalence(dataset, worker_counts, seed: int) -> bool:
-    serial = evaluate_extrapolation(revealed_model(dataset, seed), dataset.test)
     known = known_entities_of(dataset.train, dataset.valid)
-    serial_diag = diagnose_extrapolation(
-        revealed_model(dataset, seed), dataset.test, known_entities=known
-    ).to_dict()
+
+    def evaluate(workers):
+        return evaluate_extrapolation(revealed_model(dataset, seed), dataset.test, workers=workers)
+
+    def diagnose(workers):
+        return diagnose_extrapolation(
+            revealed_model(dataset, seed), dataset.test, known_entities=known, workers=workers
+        ).to_dict()
+
+    serial, serial_diag = evaluate(1), diagnose(1)
     ok = True
     for workers in worker_counts:
-        sharded = evaluate_extrapolation_sharded(
-            revealed_model(dataset, seed), dataset.test, workers=workers
-        )
+        sharded = evaluate(workers)
         agg_match = sharded.entity == serial.entity and sharded.relation == serial.relation
-        diag_match = (
-            diagnose_extrapolation_sharded(
-                revealed_model(dataset, seed),
-                dataset.test,
-                known_entities=known,
-                workers=workers,
-            ).to_dict()
-            == serial_diag
-        )
+        diag_match = diagnose(workers) == serial_diag
         status = "exact" if (agg_match and diag_match) else "MISMATCH"
         print(f"  eval workers={workers}: aggregate+diagnostics {status}")
         ok = ok and agg_match and diag_match
@@ -120,7 +115,7 @@ def main() -> int:
 
     print("sharded evaluation equivalence:")
     if not check_eval_equivalence(dataset, args.workers, args.seed):
-        print("FAIL: sharded evaluation diverged from the serial protocol")
+        print("FAIL: sharded evaluation diverged from workers=1")
         failed = True
 
     print(f"eval speedup (min-of-{args.bench_repeats} per worker count):")

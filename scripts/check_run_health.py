@@ -27,9 +27,9 @@ checks that the run is *reconstructible and healthy*:
   per-timestamp query counts sum to the aggregate count and the
   frequency-weighted per-relation MRR reproduces the aggregate MRR;
 * all eval/diagnostic events in one report used the same candidate
-  scoring strategy — ranks produced by an approximate scorer (top-k,
-  history-filtered) must never be averaged into, or compared against,
-  exact dense ranks within a single run.
+  scoring strategy — ranks produced by an approximate scorer
+  (history-filtered) must never be averaged into, or compared against,
+  exact ranks within a single run.
 
 Exit code 0 when every check passes, 1 otherwise (one line per
 violation).  Run this against a corrupted/truncated log and it fails —
@@ -161,7 +161,7 @@ def check_scorers(events: list) -> list:
 
     ``worker`` (eval scope) and ``diagnostic`` events record the
     candidate scorer spec that produced their ranks.  A single report
-    mixing strategies (say, half the shards dense and half top-k) is
+    mixing strategies (say, half the shards exact and half history-filtered) is
     not a comparable measurement: approximate ranks cannot be pooled
     with exact ones, so the gate fails closed.  Events predating the
     scorer field (older reports) are ignored rather than failed.

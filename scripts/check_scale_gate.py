@@ -2,12 +2,13 @@
 """CI scale gate: every candidate scorer reproduces the legacy ranks.
 
 On the ICEWS14 surrogate, the full evaluation protocol is run once per
-candidate scoring strategy (the legacy dense decode, the seam's
-``dense``/``blocked``/``topk`` strategies) against freshly seeded
-identical models, and every entity metric dict must be *exactly* equal.
-Blocked and top-k scoring are bitwise-identical to dense by
-construction (a blocking-invariant ``einsum`` kernel); this gate proves
-it end to end, including the mask/dedup plumbing (DESIGN.md §9).
+exact candidate scoring strategy (the legacy dense decode and the
+seam's ``blocked`` strategy at its default and at odd block sizes)
+against freshly seeded identical models, and every entity metric dict
+must be *exactly* equal.  Blocked scoring is bitwise-identical at every
+block size by construction (a blocking-invariant ``einsum`` kernel);
+this gate proves it end to end against the legacy decode, including
+the mask/dedup plumbing (DESIGN.md §9).
 
 The large-vocabulary wall-clock and peak-RSS budgets are the ``scale``
 series of the perf gate: ``python -m repro.cli bench --dataset
@@ -28,11 +29,11 @@ import argparse
 import sys
 from pathlib import Path
 
-#: Strategies the gate compares.  ``legacy`` is the pre-seam dense
-#: matmul decode (``model.scorer is None``); the rest route through the
-#: scorer seam.  Odd block sizes on purpose: uneven final blocks are
-#: the regression-prone case.
-RANK_STRATEGIES = ("legacy", "dense", "blocked:7:40", "topk:10")
+#: Strategies the gate compares: every exact one.  ``legacy`` is the
+#: pre-seam dense matmul decode (``model.scorer is None``); the rest
+#: route through the scorer seam.  Odd block sizes on purpose: uneven
+#: final blocks are the regression-prone case.
+RANK_STRATEGIES = ("legacy", "blocked", "blocked:7:40")
 
 
 def check_rank_identity(seed: int, registry) -> list:
@@ -40,7 +41,7 @@ def check_rank_identity(seed: int, registry) -> list:
     from repro.bench.runner import BENCH_PROFILES, build_retia_config
     from repro.core import RETIA
     from repro.datasets import load_dataset
-    from repro.parallel import evaluate_extrapolation_sharded
+    from repro.eval import evaluate_extrapolation
 
     dataset = load_dataset("ICEWS14")
     profile = BENCH_PROFILES["ICEWS14"]
@@ -57,9 +58,7 @@ def check_rank_identity(seed: int, registry) -> list:
     for spec in RANK_STRATEGIES:
         model = fresh_model()
         model.set_scorer(None if spec == "legacy" else spec)
-        result = evaluate_extrapolation_sharded(
-            model, dataset.test, evaluate_relations=False, workers=1
-        )
+        result = evaluate_extrapolation(model, dataset.test, evaluate_relations=False)
         metrics[spec] = result.entity
         shown = {k: round(v, 6) for k, v in result.entity.items()}
         print(f"{spec:<14} entity metrics {shown}")

@@ -32,6 +32,7 @@ import numpy as np
 from repro.bench.history import append_entry, make_entry, series_key, stats
 from repro.bench.runner import BENCH_PROFILES, bench_dataset, build_retia_config
 from repro.core import RETIA
+from repro.eval import evaluate_extrapolation
 from repro.obs import MetricsRegistry, tracing
 
 #: The one configuration every series runs at (the one ``benchmarks/e2e``
@@ -211,20 +212,18 @@ def cell(dataset_name: str, *, seed: int, per_step_sleep: float) -> Sample:
 
 
 def evaluation(dataset_name: str, *, seed: int, per_step_sleep: float, workers: int) -> Sample:
-    """The full sharded evaluation protocol, per test timestamp.
+    """The full evaluation protocol at ``workers``, per test timestamp.
 
     Both tasks, ``observe=True``, over the test split; the entity and
     relation MRR ride along in ``extras`` (they must not depend on the
     worker count), as does the core count, so a speedup check can tell
     "no parallel win" from "no parallel hardware".
     """
-    from repro.parallel import evaluate_extrapolation_sharded
-
     dataset = bench_dataset(dataset_name)
     model = _revealed_model(dataset, seed)
     steps = len(dataset.test.timestamps)
     start = time.perf_counter()
-    result = evaluate_extrapolation_sharded(model, dataset.test, workers=workers)
+    result = evaluate_extrapolation(model, dataset.test, workers=workers)
     _pause(per_step_sleep, steps)
     eval_s = (time.perf_counter() - start) / max(1, steps)
     return Sample(
@@ -264,14 +263,13 @@ def scale(
 
     The honest large-N serving shape (DESIGN.md §9): evolve the history
     window once, spill the evolved stacks to ``.npy`` tables
-    (:class:`repro.scale.EmbeddingStore` memmaps), then run the sharded
-    entity protocol against a :class:`repro.scale.FrozenWindowModel`
+    (:class:`repro.scale.EmbeddingStore` memmaps), then run the entity
+    protocol at ``workers`` against a :class:`repro.scale.FrozenWindowModel`
     whose scorer streams candidate blocks off the tables, so the full
     ``(queries, entities)`` score matrix never exists.  Relation scoring
     is skipped: its candidate axis is M, not N.  The ``peak_rss_mb``
     figure is read once per process (see :data:`MEASUREMENTS`).
     """
-    from repro.parallel import evaluate_extrapolation_sharded
     from repro.scale import FrozenWindowModel, get_scorer
 
     dataset = bench_dataset(dataset_name)
@@ -285,7 +283,7 @@ def scale(
         freeze_s = time.perf_counter() - start
         del model  # the encoder is out of the loop from here on
         start = time.perf_counter()
-        result = evaluate_extrapolation_sharded(
+        result = evaluate_extrapolation(
             frozen, dataset.test, evaluate_relations=False, workers=workers
         )
         _pause(per_step_sleep, steps)

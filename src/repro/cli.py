@@ -50,7 +50,12 @@ from repro.datasets import (
     dataset_statistics,
     load_dataset,
 )
-from repro.eval import format_diagnostics, known_entities_of
+from repro.eval import (
+    diagnose_extrapolation,
+    evaluate_extrapolation,
+    format_diagnostics,
+    known_entities_of,
+)
 from repro.graph import build_hyperrelation_graph
 from repro.io import load_checkpoint, save_checkpoint
 from repro.obs import (
@@ -210,11 +215,7 @@ def _close_eval_report(reporter, status: str) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.parallel import (
-        ShardedEvalError,
-        diagnose_extrapolation_sharded,
-        evaluate_extrapolation_sharded,
-    )
+    from repro.parallel import ShardedEvalError
 
     dataset, model = _load_eval_model(args)
     if model is None:
@@ -230,10 +231,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.diagnostics:
             # The diagnostic decomposition runs the identical protocol
             # (same queries, pooled directions, observe-as-you-go), so
-            # it replaces — not repeats — the aggregate pass.  The
-            # sharded driver is bit-identical at every worker count, so
-            # workers=1 routes through the same code path.
-            report = diagnose_extrapolation_sharded(
+            # it replaces — not repeats — the aggregate pass.
+            report = diagnose_extrapolation(
                 target,
                 dataset.test,
                 known_entities=known_entities_of(dataset.train, dataset.valid),
@@ -242,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
             entity, relation = report.aggregate, report.relation_aggregate
         else:
-            result = evaluate_extrapolation_sharded(
+            result = evaluate_extrapolation(
                 target, dataset.test, workers=args.eval_workers, reporter=reporter
             )
             entity, relation = result.entity, result.relation
@@ -261,7 +260,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     """Per-relation / per-timestamp / seen-unseen evaluation diagnostics."""
-    from repro.parallel import ShardedEvalError, diagnose_extrapolation_sharded
+    from repro.parallel import ShardedEvalError
 
     dataset, model = _load_eval_model(args)
     if model is None:
@@ -269,7 +268,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     reporter = _open_eval_report(args, "diagnose")
     status = "failed"
     try:
-        report = diagnose_extrapolation_sharded(
+        report = diagnose_extrapolation(
             model,
             dataset.test,
             known_entities=known_entities_of(dataset.train, dataset.valid),
@@ -926,8 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--scorer",
         default=None,
-        help="candidate scoring strategy (legacy, dense, blocked[:QB[:CB]], "
-        "topk:K, history:BUDGET); default: the legacy dense decode. "
+        help="candidate scoring strategy (legacy, blocked[:QB[:CB]], "
+        "history:BUDGET); default: the legacy dense decode. "
         "The choice is recorded in run-report events, and "
         "check_run_health.py refuses reports mixing strategies",
     )
@@ -958,8 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument(
         "--scorer",
         default=None,
-        help="candidate scoring strategy (legacy, dense, blocked[:QB[:CB]], "
-        "topk:K, history:BUDGET); default: the legacy dense decode",
+        help="candidate scoring strategy (legacy, blocked[:QB[:CB]], "
+        "history:BUDGET); default: the legacy dense decode",
     )
     diagnose.set_defaults(handler=cmd_diagnose)
 
@@ -973,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="train_step",
         help="which registry series to measure (train_step: encoder, decoder "
         "and full training step; cell: the recurrent-cell micro-benchmark; "
-        "eval: the sharded evaluation protocol at --eval-workers; scale: "
+        "eval: the evaluation protocol at --eval-workers; scale: "
         "large-vocabulary memmap eval through the candidate scorer seam — "
         "pair with --dataset ICEWS-SCALE; serve: the loadgen drill against "
         "the model server, gated on mean query latency)",
@@ -982,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scorer",
         default=None,
         help="candidate scorer spec for --component scale "
-        "(e.g. blocked:128:8192, topk:50, history:2000; "
+        "(e.g. blocked:128:8192, history:2000; "
         "default blocked:128:8192)",
     )
     bench.add_argument(

@@ -194,9 +194,8 @@ class RETIA(Module):
         """Select the candidate-scoring strategy for entity ranking.
 
         Accepts a :class:`repro.scale.CandidateScorer`, a spec string
-        (``"dense"``, ``"blocked[:QB[:CB]]"``, ``"topk:K"``,
-        ``"history:BUDGET"``) or ``None``/``"legacy"`` to restore the
-        default dense matmul path.  See DESIGN.md §9 for when each
+        (``"blocked[:QB[:CB]]"``, ``"history:BUDGET"``) or
+        ``None``/``"legacy"`` to restore the default dense matmul path.  See DESIGN.md §9 for when each
         strategy preserves exact metrics.
         """
         from repro.scale.scorers import get_scorer

@@ -30,7 +30,12 @@ import numpy as np
 from repro.eval.filters import FilterIndex
 from repro.eval.interface import ExtrapolationModel
 from repro.eval.metrics import RankAccumulator
-from repro.eval.protocol import TimestampScores, score_timestamp
+from repro.eval.protocol import (
+    DEFAULT_SHARD_TIMEOUT,
+    TimestampScores,
+    run_protocol,
+    scorer_spec,
+)
 from repro.graph import TemporalKG
 
 
@@ -104,10 +109,10 @@ def known_entities_of(*graphs: TemporalKG) -> Set[int]:
 class DiagnosticsAccumulators:
     """The mutable accumulator state behind :func:`diagnose_extrapolation`.
 
-    One :meth:`update` per scored timestamp, **in chronological order**,
-    reproduces the serial accumulation float-for-float — which is
-    exactly how :func:`repro.parallel.eval.diagnose_extrapolation_sharded`
-    replays worker-scored timestamps into a bit-identical report.
+    :func:`diagnose_extrapolation` folds each scored timestamp in with
+    one :meth:`update`, **in chronological order** — whether the
+    timestamp was scored in-process or by a pool worker — so the report
+    is bit-identical at every worker count.
     """
 
     def __init__(self, known_entities: Optional[Set[int]], num_entities: int):
@@ -162,9 +167,7 @@ def _bounded() -> RankAccumulator:
     return RankAccumulator(bounded=True)
 
 
-def emit_diagnostic_event(
-    reporter, report: DiagnosticsReport, scorer: str = "dense"
-) -> None:
+def emit_diagnostic_event(reporter, report: DiagnosticsReport, scorer: str) -> None:
     """One schema-validated ``diagnostic`` event for ``report``.
 
     ``scorer`` records the candidate-scoring strategy the ranks came
@@ -193,49 +196,40 @@ def diagnose_extrapolation(
     observe: bool = True,
     known_entities: Optional[Set[int]] = None,
     evaluate_relations: bool = True,
+    *,
+    workers: int = 1,
     reporter=None,
+    shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
 ) -> DiagnosticsReport:
     """Run the evaluation protocol, decomposed along diagnostic axes.
 
     Mirrors :func:`~repro.eval.evaluate_extrapolation` (same queries,
-    both entity directions, same filtering and online-observe
-    semantics) but groups every entity rank by relation id, test
-    timestamp and seen/unseen gold entity.  ``known_entities`` is the
-    id set revealed before the test period (train + validation);
-    without it the seen/unseen split is skipped.  A
-    :class:`~repro.obs.RunReporter` passed as ``reporter`` receives one
-    schema-validated ``diagnostic`` event with the full decomposition.
+    both entity directions, same filtering, online-observe and
+    ``workers``/``shard_timeout`` semantics) but groups every entity
+    rank by relation id, test timestamp and seen/unseen gold entity.
+    ``known_entities`` is the id set revealed before the test period
+    (train + validation); without it the seen/unseen split is skipped.
+    A :class:`~repro.obs.RunReporter` passed as ``reporter`` receives the
+    ``worker`` events and then one schema-validated ``diagnostic`` event
+    with the full decomposition.
     """
-    if setting != "raw" and filter_index is None:
-        raise ValueError("filtered settings need a FilterIndex over the full graph")
-
     accumulators = DiagnosticsAccumulators(known_entities, test_graph.num_entities)
-
-    for ts in test_graph.timestamps:
-        snapshot = test_graph.snapshot(int(ts))
-        scored = score_timestamp(
-            model,
-            snapshot,
-            test_graph.num_relations,
-            setting=setting,
-            filter_index=filter_index,
-            evaluate_relations=evaluate_relations,
-            dedup=False,
-        )
-        if scored is None:
-            continue
-        accumulators.update(scored)
-        if observe:
-            model.observe(snapshot)
-
+    run_protocol(
+        model,
+        test_graph,
+        accumulators.update,
+        setting=setting,
+        filter_index=filter_index,
+        evaluate_relations=evaluate_relations,
+        observe=observe,
+        dedup=False,
+        workers=workers,
+        reporter=reporter,
+        shard_timeout=shard_timeout,
+    )
     report = accumulators.report(setting, evaluate_relations)
     if reporter is not None:
-        model_scorer = getattr(model, "scorer", None)
-        emit_diagnostic_event(
-            reporter,
-            report,
-            scorer=model_scorer.spec() if model_scorer is not None else "dense",
-        )
+        emit_diagnostic_event(reporter, report, scorer=scorer_spec(model))
     return report
 
 

@@ -5,17 +5,17 @@ entities at once — fine at ICEWS scale, impossible at the
 millions-of-entities vocabularies the ROADMAP north-star asks for.
 This package makes candidate scoring a *strategy*:
 
-* :class:`~repro.scale.scorers.DenseScorer` — reference implementation
-  of the scorer seam (one block, exact).
 * :class:`~repro.scale.scorers.BlockedScorer` — streams query/candidate
   blocks through a summation-order-invariant kernel; bit-identical
-  scores to :class:`DenseScorer` at every block size, bounded memory.
-* :class:`~repro.scale.scorers.TopKScorer` — blocked streaming plus
-  partial top-k selection; same exact gold ranks, so MRR/Hits are
-  unchanged.
+  scores at every block size, bounded memory.  ``BlockedScorer(None,
+  None)`` is the unblocked reference.
 * :class:`~repro.scale.scorers.HistoryFilteredScorer` — RE-Net-style
   frequency/recency candidate restriction from the reveal stream; an
   explicit approximation (``exact = False``).
+
+Without a scorer a model keeps its legacy matmul decode (spec
+``legacy``).  :func:`~repro.scale.scorers.select_topk` is the
+deterministic top-k selection serving uses.
 
 :class:`~repro.scale.store.EmbeddingStore` backs embedding tables with
 either an in-RAM array or a lazily-opened ``np.memmap``, and
@@ -29,9 +29,7 @@ from repro.scale.frozen import FrozenWindowModel
 from repro.scale.scorers import (
     BlockedScorer,
     CandidateScorer,
-    DenseScorer,
     HistoryFilteredScorer,
-    TopKScorer,
     get_scorer,
     select_topk,
 )
@@ -40,12 +38,10 @@ from repro.scale.store import EmbeddingStore
 __all__ = [
     "BlockedScorer",
     "CandidateScorer",
-    "DenseScorer",
     "EmbeddingStore",
     "FrozenWindowModel",
     "HistoryCandidateIndex",
     "HistoryFilteredScorer",
-    "TopKScorer",
     "get_scorer",
     "select_topk",
 ]

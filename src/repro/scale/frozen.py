@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.autograd import DtypePolicy, Tensor, no_grad
 from repro.eval.metrics import dedup_rows
-from repro.scale.scorers import BlockedScorer, CandidateScorer, DenseScorer, get_scorer
+from repro.scale.scorers import BlockedScorer, CandidateScorer, get_scorer
 from repro.scale.store import EmbeddingStore
 
 
@@ -195,7 +195,7 @@ class FrozenWindowModel:
         )
 
     def predict_relations(self, pairs: np.ndarray, ts: int) -> np.ndarray:
-        """Summed relation probabilities ``(B, M)`` (dense: M is small)."""
+        """Summed relation probabilities ``(B, M)`` in one unblocked pass (M is small)."""
         del ts
         pairs = np.asarray(pairs, dtype=np.int64)
         with no_grad(), self._dtype_policy:
@@ -207,4 +207,4 @@ class FrozenWindowModel:
             )
             reps = self.relation_decoder.queries_stacked(Tensor(subjects), Tensor(objects))
         tables = [np.asarray(store.data[: self.num_relations]) for store in self.relation_stores]
-        return DenseScorer().sum_probs(reps.data, tables)
+        return BlockedScorer(None, None).sum_probs(reps.data, tables)

@@ -6,20 +6,13 @@ over candidates, sum over the T historical snapshots).  That costs
 ``O(B·C)`` memory for the score matrix — prohibitive at large entity
 vocabularies.  A :class:`CandidateScorer` makes the strategy pluggable:
 
-``dense``
-    :class:`DenseScorer` — the seam's exact reference: one block, full
-    score matrix.
 ``blocked``
     :class:`BlockedScorer` — streams cache-friendly query blocks (and
     candidate chunks inside the logit kernel), ranking each block's
     gold entities immediately so the full ``(B, C)`` matrix is never
-    materialised.  **Bit-identical** scores and ranks to ``dense``.
-``topk``
-    :class:`TopKScorer` — blocked streaming plus partial top-k
-    selection (argpartition + explicit threshold-tie handling, no full
-    sort).  Gold ranks are still computed by exact counting, so MRR /
-    Hits are unchanged even when the gold entity falls outside the
-    top-k.
+    materialised.  **Bit-identical** scores and ranks at every block
+    size; ``BlockedScorer(None, None)`` is the unblocked one-pass
+    reference the tests compare against.
 ``history``
     :class:`HistoryFilteredScorer` — RE-Net-style candidate
     restriction to frequency/recency copies from the reveal stream.
@@ -43,13 +36,14 @@ is therefore identical at any block size — asserted to the last ulp by
 ``tests/test_scale.py``.  Gold ranks are always counted by
 :func:`repro.eval.metrics.ranks_from_scores`.
 
-The *default* evaluation path (``model.scorer is None``) keeps the
+The *default* evaluation path (``model.scorer is None``, reported as
+``legacy`` in telemetry) keeps the
 decoder's own no-grad decode,
 :meth:`repro.core.decoder.ConvTransE.summed_probabilities`, and it
 stays the default for two reasons.  Its single BLAS matmul is faster
 than the non-BLAS ``einsum`` kernel above (DESIGN.md §9 has the
 measurement on ICEWS18's 23k-entity vocabulary).  And the seam's
-``dense`` reference differs from it by sub-ulp logit rounding: the
+``einsum`` logits differ from it by sub-ulp rounding: the
 ``scale-gate`` CI job checks that this is rank-invisible on ICEWS14,
 but on wider vocabularies it can move tied ranks, so switching the
 default would shift checked metrics.
@@ -57,7 +51,7 @@ default would shift checked metrics.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -114,8 +108,8 @@ class CandidateScorer:
       row → unique-query map produced by dedup (``None`` = identity).
 
     ``exact`` declares the contract: exact strategies return ranks
-    bitwise equal to :class:`DenseScorer` (and therefore identical MRR /
-    Hits); non-exact strategies are approximations and must never be
+    bitwise equal to the unblocked ``BlockedScorer(None, None)`` (and
+    therefore identical MRR / Hits); non-exact strategies are approximations and must never be
     mixed into comparisons with exact runs — ``check_run_health.py``
     refuses runs whose events disagree on the recorded scorer spec.
     """
@@ -197,19 +191,6 @@ class CandidateScorer:
             )
         return ranks
 
-    def topk(
-        self, queries: np.ndarray, candidates: Sequence[np.ndarray], k: int
-    ) -> List[np.ndarray]:
-        """Per-query top-k candidate indices via :func:`select_topk`."""
-        total = queries.shape[1]
-        block = max(1, self._query_block(total))
-        out: List[np.ndarray] = []
-        for start in range(0, total, block):
-            stop = min(start + block, total)
-            summed = self._block_sum_probs(queries, candidates, start, stop)
-            out.extend(select_topk(row, k) for row in summed)
-        return out
-
 
 class BlockedScorer(CandidateScorer):
     """Exact streaming scorer: query blocks, chunked candidate reads.
@@ -217,7 +198,8 @@ class BlockedScorer(CandidateScorer):
     The logit kernel is per-element deterministic (see the module
     docstring), softmax always sees full candidate rows, and the T-sum
     touches each element independently — so any ``query_block`` /
-    ``candidate_block`` yields the same bits as :class:`DenseScorer`.
+    ``candidate_block`` yields the same bits; ``None`` for either means
+    one block over that axis.
     Peak score memory is ``T × query_block × C`` instead of
     ``T × B × C``.
     """
@@ -274,62 +256,6 @@ class BlockedScorer(CandidateScorer):
                 )
         softmax_array(logits, axis=-1, out=logits)
         return logits.sum(axis=0)
-
-
-class DenseScorer(BlockedScorer):
-    """The seam's exact reference: one block over everything."""
-
-    name = "dense"
-    exact = True
-
-    def __init__(self):
-        super().__init__(query_block=None, candidate_block=None)
-
-    def spec(self) -> str:
-        return self.name
-
-
-class TopKScorer(BlockedScorer):
-    """Blocked streaming with partial top-k selection.
-
-    Ranking metrics are *identical* to ``dense``/``blocked`` — gold
-    ranks come from the same exact counting over the same bits, even
-    when the gold entity is outside the top-k.  What ``topk`` buys is
-    the selection side (serving, candidate export): per query block the
-    k best candidates are found by partition + threshold-tie handling
-    instead of a full ``O(C log C)`` sort, and only ``k`` of the ``C``
-    scores per query survive the block.
-    """
-
-    name = "topk"
-    exact = True
-
-    def __init__(
-        self,
-        k: int = 10,
-        query_block: Optional[int] = DEFAULT_QUERY_BLOCK,
-        candidate_block: Optional[int] = DEFAULT_CANDIDATE_BLOCK,
-    ):
-        super().__init__(query_block=query_block, candidate_block=candidate_block)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = int(k)
-
-    def spec(self) -> str:
-        parts = [self.name, str(self.k)]
-        if self.query_block is not None:
-            parts.append(str(self.query_block))
-            if self.candidate_block is not None:
-                parts.append(str(self.candidate_block))
-        return ":".join(parts)
-
-    def topk(
-        self,
-        queries: np.ndarray,
-        candidates: Sequence[np.ndarray],
-        k: Optional[int] = None,
-    ) -> List[np.ndarray]:
-        return super().topk(queries, candidates, self.k if k is None else k)
 
 
 class HistoryFilteredScorer(CandidateScorer):
@@ -429,9 +355,7 @@ def get_scorer(spec) -> Optional[CandidateScorer]:
     ``None`` (and ``"legacy"``) mean "no scorer": the model keeps its
     legacy dense matmul path, bit-for-bit.  Otherwise::
 
-        dense                   exact reference (one block)
         blocked[:QB[:CB]]       exact streaming, QB query rows / CB candidates
-        topk:K[:QB[:CB]]        exact ranks + partial top-K selection
         history:BUDGET          approximate history-filtered candidates
 
     A :class:`CandidateScorer` instance passes through unchanged.
@@ -443,18 +367,14 @@ def get_scorer(spec) -> Optional[CandidateScorer]:
         return None
     head, *params = text.split(":")
     try:
-        if head == DenseScorer.name and not params:
-            return DenseScorer()
         if head == BlockedScorer.name and len(params) <= 2:
             numbers = [int(p) for p in params]
             return BlockedScorer(*numbers) if numbers else BlockedScorer()
-        if head == TopKScorer.name and 1 <= len(params) <= 3:
-            return TopKScorer(*[int(p) for p in params])
         if head == HistoryFilteredScorer.name and len(params) == 1:
             return HistoryFilteredScorer(budget=int(params[0]))
     except ValueError as exc:
         raise ValueError(f"bad scorer spec {spec!r}: {exc}") from exc
     raise ValueError(
-        f"unknown scorer spec {spec!r} (expected dense, blocked[:QB[:CB]], "
-        "topk:K[:QB[:CB]], history:BUDGET, or legacy)"
+        f"unknown scorer spec {spec!r} (expected blocked[:QB[:CB]], "
+        "history:BUDGET, or legacy)"
     )

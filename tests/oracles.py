@@ -15,7 +15,11 @@ they replaced live here, test-only, as bit-exactness oracles:
   with a fresh buffer per step, which ``F.softmax`` runs in one;
 * :func:`reference_ranks` — the gathered, float64-widened, whole-row
   count ``ranks_from_scores`` replaced with a blocked count in the
-  scores' own dtype.
+  scores' own dtype;
+* :func:`reference_evaluate` / :func:`reference_diagnose` — the serial
+  score-then-reveal drivers, each with its own loop, that
+  ``evaluate_extrapolation`` and ``diagnose_extrapolation`` replaced
+  with one protocol loop at every worker count.
 
 :func:`use_reference_cells` and :func:`use_reference_decoder` rebind a
 ``RETIA`` instance onto them, so model-level parity tests compare a
@@ -32,6 +36,9 @@ from typing import List
 import numpy as np
 
 from repro.autograd import Tensor
+from repro.eval.diagnostics import DiagnosticsAccumulators, DiagnosticsReport
+from repro.eval.metrics import RankAccumulator
+from repro.eval.protocol import EvaluationResult, score_timestamp
 from repro.nn.rnn import GRUCell, LSTMCell
 
 
@@ -183,3 +190,74 @@ def reference_ranks(scores, targets, filter_mask=None, rows=None) -> np.ndarray:
     greater = (scores > target_scores).sum(axis=1)
     ties = (scores == target_scores).sum(axis=1) - 1  # excl. the target
     return 1.0 + greater + ties / 2.0
+
+
+def reference_evaluate(
+    model,
+    test_graph,
+    setting="raw",
+    filter_index=None,
+    evaluate_relations=True,
+    observe=True,
+) -> EvaluationResult:
+    """Serial ``evaluate_extrapolation``: score, accumulate, reveal."""
+    if setting != "raw" and filter_index is None:
+        raise ValueError("filtered settings need a FilterIndex over the full graph")
+
+    num_relations = test_graph.num_relations
+    entity_acc = RankAccumulator()
+    relation_acc = RankAccumulator()
+
+    for ts in test_graph.timestamps:
+        snapshot = test_graph.snapshot(int(ts))
+        scored = score_timestamp(
+            model,
+            snapshot,
+            num_relations,
+            setting=setting,
+            filter_index=filter_index,
+            evaluate_relations=evaluate_relations,
+        )
+        if scored is not None:
+            entity_acc.update(scored.entity_ranks)
+            if scored.relation_ranks is not None:
+                relation_acc.update(scored.relation_ranks)
+        if observe and len(snapshot.triples):
+            model.observe(snapshot)
+
+    return EvaluationResult(entity=entity_acc.summary(), relation=relation_acc.summary())
+
+
+def reference_diagnose(
+    model,
+    test_graph,
+    setting="raw",
+    filter_index=None,
+    observe=True,
+    known_entities=None,
+    evaluate_relations=True,
+) -> DiagnosticsReport:
+    """Serial ``diagnose_extrapolation``, without the reporter event."""
+    if setting != "raw" and filter_index is None:
+        raise ValueError("filtered settings need a FilterIndex over the full graph")
+
+    accumulators = DiagnosticsAccumulators(known_entities, test_graph.num_entities)
+
+    for ts in test_graph.timestamps:
+        snapshot = test_graph.snapshot(int(ts))
+        scored = score_timestamp(
+            model,
+            snapshot,
+            test_graph.num_relations,
+            setting=setting,
+            filter_index=filter_index,
+            evaluate_relations=evaluate_relations,
+            dedup=False,
+        )
+        if scored is None:
+            continue
+        accumulators.update(scored)
+        if observe:
+            model.observe(snapshot)
+
+    return accumulators.report(setting, evaluate_relations)

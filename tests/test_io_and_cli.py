@@ -254,6 +254,32 @@ class TestCLI:
         assert main(["evaluate", "--dataset", "YAGO", "--checkpoint", path]) == 0
         assert "MRR" in capsys.readouterr().out
 
+    @pytest.fixture
+    def tiny_checkpoint(self, tmp_path):
+        dataset = load_dataset("YAGO")
+        config = RETIAConfig(dataset.num_entities, dataset.num_relations, dim=8, num_kernels=4)
+        path = str(tmp_path / "tiny.npz")
+        save_checkpoint(path, RETIA(config).state_dict(), asdict(config))
+        return path
+
+    def test_evaluate_eval_workers_prints_identical_metrics(self, tiny_checkpoint, capsys):
+        lines = {}
+        for workers in ("1", "2"):
+            argv = ["evaluate", "--dataset", "YAGO", "--checkpoint", tiny_checkpoint]
+            assert main(argv + ["--eval-workers", workers]) == 0
+            out = capsys.readouterr().out.splitlines()
+            lines[workers] = [line for line in out if line.startswith(("entity", "relation"))]
+        assert len(lines["1"]) == 2
+        assert lines["2"] == lines["1"]
+
+    def test_online_evaluate_refuses_eval_workers_above_one(self, tiny_checkpoint, capsys):
+        argv = ["evaluate", "--dataset", "YAGO", "--checkpoint", tiny_checkpoint, "--online"]
+        assert main(argv + ["--eval-workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sharded evaluation refused: ")
+        assert "Traceback" not in err
+
     def test_config_from_dict_still_rejects_unknown_keys(self):
         blob = asdict(RETIAConfig(4, 2))
         assert RETIAConfig.from_dict(dict(blob, fused_cells=True)) == RETIAConfig(4, 2)

@@ -1,10 +1,11 @@
 """Tests for deterministic parallel execution (repro.parallel).
 
 The contract under test: **the math is defined by the plan, never by
-the execution**.  Sharded evaluation must be bit-identical to the
-serial drivers for every worker count; the concurrency-hardened pieces
-the runtime rests on (SnapshotCache locking, GracefulInterrupt
-escalation) are covered here too.
+the execution**.  The evaluation drivers must be bit-identical to the
+serial reference drivers in ``tests/oracles.py`` for every worker
+count; the concurrency-hardened pieces the runtime rests on
+(SnapshotCache locking, GracefulInterrupt escalation) are covered here
+too.
 """
 
 import copy
@@ -25,15 +26,11 @@ from repro.eval import (
     known_entities_of,
 )
 from repro.graph import Snapshot, SnapshotCache
-from repro.obs import MetricsRegistry, RunReporter, read_events
-from repro.parallel import (
-    ShardedEvalError,
-    diagnose_extrapolation_sharded,
-    evaluate_extrapolation_sharded,
-    shard_bounds,
-    shard_sequence,
-)
+from repro.obs import RunReporter, read_events
+from repro.parallel import ShardedEvalError, shard_bounds, shard_sequence
 from repro.resilience import GracefulInterrupt
+
+from tests.oracles import reference_diagnose, reference_evaluate
 
 
 def small_dataset(num_timestamps=14):
@@ -110,36 +107,35 @@ class TestShardBounds:
 # Sharded evaluation
 # ----------------------------------------------------------------------
 class TestShardedEvaluation:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_summary_bit_identical_to_serial(self, splits, workers):
         train, valid, test = splits
-        serial = evaluate_extrapolation(revealed_model(train, valid), test)
-        sharded = evaluate_extrapolation_sharded(
-            revealed_model(train, valid), test, workers=workers
-        )
-        # Exact ==, no tolerance: the merge chain replays the serial
-        # float-accumulation chain operation for operation.
+        serial = reference_evaluate(revealed_model(train, valid), test)
+        sharded = evaluate_extrapolation(revealed_model(train, valid), test, workers=workers)
+        # Exact ==, no tolerance: folding the scored timestamps in
+        # timestamp order replays the serial float-accumulation chain
+        # operation for operation.
         assert sharded.entity == serial.entity
         assert sharded.relation == serial.relation
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_diagnostics_bit_identical_to_serial(self, splits, workers):
         train, valid, test = splits
         known = known_entities_of(train, valid)
-        serial = diagnose_extrapolation(
-            revealed_model(train, valid), test, known_entities=known
-        )
-        sharded = diagnose_extrapolation_sharded(
+        serial = reference_diagnose(revealed_model(train, valid), test, known_entities=known)
+        sharded = diagnose_extrapolation(
             revealed_model(train, valid), test, known_entities=known, workers=workers
         )
+        assert sharded.aggregate == serial.aggregate
+        assert sharded.relation_aggregate == serial.relation_aggregate
         assert sharded.to_dict() == serial.to_dict()
 
     def test_caller_model_ends_with_test_horizon_revealed(self, splits):
         train, valid, test = splits
         serial_model = revealed_model(train, valid)
-        evaluate_extrapolation(serial_model, test)
+        reference_evaluate(serial_model, test)
         sharded_model = revealed_model(train, valid)
-        evaluate_extrapolation_sharded(sharded_model, test, workers=2)
+        evaluate_extrapolation(sharded_model, test, workers=2)
         last = int(test.timestamps[-1]) + 1
         assert len(sharded_model.history_before(last)) == len(
             serial_model.history_before(last)
@@ -151,15 +147,13 @@ class TestShardedEvaluation:
                 pass
 
         with pytest.raises(ShardedEvalError, match="inherently sequential"):
-            evaluate_extrapolation_sharded(
-                OnlineOnly(), None, workers=2, observe=True
-            )
+            evaluate_extrapolation(OnlineOnly(), None, workers=2, observe=True)
 
     def test_workers_one_admits_sequential_only_models(self, splits):
-        # At workers=1 the sharded entry point must replay the
-        # *sequential* reveal schedule, so a model exposing only
-        # ``observe`` (the OnlineAdapter shape — no record_snapshot /
-        # history_before) evaluates fine and matches the serial driver.
+        # At workers=1 the driver replays the *sequential* reveal
+        # schedule, so a model exposing only ``observe`` (the
+        # OnlineAdapter shape — no record_snapshot / history_before)
+        # evaluates fine and matches the serial reference.
         train, valid, test = splits
 
         class SequentialOnly:
@@ -175,8 +169,8 @@ class TestShardedEvaluation:
             def predict_relations(self, pairs, ts):
                 return self._inner.predict_relations(pairs, ts)
 
-        serial = evaluate_extrapolation(revealed_model(train, valid), test)
-        sharded = evaluate_extrapolation_sharded(
+        serial = reference_evaluate(revealed_model(train, valid), test)
+        sharded = evaluate_extrapolation(
             SequentialOnly(revealed_model(train, valid)), test, workers=1
         )
         assert sharded.entity == serial.entity
@@ -185,38 +179,38 @@ class TestShardedEvaluation:
     def test_refuses_invalid_worker_count(self, splits):
         train, valid, test = splits
         with pytest.raises(ShardedEvalError):
-            evaluate_extrapolation_sharded(
-                revealed_model(train, valid), test, workers=0
-            )
+            evaluate_extrapolation(revealed_model(train, valid), test, workers=0)
 
     def test_filtered_setting_requires_index(self, splits):
         train, valid, test = splits
-        with pytest.raises(ShardedEvalError, match="FilterIndex"):
-            evaluate_extrapolation_sharded(
+        with pytest.raises(ValueError, match="FilterIndex"):
+            evaluate_extrapolation(
                 revealed_model(train, valid), test, setting="static", workers=2
             )
 
-    def test_worker_telemetry_reaches_reporter_and_registry(self, splits):
+    def test_worker_telemetry_reaches_reporter(self, splits):
+        # Both drivers emit one worker event per block at every worker
+        # count; diagnose then adds its diagnostic event.
         train, valid, test = splits
-        buf = io.StringIO()
-        registry = MetricsRegistry()
-        with RunReporter(buf) as reporter:
-            evaluate_extrapolation_sharded(
-                revealed_model(train, valid),
-                test,
-                workers=2,
-                reporter=reporter,
-                registry=registry,
-            )
-        events = [
-            e for e in read_events(buf.getvalue().splitlines()) if e["event"] == "worker"
-        ]
-        assert {e["worker"] for e in events} == {0, 1}
-        assert all(e["scope"] == "eval" for e in events)
-        total_shards = sum(e["shards"] for e in events)
-        assert total_shards == registry.get("parallel_worker_shards_total").value(
-            scope="eval", worker="0"
-        ) + registry.get("parallel_worker_shards_total").value(scope="eval", worker="1")
+        non_empty = sum(1 for ts in test.timestamps if len(test.snapshot(int(ts)).triples))
+        for workers in (1, 2):
+            for driver, tail in (
+                (evaluate_extrapolation, []),
+                (diagnose_extrapolation, ["diagnostic"]),
+            ):
+                buf = io.StringIO()
+                with RunReporter(buf) as reporter:
+                    driver(revealed_model(train, valid), test, workers=workers, reporter=reporter)
+                events = [
+                    e
+                    for e in read_events(buf.getvalue().splitlines())
+                    if e["event"] in ("worker", "diagnostic")
+                ]
+                assert [e["event"] for e in events] == ["worker"] * workers + tail
+                assert [e["worker"] for e in events[:workers]] == list(range(workers))
+                assert all(e["scope"] == "eval" for e in events[:workers])
+                assert sum(e["shards"] for e in events[:workers]) == non_empty
+                assert all(e["scorer"] == "legacy" for e in events)
 
 
 # ----------------------------------------------------------------------
@@ -383,9 +377,7 @@ class TestShardedEvalWorkerFailures:
         train, valid, test = splits
         model = _revealed(KilledInWorker, train, valid)
         with pytest.raises(ShardedEvalError, match="produced no result within") as e:
-            evaluate_extrapolation_sharded(
-                model, test, workers=2, shard_timeout=2.0
-            )
+            evaluate_extrapolation(model, test, workers=2, shard_timeout=2.0)
         message = str(e.value)
         assert "shard block" in message
         assert "timestamps" in message
@@ -397,5 +389,5 @@ class TestShardedEvalWorkerFailures:
         with pytest.raises(
             ShardedEvalError, match="worker exploded on purpose"
         ) as e:
-            evaluate_extrapolation_sharded(model, test, workers=2)
+            evaluate_extrapolation(model, test, workers=2)
         assert "failed in a pool worker: RuntimeError" in str(e.value)

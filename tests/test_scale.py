@@ -1,11 +1,12 @@
 """Tests for the entity-axis scaling seam (repro.scale).
 
-The load-bearing claims: blocked and top-k candidate scoring are
-**bitwise** identical to the dense reference at any block size (the
-einsum kernel's reduction order is blocking-invariant); memmap-backed
-embedding stores round-trip through checkpoints, pickling and sharded
-evaluation without changing a single bit; and the run-health gate
-refuses reports that mix scoring strategies.
+The load-bearing claims: blocked candidate scoring is **bitwise**
+identical to the unblocked ``BlockedScorer(None, None)`` oracle at any
+block size (the einsum kernel's reduction order is
+blocking-invariant); memmap-backed embedding stores round-trip through
+checkpoints, pickling and sharded evaluation without changing a single
+bit; and the run-health gate refuses reports that mix scoring
+strategies.
 """
 
 import importlib.util
@@ -21,15 +22,12 @@ from repro.eval import evaluate_extrapolation
 from repro.eval.metrics import ranks_from_scores
 from repro.io import load_checkpoint, save_checkpoint
 from repro.obs import RunReporter, read_events
-from repro.parallel import evaluate_extrapolation_sharded
 from repro.scale import (
     BlockedScorer,
-    DenseScorer,
     EmbeddingStore,
     FrozenWindowModel,
     HistoryCandidateIndex,
     HistoryFilteredScorer,
-    TopKScorer,
     get_scorer,
     select_topk,
 )
@@ -38,6 +36,11 @@ _HEALTH_PATH = Path(__file__).resolve().parent.parent / "scripts" / "check_run_h
 _spec = importlib.util.spec_from_file_location("check_run_health_scale", _HEALTH_PATH)
 check_run_health = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_run_health)
+
+
+def unblocked():
+    """The exact one-pass oracle: one block over queries and candidates."""
+    return BlockedScorer(query_block=None, candidate_block=None)
 
 
 def random_problem(seed=0, snaps=2, unique=23, dim=6, candidates=37):
@@ -86,51 +89,40 @@ class TestBlockedBitIdentity:
     @pytest.mark.parametrize("qb,cb", [(1, 1), (5, 7), (23, 37), (64, 8192)])
     def test_scores_and_ranks_equal_dense_to_last_ulp(self, qb, cb):
         queries, tables, targets, mask, inverse = random_problem()
-        dense, blocked = DenseScorer(), BlockedScorer(qb, cb)
+        oracle, blocked = unblocked(), BlockedScorer(qb, cb)
         assert np.array_equal(
-            blocked.sum_probs(queries, tables), dense.sum_probs(queries, tables)
+            blocked.sum_probs(queries, tables), oracle.sum_probs(queries, tables)
         )
         for m in (None, mask):
             assert np.array_equal(
                 blocked.ranks(queries, tables, targets, mask=m, inverse=inverse),
-                dense.ranks(queries, tables, targets, mask=m, inverse=inverse),
+                oracle.ranks(queries, tables, targets, mask=m, inverse=inverse),
             )
 
     def test_ranks_reproduce_the_reference_counting(self):
         queries, tables, targets, mask, inverse = random_problem(seed=3)
-        dense = DenseScorer()
-        scores = dense.sum_probs(queries, tables)[inverse]
+        oracle = unblocked()
+        scores = oracle.sum_probs(queries, tables)[inverse]
         assert np.array_equal(
-            dense.ranks(queries, tables, targets, mask=mask, inverse=inverse),
+            oracle.ranks(queries, tables, targets, mask=mask, inverse=inverse),
             ranks_from_scores(scores, targets, mask),
         )
         # Identity inverse: passing None must mean "one row per query".
         rows = queries.shape[1]
         assert np.array_equal(
-            dense.ranks(queries, tables, targets[:rows], mask=mask[:rows]),
+            oracle.ranks(queries, tables, targets[:rows], mask=mask[:rows]),
             ranks_from_scores(
-                dense.sum_probs(queries, tables), targets[:rows], mask[:rows]
+                oracle.sum_probs(queries, tables), targets[:rows], mask[:rows]
             ),
         )
 
-    def test_topk_gold_ranks_equal_dense_on_randomized_models(self):
-        for seed in range(3):
-            queries, tables, targets, mask, inverse = random_problem(seed=seed)
-            dense, topk = DenseScorer(), TopKScorer(k=5, query_block=9, candidate_block=11)
-            assert np.array_equal(
-                topk.ranks(queries, tables, targets, mask=mask, inverse=inverse),
-                dense.ranks(queries, tables, targets, mask=mask, inverse=inverse),
-            )
-
     def test_topk_selection_matches_full_sort(self):
         queries, tables, _, _, _ = random_problem(seed=5)
-        scorer = TopKScorer(k=4, query_block=6)
-        scores = DenseScorer().sum_probs(queries, tables)
-        selected = scorer.topk(queries, tables)
-        assert len(selected) == scores.shape[0]
-        for row, picks in zip(scores, selected):
+        scores = BlockedScorer(query_block=6).sum_probs(queries, tables)
+        assert np.array_equal(scores, unblocked().sum_probs(queries, tables))
+        for row in scores:
             reference = np.lexsort((np.arange(row.size), -row))[:4]
-            assert np.array_equal(picks, reference)
+            assert np.array_equal(select_topk(row, 4), reference)
 
 
 class TestSelectTopK:
@@ -149,8 +141,7 @@ class TestSelectTopK:
 
 class TestGetScorer:
     def test_specs_round_trip(self):
-        for spec in ("dense", "blocked", "blocked:16", "blocked:16:256",
-                     "topk:5", "topk:5:16:256", "history:32"):
+        for spec in ("blocked", "blocked:16", "blocked:16:256", "history:32"):
             scorer = get_scorer(spec)
             assert get_scorer(scorer) is scorer
             reparsed = get_scorer(scorer.spec())
@@ -162,13 +153,15 @@ class TestGetScorer:
         assert get_scorer("legacy") is None
         assert get_scorer("") is None
 
-    @pytest.mark.parametrize("bad", ["nope", "topk", "blocked:1:2:3", "history", "topk:x"])
+    @pytest.mark.parametrize(
+        "bad", ["nope", "topk", "blocked:1:2:3", "history", "topk:x", "dense", "topk:5"]
+    )
     def test_bad_specs_raise(self, bad):
         with pytest.raises(ValueError):
             get_scorer(bad)
 
     def test_exactness_contract(self):
-        assert get_scorer("blocked").exact and get_scorer("topk:3").exact
+        assert get_scorer("blocked").exact and get_scorer("blocked:3").exact
         assert not get_scorer("history:8").exact
         assert get_scorer("history:8").needs_history
 
@@ -240,19 +233,18 @@ class TestModelScorerSeam:
     def test_seam_strategies_reproduce_legacy_metrics(self, splits):
         train, valid, test = splits
         metrics = {}
-        for spec in (None, "dense", "blocked:7:11", "topk:6:5"):
+        for spec in (None, unblocked(), "blocked", "blocked:7:11"):
             model = revealed_model(train, valid)
             model.set_scorer(spec)
             result = evaluate_extrapolation(model, test, evaluate_relations=False)
-            metrics[spec] = result.entity
-        assert metrics["dense"] == metrics[None]
-        assert metrics["blocked:7:11"] == metrics["dense"]
-        assert metrics["topk:6:5"] == metrics["dense"]
+            metrics[model.scorer.spec() if model.scorer else None] = result.entity
+        assert len(metrics) == 4
+        assert all(entity == metrics[None] for entity in metrics.values())
 
     def test_history_budget_covering_vocab_is_exact(self, splits):
         train, valid, test = splits
         exact = revealed_model(train, valid)
-        exact.set_scorer("dense")
+        exact.set_scorer(unblocked())
         approx = revealed_model(train, valid)
         approx.set_scorer("history:1000")  # budget >= N: delegates to blocked
         assert (
@@ -299,8 +291,8 @@ class TestFrozenWindowModel:
         spilled = FrozenWindowModel.freeze(model, first_ts, spill_dir=str(tmp_path))
         assert {s.backend for s in ram.entity_stores} == {"ram"}
         assert {s.backend for s in spilled.entity_stores} == {"memmap"}
-        ram_result = evaluate_extrapolation_sharded(ram, test, workers=1)
-        mm_result = evaluate_extrapolation_sharded(spilled, test, workers=1)
+        ram_result = evaluate_extrapolation(ram, test)
+        mm_result = evaluate_extrapolation(spilled, test)
         assert ram_result.entity == mm_result.entity
         assert ram_result.relation == mm_result.relation
 
@@ -315,10 +307,8 @@ class TestFrozenWindowModel:
         report_path = str(tmp_path / "run.jsonl")
         reporter = RunReporter(report_path)
         try:
-            serial = evaluate_extrapolation_sharded(frozen, test, workers=1)
-            parallel = evaluate_extrapolation_sharded(
-                frozen, test, workers=2, reporter=reporter
-            )
+            serial = evaluate_extrapolation(frozen, test, workers=1)
+            parallel = evaluate_extrapolation(frozen, test, workers=2, reporter=reporter)
         finally:
             reporter.close()
         assert serial.entity == parallel.entity
@@ -351,8 +341,8 @@ class TestServeScorerSeam:
 
         legacy = score_entities(model, ram_snapshot, queries)
         # The scorer seam (einsum kernel) is blocking-invariant: blocked
-        # and dense agree bitwise, on RAM and memmap snapshots alike.
-        dense = score_entities(model, ram_snapshot, queries, scorer="dense")
+        # and unblocked agree bitwise, on RAM and memmap snapshots alike.
+        dense = score_entities(model, ram_snapshot, queries, scorer=unblocked())
         blocked = score_entities(model, spilled, queries, scorer="blocked:2:5")
         assert np.array_equal(blocked, dense)
         # Against the legacy matmul path only last-bits logit rounding
@@ -390,11 +380,11 @@ class TestMixedScorerRefusal:
 
     def test_mixed_strategies_fail(self):
         problems = check_run_health.check_scorers(
-            self._events(["dense", "topk:5:128:8192"])
+            self._events(["legacy", "history:5"])
         )
         assert len(problems) == 1 and "mixed candidate scoring" in problems[0]
 
     def test_uniform_or_absent_strategies_pass(self):
-        assert check_run_health.check_scorers(self._events(["dense", "dense"])) == []
+        assert check_run_health.check_scorers(self._events(["legacy", "legacy"])) == []
         assert check_run_health.check_scorers(self._events([None, None])) == []
-        assert check_run_health.check_scorers(self._events(["dense", None])) == []
+        assert check_run_health.check_scorers(self._events(["legacy", None])) == []

@@ -24,6 +24,7 @@ import pytest
 from repro.core import RETIA, RETIAConfig, TrainerConfig
 from repro.core.trainer import OnlineAdapter
 from repro.datasets import SyntheticTKGConfig, generate_tkg
+from repro.eval import evaluate_extrapolation
 from repro.obs import (
     BurnWindow,
     MetricsRegistry,
@@ -35,7 +36,6 @@ from repro.obs import (
     tracing,
 )
 from repro.obs.tracing import SpanCollector, TraceContext
-from repro.parallel import evaluate_extrapolation_sharded
 from repro.serve import ModelServer, ServeConfig, loadgen
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -148,9 +148,7 @@ class TestTraceContext:
         collector = SpanCollector()
         with tracing.collect_spans(collector):
             with tracing.span("evaluate"):
-                evaluate_extrapolation_sharded(
-                    revealed_model(train, valid), test, workers=workers
-                )
+                evaluate_extrapolation(revealed_model(train, valid), test, workers=workers)
         assert collector.is_balanced
         # Flattened score_ts timestamps are the full reveal schedule,
         # in block order, identical for every worker count.
@@ -166,9 +164,7 @@ class TestTraceContext:
 
     def test_uninstrumented_eval_collects_nothing(self, splits):
         train, valid, test = splits
-        evaluate_extrapolation_sharded(
-            revealed_model(train, valid), test, workers=2
-        )
+        evaluate_extrapolation(revealed_model(train, valid), test, workers=2)
         assert tracing.active() is None
 
 
