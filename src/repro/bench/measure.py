@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.history import append_entry, make_entry, series_key, stats
-from repro.bench.runner import BENCH_PROFILES, bench_dataset, build_retia_config
+from repro.bench.runner import BENCH_PROFILES, bench_dataset, build_retia_config, revealed_model
 from repro.core import RETIA
 from repro.eval import evaluate_extrapolation
 from repro.obs import MetricsRegistry, tracing
@@ -68,20 +68,6 @@ class Measurement:
 def _pause(per_step_sleep: float, steps: int = 1) -> None:
     if per_step_sleep > 0:
         time.sleep(per_step_sleep * steps)
-
-
-def _revealed_model(dataset, seed: int) -> RETIA:
-    """An untrained model with train+valid history, in eval mode.
-
-    Scoring cost depends on history shape and embedding sizes, not on
-    parameter values, so the eval/scale/serve series skip training.
-    """
-    model = RETIA(build_retia_config(dataset, BENCH_PROFILES[dataset.name], seed=seed, dtype=DTYPE))
-    model.set_history(dataset.train)
-    for t in dataset.valid.timestamps:
-        model.record_snapshot(dataset.valid.snapshot(int(t)))
-    model.eval()
-    return model
 
 
 def train_step(dataset_name: str, *, seed: int, per_step_sleep: float) -> Sample:
@@ -140,9 +126,8 @@ def train_step(dataset_name: str, *, seed: int, per_step_sleep: float) -> Sample
     decoder_s = (time.perf_counter() - start) / steps
     del prepared
 
-    timer = tracing.PhaseTimer()
     start = time.perf_counter()
-    with tracing.collect(timer):
+    with tracing.collect_spans() as collector:
         for snapshot in snapshots:
             joint, _, _ = model.loss_on_snapshot(snapshot)
             joint.backward()
@@ -154,7 +139,7 @@ def train_step(dataset_name: str, *, seed: int, per_step_sleep: float) -> Sample
         figures={"encoder_s": encoder_s, "decoder_s": decoder_s, "step_s": step_s},
         extras={
             "steps": len(snapshots),
-            "phases": timer.summary(),
+            "phases": collector.summary(),
             "cache": {"entries": len(cache), "hits": cache.hits, "misses": cache.misses},
         },
     )
@@ -220,7 +205,7 @@ def evaluation(dataset_name: str, *, seed: int, per_step_sleep: float, workers: 
     "no parallel win" from "no parallel hardware".
     """
     dataset = bench_dataset(dataset_name)
-    model = _revealed_model(dataset, seed)
+    model = revealed_model(dataset, seed=seed, dtype=DTYPE)
     steps = len(dataset.test.timestamps)
     start = time.perf_counter()
     result = evaluate_extrapolation(model, dataset.test, workers=workers)
@@ -273,7 +258,7 @@ def scale(
     from repro.scale import FrozenWindowModel, get_scorer
 
     dataset = bench_dataset(dataset_name)
-    model = _revealed_model(dataset, seed)
+    model = revealed_model(dataset, seed=seed, dtype=DTYPE)
     steps = len(dataset.test.timestamps)
     with tempfile.TemporaryDirectory(prefix="repro-scale-") as spill_dir:
         start = time.perf_counter()
@@ -301,78 +286,36 @@ def scale(
     )
 
 
-def serve(dataset_name: str, *, seed: int, per_step_sleep: float, chaos: bool) -> Sample:
-    """Boot a model server, fire the open-loop loadgen at it, drain.
+def serve(dataset_name: str, *, seed: int, per_step_sleep: float) -> Sample:
+    """The serve drill (:func:`repro.serve.run_drill`): 160 requests at 400 qps.
 
     The figure is ``mean_latency_s``, the mean OK-query latency: it is
     dominated by micro-batch compute and repeats within a few percent,
     whereas p50/p99 over ~100 requests swing 1.4x run to run — they ride
-    along in ``extras`` with QPS, shed rate and availability.
-    ``chaos=True`` arms :func:`~repro.serve.default_chaos_plan`; an
+    along in ``extras`` with QPS, shed rate and availability.  An
     injected sleep stalls every decoder micro-batch.
     """
-    from repro.core import TrainerConfig
-    from repro.core.trainer import OnlineAdapter
     from repro.resilience import ServeFaultInjector
-    from repro.serve import (
-        STATE_CLOSED,
-        LoadgenConfig,
-        ModelServer,
-        ServeConfig,
-        default_chaos_plan,
-        run_loadgen,
-        summarize_responses,
-    )
+    from repro.serve import STATE_CLOSED, LoadgenConfig, run_drill
 
     dataset = bench_dataset(dataset_name)
-    model = _revealed_model(dataset, seed)
-    injector = default_chaos_plan() if chaos else None
+    stall = None
     if per_step_sleep > 0:
-        injector = injector or ServeFaultInjector()
-        injector.slow_batch_every, injector.slow_batch_seconds = 1, per_step_sleep
-    config = ServeConfig(
-        max_batch=32,
-        max_queue=128,
-        batch_wait_ms=1.0,
-        default_deadline_ms=500.0,
-        refresh_attempts=3,
-        refresh_backoff_ms=5.0,
-        breaker_failure_threshold=3,
-        breaker_recovery_ms=50.0,
-        seed=seed,
+        stall = ServeFaultInjector(slow_batch_every=1, slow_batch_seconds=per_step_sleep)
+    load = LoadgenConfig(requests=160, qps=400.0, deadline_ms=500.0, seed=seed)
+    drill = run_drill(
+        revealed_model(dataset, seed=seed, dtype=DTYPE), dataset, load, fault_injector=stall
     )
-    server = ModelServer(
-        model,
-        adapter=OnlineAdapter(model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=seed)),
-        config=config,
-        fault_injector=injector,
-    )
-    test_times = [int(t) for t in dataset.test.timestamps]
-    server.start(ts=test_times[0])
-    snapshots = [dataset.test.snapshot(t) for t in test_times]
-    load = LoadgenConfig(requests=160, qps=400.0, seed=seed)
-    start = time.perf_counter()
-    responses = run_loadgen(
-        server, dataset.num_entities, dataset.num_relations, ingest_snapshots=snapshots, config=load
-    )
-    summary = summarize_responses(responses, time.perf_counter() - start)
-    recovered = None
-    if chaos:
-        # Deterministic half-open recovery: wait out the breaker's
-        # recovery window, then one clean probe ingest.
-        time.sleep(config.breaker_recovery_ms / 1000.0 + 0.01)
-        server.ingest(snapshots[-1])
-        recovered = server.breaker.state == STATE_CLOSED
     slo = ("requests", "qps", "availability", "shed_rate", "serve_p50_seconds", "serve_p99_seconds")
-    extras = {key: summary[key] for key in slo}
-    extras.update(offered_qps=load.qps, breaker_recovered=recovered, clean_drain=server.drain())
-    if injector is not None:
-        extras["faults"] = injector.summary()
-    return Sample(
-        figures={"mean_latency_s": summary["serve_mean_seconds"]},
-        labels={"chaos": chaos},
-        extras=extras,
+    extras = {key: drill.summary[key] for key in slo}
+    extras.update(
+        offered_qps=load.qps,
+        breaker_recovered=drill.server.breaker.state == STATE_CLOSED,
+        clean_drain=drill.clean,
     )
+    if stall is not None:
+        extras["faults"] = stall.summary()
+    return Sample(figures={"mean_latency_s": drill.summary["serve_mean_seconds"]}, extras=extras)
 
 
 #: The registry ``repro.cli bench --component`` dispatches on.
@@ -385,7 +328,7 @@ MEASUREMENTS: Dict[str, Measurement] = {
         labels={"workers": 2, "scorer": "blocked:128:8192"},
         once={"peak_rss_mb": peak_rss_mb},
     ),
-    "serve": Measurement(serve, labels={"chaos": False}),
+    "serve": Measurement(serve),
 }
 
 #: Every label any measurement carries: one gauge family needs one label set.

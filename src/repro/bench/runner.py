@@ -286,6 +286,22 @@ def bench_dataset(name: str) -> TKGDataset:
     return _DATASETS[name]
 
 
+def revealed_model(dataset: TKGDataset, *, seed: int, dtype: str) -> RETIA:
+    """An untrained bench-profile RETIA with train+valid history, in eval mode.
+
+    Scoring and serving cost depend on history shape and embedding
+    sizes, not on parameter values, so the eval, scale and serve perf
+    series and ``repro.cli serve`` skip training.
+    """
+    config = build_retia_config(dataset, BENCH_PROFILES[dataset.name], seed=seed, dtype=dtype)
+    model = RETIA(config)
+    model.set_history(dataset.train)
+    for t in dataset.valid.timestamps:
+        model.record_snapshot(dataset.valid.snapshot(int(t)))
+    model.eval()
+    return model
+
+
 def get_trained(method: str, dataset_name: str) -> TrainedMethod:
     """Train (or fetch the cached) method on a synthetic benchmark."""
     key = (method, dataset_name)

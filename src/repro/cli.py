@@ -306,7 +306,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.measure import MEASUREMENTS, measure, record
     from repro.obs import MetricsRegistry
 
-    label_args = {"workers": args.eval_workers, "scorer": args.scorer, "chaos": args.chaos}
+    label_args = {"workers": args.eval_workers, "scorer": args.scorer}
     labels = {
         k: v
         for k, v in label_args.items()
@@ -508,183 +508,86 @@ def cmd_drill(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the resilient serving layer and drive it with the loadgen.
 
-    Runs the full degradation-ladder drill on a synthetic dataset: a
+    Runs :func:`repro.serve.run_drill` on a synthetic dataset: a
     persistent decoder-only server, open-loop Poisson traffic with mixed
     score/topk/ingest, optional all-injectors chaos plan, and a graceful
     drain — either after the workload finishes or early on
     SIGINT/SIGTERM (the CI ``serve-chaos`` job gates on exit 0 plus a
-    final ``drain`` event in the run report).
+    final ``drain`` event in the run report).  Bad load arguments exit 2
+    before anything is built.
     """
-    import threading
-    import time
     from contextlib import ExitStack
 
-    from repro.bench.runner import BENCH_PROFILES, bench_dataset, build_retia_config
-    from repro.core.trainer import OnlineAdapter
-    from repro.obs import MetricsRegistry, TelemetrySink, tracing
+    from repro.bench.runner import bench_dataset, revealed_model
+    from repro.obs import tracing
     from repro.resilience import GracefulInterrupt
-    from repro.serve import (
-        STATE_CLOSED,
-        LoadgenConfig,
-        ModelServer,
-        ServeConfig,
-        default_chaos_plan,
-        run_loadgen,
-        summarize_responses,
-    )
+    from repro.serve import STATE_CLOSED, LoadgenConfig, run_drill
     from repro.serve.loadgen import build_plans_traced
 
-    dataset = bench_dataset(args.dataset)
-    profile = BENCH_PROFILES[args.dataset]
-    model = RETIA(build_retia_config(dataset, profile, seed=args.seed, dtype=args.dtype))
-    model.set_history(dataset.train)
-    for t in dataset.valid.timestamps:
-        model.record_snapshot(dataset.valid.snapshot(int(t)))
-    model.eval()
-    adapter = OnlineAdapter(
-        model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=args.seed)
-    )
-    reporter = RunReporter(args.run_report) if args.run_report else None
-    registry = MetricsRegistry()
-    injector = default_chaos_plan() if args.chaos else None
-    # Chaos drills compress the SLO burn windows so the availability
-    # alert fires *and* resolves inside a ~1s CI run, and hold the
-    # breaker open longer so the bad-request burst is unmistakable.
-    slo_overrides = (
-        dict(
-            breaker_recovery_ms=200.0,
-            slo_fast_window_s=0.5,
-            slo_slow_window_s=2.0,
-            slo_fast_burn=1.0,
-            slo_slow_burn=1.0,
+    try:
+        load = LoadgenConfig(
+            requests=args.requests,
+            qps=args.qps,
+            deadline_ms=args.deadline_ms,
+            seed=args.seed,
         )
-        if args.chaos
-        else dict(breaker_recovery_ms=50.0)
-    )
-    config = ServeConfig(
-        max_batch=32,
-        max_queue=128,
-        batch_wait_ms=1.0,
-        default_deadline_ms=args.deadline_ms,
-        refresh_attempts=3,
-        refresh_backoff_ms=5.0,
-        breaker_failure_threshold=3,
-        seed=args.seed,
-        **slo_overrides,
-    )
-    server = ModelServer(
-        model,
-        adapter=adapter,
-        config=config,
-        reporter=reporter,
-        registry=registry,
-        fault_injector=injector,
-    )
-    test_times = [int(t) for t in dataset.test.timestamps]
-    snapshots = [dataset.test.snapshot(t) for t in test_times]
-    load = LoadgenConfig(
-        requests=args.requests,
-        qps=args.qps,
-        deadline_ms=args.deadline_ms,
-        seed=args.seed,
-    )
-    responses = []
-    prebuilt = None
-
-    def drive() -> None:
-        responses.extend(
-            run_loadgen(
-                server,
+    except ValueError as exc:
+        print(f"invalid load: {exc}", file=sys.stderr)
+        return 2
+    dataset = bench_dataset(args.dataset)
+    model = revealed_model(dataset, seed=args.seed, dtype=args.dtype)
+    trace_collector = trace_root = prebuilt = None
+    with ExitStack() as stack, GracefulInterrupt() as interrupt:
+        if args.trace_out:
+            # One collector spans the whole drill; the forked planner
+            # and the batcher's request spans stitch into it so the
+            # Chrome trace shows every process.
+            trace_collector = tracing.SpanCollector()
+            stack.enter_context(tracing.collect_spans(trace_collector))
+            trace_root = stack.enter_context(
+                tracing.span("serve", dataset=args.dataset, chaos=args.chaos)
+            )
+            arrivals, plans, tree = build_plans_traced(
                 dataset.num_entities,
                 dataset.num_relations,
-                ingest_snapshots=snapshots,
-                config=load,
-                prebuilt=prebuilt,
+                len(dataset.test.timestamps),
+                load,
             )
+            prebuilt = (arrivals, plans)
+            if tree is not None:
+                trace_collector.splice(tree)
+            else:
+                print(
+                    "warning: child planner unavailable; trace has one process only",
+                    file=sys.stderr,
+                )
+        print(
+            f"serving {args.dataset}: {args.requests} requests at "
+            f"{args.qps:g} offered qps"
+            + (" (chaos plan armed)" if args.chaos else "")
         )
 
-    clean = None
-    trace_collector = None
-    sink = None
-    try:
-        with ExitStack() as stack, GracefulInterrupt() as interrupt:
-            if args.trace_out:
-                # One collector spans the whole drill; the forked
-                # planner and the batcher's request spans stitch into
-                # it so the Chrome trace shows every process.
-                trace_collector = tracing.SpanCollector()
-                stack.enter_context(tracing.collect_spans(trace_collector))
-                trace_root = stack.enter_context(
-                    tracing.span("serve", dataset=args.dataset, chaos=args.chaos)
-                )
-                server.trace_collector = trace_collector
-                server.trace_root = trace_root
-                arrivals, plans, tree = build_plans_traced(
-                    dataset.num_entities,
-                    dataset.num_relations,
-                    len(snapshots),
-                    load,
-                )
-                prebuilt = (arrivals, plans)
-                if tree is not None:
-                    trace_collector.splice(tree)
-                else:
-                    print(
-                        "warning: child planner unavailable; trace has "
-                        "one process only",
-                        file=sys.stderr,
-                    )
-            server.start(ts=test_times[0])
-            if args.telemetry_dir:
-                os.makedirs(args.telemetry_dir, exist_ok=True)
-                sink = TelemetrySink(
-                    args.telemetry_dir, registry, slo_state=server.slo_state
-                )
-                sink.start()
-            print(
-                f"serving {args.dataset}: {args.requests} requests at "
-                f"{args.qps:g} offered qps"
-                + (" (chaos plan armed)" if args.chaos else "")
-            )
-            start = time.perf_counter()
-            worker = threading.Thread(
-                target=drive, name="repro-serve-loadgen", daemon=True
-            )
-            worker.start()
-            while worker.is_alive():
-                worker.join(timeout=0.05)
-                if interrupt.triggered and clean is None:
-                    # Drain immediately: in-flight requests are shed with
-                    # reason "draining" and the loadgen finishes fast.
-                    print("signal received: draining", file=sys.stderr)
-                    clean = server.drain()
-            if args.chaos and clean is None:
-                # Deterministic half-open recovery probe (same as the
-                # bench drill): wait out the recovery window, then one
-                # clean ingest drives open -> half-open -> closed.
-                time.sleep(config.breaker_recovery_ms / 1000.0 + 0.01)
-                server.ingest(snapshots[-1])
-                # Let the compressed burn windows decay so any firing
-                # alert resolves *naturally* (traffic stopped, burn
-                # rates fall) rather than by the drain's force-resolve.
-                deadline = time.monotonic() + 3.0
-                while time.monotonic() < deadline:
-                    state = server.check_slos()
-                    if not any(s["firing"] for s in state.values()):
-                        break
-                    time.sleep(0.05)
-            wall = time.perf_counter() - start
-            if clean is None:
-                clean = server.drain()
-    finally:
-        if clean is None:  # boot or loadgen blew up before a drain
-            clean = server.drain()
-        if sink is not None:
-            sink.stop(final_write=True)
-        if reporter is not None:
-            reporter.close()
+        def interrupted() -> bool:
+            # Polled until it first returns True; the drill then drains
+            # at once, so this prints one line.
+            if interrupt.triggered:
+                print("signal received: draining", file=sys.stderr)
+            return interrupt.triggered
 
-    if args.trace_out and trace_collector is not None:
+        drill = run_drill(
+            model,
+            dataset,
+            load,
+            chaos=args.chaos,
+            run_report=args.run_report,
+            telemetry_dir=args.telemetry_dir,
+            trace_collector=trace_collector,
+            trace_root=trace_root,
+            prebuilt=prebuilt,
+            stop=interrupted,
+        )
+
+    if trace_collector is not None:
         doc = tracing.to_chrome_trace(
             trace_collector, pid=os.getpid(), process_name="repro-serve"
         )
@@ -699,7 +602,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"dropped: {meta['spans_dropped']}  processes: {len(trace_pids)}"
         )
 
-    summary = summarize_responses(responses, wall) if responses else None
+    summary, server = drill.summary, drill.server
     if summary is None:
         print("no responses recorded", file=sys.stderr)
         return 1
@@ -723,12 +626,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"store: v{server.store.describe()['version']}  "
         f"exemplars: {len(server.exemplars())}"
     )
-    if injector is not None:
-        faults = ", ".join(f"{k}={v}" for k, v in sorted(injector.summary().items()))
+    if args.chaos:
+        faults = ", ".join(
+            f"{k}={v}" for k, v in sorted(server.fault_injector.summary().items())
+        )
         print(f"faults injected: {faults}")
         print(f"breaker recovered: {server.breaker.state == STATE_CLOSED}")
-    print(f"clean drain: {clean}")
-    failed = not clean or summary["errors"] > 0
+    print(f"clean drain: {drill.clean}")
+    failed = not drill.clean or summary["errors"] > 0
     if args.min_availability is not None:
         met = summary["availability"] >= args.min_availability
         print(
@@ -974,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and full training step; cell: the recurrent-cell micro-benchmark; "
         "eval: the evaluation protocol at --eval-workers; scale: "
         "large-vocabulary memmap eval through the candidate scorer seam — "
-        "pair with --dataset ICEWS-SCALE; serve: the loadgen drill against "
-        "the model server, gated on mean query latency)",
+        "pair with --dataset ICEWS-SCALE; serve: the clean `repro.cli serve` "
+        "drill, 160 requests at 400 qps, gated on mean query latency)",
     )
     bench.add_argument(
         "--scorer",
@@ -983,12 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate scorer spec for --component scale "
         "(e.g. blocked:128:8192, history:2000; "
         "default blocked:128:8192)",
-    )
-    bench.add_argument(
-        "--chaos",
-        action="store_true",
-        help="arm the fault plan for --component serve (chaos and clean "
-        "runs are separate series)",
     )
     bench.add_argument(
         "--eval-workers",

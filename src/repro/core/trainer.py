@@ -543,7 +543,8 @@ class OnlineAdapter:
     paper's online continuous-training protocol.  Each step runs under
     the same non-finite sentinel as general training: a poisoned
     snapshot is recorded but its gradient step is skipped, with the
-    skip counted on :attr:`nonfinite_skips`.
+    skip counted on :attr:`nonfinite_skips`.  :attr:`steps_taken` counts
+    the gradient steps that were applied, over every ``observe``.
     """
 
     def __init__(
@@ -559,6 +560,7 @@ class OnlineAdapter:
         self.reporter = reporter
         self.fault_injector = fault_injector
         self.observed = 0
+        self.steps_taken = 0
         self.optimizer = Adam(model.parameters(), lr=config.online_lr)
         sentinel = (resilience or ResilienceConfig()).sentinel_config()
         self.guard = NonFiniteGuard(self.optimizer, sentinel)
@@ -609,6 +611,7 @@ class OnlineAdapter:
             if self.guard.guarded_step(joint, self.config.grad_clip):
                 self.model.mark_updated()
                 stepped += 1
+        self.steps_taken += stepped
         self.model.eval()
         self.model.record_snapshot(snapshot)
         if self.reporter is not None:

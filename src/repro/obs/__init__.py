@@ -8,10 +8,10 @@ gates, ``repro.cli bench``):
   gauges and fixed-bucket histograms with labeled series and one JSON
   export format.
 * :mod:`repro.obs.tracing` — hierarchical :func:`span` blocks that
-  degrade to a no-op with nothing installed, feed the legacy flat
-  :class:`PhaseTimer` under :func:`collect`, record full parent/child
-  trees with per-span metadata under :func:`collect_spans`, and stitch
-  worker trees across process boundaries (:class:`TraceContext`,
+  degrade to a no-op with nothing installed, record full parent/child
+  trees with per-span metadata under :func:`collect_spans` (flattened
+  to per-name totals by ``SpanCollector.summary``), and stitch worker
+  trees across process boundaries (:class:`TraceContext`,
   ``SpanCollector.serialize_tree``/``splice``).
 * :mod:`repro.obs.report` — a :class:`RunReporter` streaming one
   schema-validated JSONL event per epoch/eval/checkpoint/non-finite
@@ -65,16 +65,12 @@ from repro.obs.slo import (
     SLOEngine,
 )
 from repro.obs.tracing import (
-    PhaseTimer,
     ResourceSampler,
     Span,
     SpanCollector,
     TraceContext,
     active,
-    active_timer,
-    collect,
     collect_spans,
-    phase,
     span,
     to_chrome_trace,
 )
@@ -108,16 +104,12 @@ __all__ = [
     "TelemetrySink",
     "histogram_quantile",
     "to_prometheus",
-    "PhaseTimer",
     "ResourceSampler",
     "Span",
     "SpanCollector",
     "TraceContext",
     "active",
-    "active_timer",
-    "collect",
     "collect_spans",
-    "phase",
     "span",
     "to_chrome_trace",
 ]

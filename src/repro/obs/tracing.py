@@ -1,21 +1,19 @@
 """Hierarchical span tracing with a zero-cost uninstrumented path.
 
-This subsumes the old flat phase timers.  Code is annotated with
-:func:`span` blocks; what happens inside depends on what is installed
-on the current thread:
+Code is annotated with :func:`span` blocks; what happens inside
+depends on what is installed on the current thread:
 
-* nothing installed — the block costs two thread-local attribute
-  lookups and records nothing (the hot-path default);
-* a :class:`PhaseTimer` (via :func:`collect`) — flat per-name
-  seconds/call aggregation, the pre-existing benchmark contract;
+* nothing installed — the block costs one thread-local attribute
+  lookup and records nothing (the hot-path default);
 * a :class:`SpanCollector` (via :func:`collect_spans`) — every span is
   recorded with its parent/child structure, depth and metadata
   (edge counts, snapshot sizes, …), so a training epoch yields a tree
-  ("evolve" → "ram" → "ram.gcn") rather than a bag of totals.
+  ("evolve" → "ram" → "ram.gcn") rather than a bag of totals, and
+  :meth:`SpanCollector.summary` flattens it into per-name seconds and
+  calls.
 
-Both can be installed at once; a span feeds both.  Installation is per
-thread (``threading.local``), so concurrent runs do not contaminate
-each other.
+Installation is per thread (``threading.local``), so concurrent runs do
+not contaminate each other.
 """
 
 from __future__ import annotations
@@ -74,57 +72,6 @@ class TraceContext:
             pid=int(d.get("pid", 0)),
             tid=int(d.get("tid", 0)),
         )
-
-
-class PhaseTimer:
-    """Accumulates wall-clock seconds and call counts per phase name.
-
-    ``max_phases`` bounds the number of *distinct* names (an unbounded
-    cardinality leak — e.g. a name accidentally interpolating a query
-    id — would otherwise grow the dicts forever); past it, blocks with
-    new names are counted on :attr:`dropped` instead of stored.
-    """
-
-    def __init__(self, max_phases: int = 10_000):
-        self.seconds: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
-        self.max_phases = max_phases
-        self.dropped = 0
-
-    def add(self, name: str, elapsed: float) -> None:
-        """Record one timed block of ``elapsed`` seconds under ``name``."""
-        if name not in self.seconds and len(self.seconds) >= self.max_phases:
-            self.dropped += 1
-            return
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    @property
-    def total(self) -> float:
-        """Total seconds across all phases."""
-        return sum(self.seconds.values())
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase ``{"seconds": ..., "calls": ...}`` mapping.
-
-        When blocks were dropped (phase-name cardinality hit
-        ``max_phases``) a synthetic ``_dropped`` entry surfaces the count
-        so a truncated summary is visibly truncated; its ``seconds`` is
-        0.0 so share computations stay honest about what was measured.
-        """
-        out = {
-            name: {"seconds": self.seconds[name], "calls": self.calls[name]}
-            for name in sorted(self.seconds)
-        }
-        if self.dropped:
-            out["_dropped"] = {"seconds": 0.0, "calls": self.dropped}
-        return out
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{name}={self.seconds[name] * 1000:.1f}ms" for name in sorted(self.seconds)
-        )
-        return f"PhaseTimer({parts})"
 
 
 class Span:
@@ -223,8 +170,7 @@ class SpanCollector:
     """Records a bounded tree of spans for the installing thread.
 
     ``max_spans`` bounds memory on long runs: past it, new spans are
-    counted on :attr:`dropped` instead of stored (timing still flows to
-    any installed :class:`PhaseTimer`).
+    counted on :attr:`dropped` instead of stored.
 
     With a :class:`ResourceSampler` attached, every *root* span gets a
     resource sample at its boundaries and carries ``rss_bytes`` /
@@ -427,17 +373,22 @@ class SpanCollector:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
     def summary(self, max_depth: Optional[int] = None) -> Dict[str, Dict[str, float]]:
-        """Flat per-name ``{"seconds", "calls"}`` (PhaseTimer-compatible).
+        """Flat per-name ``{"seconds", "calls"}`` over the completed spans.
 
         ``max_depth=0`` keeps only root spans — the right view when the
         totals must not double-count nested child spans (e.g. computing
-        phase *shares* of an epoch).
+        phase *shares* of an epoch).  When spans were dropped a synthetic
+        ``_dropped`` entry surfaces the count, so a truncated summary is
+        visibly truncated; its ``seconds`` is 0.0 so share computations
+        stay honest about what was measured.
         """
-        timer = PhaseTimer()
+        totals: Dict[str, Dict[str, float]] = {}
         for s in self.spans:
             if s.end is not None and (max_depth is None or s.depth <= max_depth):
-                timer.add(s.name, s.seconds)
-        out = timer.summary()
+                entry = totals.setdefault(s.name, {"seconds": 0.0, "calls": 0})
+                entry["seconds"] += s.seconds
+                entry["calls"] += 1
+        out = {name: totals[name] for name in sorted(totals)}
         if self.dropped:
             out["_dropped"] = {"seconds": 0.0, "calls": self.dropped}
         return out
@@ -463,22 +414,6 @@ def active() -> Optional[SpanCollector]:
     return getattr(_state, "collector", None)
 
 
-def active_timer() -> Optional[PhaseTimer]:
-    """The flat phase timer installed on this thread, if any."""
-    return getattr(_state, "timer", None)
-
-
-@contextlib.contextmanager
-def collect(timer: PhaseTimer) -> Iterator[PhaseTimer]:
-    """Install a flat ``PhaseTimer`` for the block (per thread)."""
-    previous = active_timer()
-    _state.timer = timer
-    try:
-        yield timer
-    finally:
-        _state.timer = previous
-
-
 @contextlib.contextmanager
 def collect_spans(collector: Optional[SpanCollector] = None) -> Iterator[SpanCollector]:
     """Install a ``SpanCollector`` for the block (per thread)."""
@@ -498,28 +433,17 @@ def span(name: str, **meta) -> Iterator[Optional[Span]]:
 
     ``meta`` keyword arguments become span metadata (keep them cheap:
     precomputed ints like edge counts, not derived structures).  With
-    neither a collector nor a timer installed the block is a no-op and
-    yields ``None``.
+    no collector installed the block is a no-op and yields ``None``.
     """
     collector = getattr(_state, "collector", None)
-    timer = getattr(_state, "timer", None)
-    if collector is None and timer is None:
+    if collector is None:
         yield None
         return
-    start = time.perf_counter()
-    current = collector.begin(name, meta, start) if collector is not None else None
+    current = collector.begin(name, meta, time.perf_counter())
     try:
         yield current
     finally:
-        end = time.perf_counter()
-        if collector is not None:
-            collector.end(current, end)
-        if timer is not None:
-            timer.add(name, end - start)
-
-
-#: Back-compat alias: the old ``timing.phase`` blocks are plain spans.
-phase = span
+        collector.end(current, time.perf_counter())
 
 
 # ----------------------------------------------------------------------

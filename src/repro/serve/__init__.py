@@ -18,8 +18,10 @@ See DESIGN.md §8 for the serve robustness contract and the README
   (closed→open→half-open, legal transitions enforced);
 * :mod:`repro.serve.server` — :class:`ModelServer` composing the above
   with a supervised refresh worker, probes and drain;
-* :mod:`repro.serve.loadgen` — open-loop Poisson traffic and its SLO
-  summary (the ``serve`` series of ``repro.cli bench`` drives it).
+* :mod:`repro.serve.loadgen` — open-loop Poisson traffic, its SLO
+  summary and :func:`run_drill`, the one serve drill that both
+  ``repro.cli serve`` and the ``serve`` series of ``repro.cli bench``
+  run.
 """
 
 from repro.serve.batcher import (
@@ -40,8 +42,10 @@ from repro.serve.breaker import (
     CircuitOpenError,
 )
 from repro.serve.loadgen import (
+    DrillResult,
     LoadgenConfig,
     default_chaos_plan,
+    run_drill,
     run_loadgen,
     summarize_responses,
 )
@@ -78,8 +82,10 @@ __all__ = [
     "STATE_OPEN",
     "CircuitBreaker",
     "CircuitOpenError",
+    "DrillResult",
     "LoadgenConfig",
     "default_chaos_plan",
+    "run_drill",
     "run_loadgen",
     "summarize_responses",
     "STATUS_DEADLINE",

@@ -1,4 +1,4 @@
-"""Open-loop synthetic traffic for the serving layer.
+"""Open-loop synthetic traffic for the serving layer, and the one serve drill.
 
 :func:`run_loadgen` drives a started :class:`~repro.serve.ModelServer`
 with Poisson arrivals (open loop: the arrival schedule is fixed up
@@ -10,25 +10,29 @@ reduces the responses to the serving SLO quantities: p50/p99 latency,
 achieved QPS, shed rate and **availability** (OK responses over non-shed
 requests — the number the CI ``serve-chaos`` job gates at 99%).
 
-The ``serve`` series of the perf registry (:mod:`repro.bench.measure`)
-wraps the whole drill — model build, server boot, optional
-:func:`default_chaos_plan`, loadgen, drain — and gates on the mean
-OK-query latency (the p50/p99 SLO figures are too noisy as order
-statistics of ~100 samples to gate on).
+:func:`run_drill` is the whole drill — server boot with the drill's one
+:class:`~repro.serve.ServeConfig` and online adapter, loadgen, optional
+:func:`default_chaos_plan` with its half-open recovery probe, drain.
+``repro.cli serve`` and the ``serve`` series of the perf registry
+(:mod:`repro.bench.measure`, gated on the mean OK-query latency) both
+run it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import tracing
-from repro.obs.tracing import TraceContext
+from repro.core import TrainerConfig
+from repro.core.trainer import OnlineAdapter
+from repro.obs import RunReporter, TelemetrySink, tracing
+from repro.obs.tracing import Span, SpanCollector, TraceContext
+from repro.resilience import ServeFaultInjector
 from repro.serve.server import (
     STATUS_DEADLINE,
     STATUS_ERROR,
@@ -36,31 +40,37 @@ from repro.serve.server import (
     STATUS_OK,
     STATUS_UNAVAILABLE,
     ModelServer,
+    ServeConfig,
     ServeResponse,
 )
 from repro.utils import seeded_rng
 
+#: Every n-th arrival is an ingest of the next revealed snapshot.
+INGEST_EVERY = 8
+#: Every n-th query is a topk (the rest are full score requests).
+TOPK_EVERY = 3
+#: ``(s, r)`` rows per score request.
+QUERIES_PER_REQUEST = 4
+#: Threads firing the arrivals (open loop: a slow reply holds one thread).
+WORKERS = 16
+
 
 @dataclass(frozen=True)
 class LoadgenConfig:
-    """Shape of the synthetic open-loop workload."""
+    """Size, rate, deadline and seed of the synthetic open-loop workload."""
 
     requests: int = 160
     qps: float = 400.0
-    #: every n-th arrival is an ingest of the next revealed snapshot.
-    ingest_every: int = 8
-    #: every n-th query is a topk (the rest are full score requests).
-    topk_every: int = 3
-    queries_per_request: int = 4
     deadline_ms: float = 500.0
-    workers: int = 16
     seed: int = 0
 
     def __post_init__(self):
         if self.requests < 1:
             raise ValueError("requests must be >= 1")
-        if self.qps <= 0:
+        if not self.qps > 0:
             raise ValueError("qps must be > 0")
+        if not self.deadline_ms > 0:
+            raise ValueError("deadline_ms must be > 0")
 
 
 def build_plans(
@@ -85,14 +95,10 @@ def build_plans(
     plans: List[tuple] = []
     ingest_cursor = 0
     for i in range(config.requests):
-        if (
-            config.ingest_every > 0
-            and i % config.ingest_every == config.ingest_every - 1
-            and ingest_cursor < ingest_count
-        ):
+        if i % INGEST_EVERY == INGEST_EVERY - 1 and ingest_cursor < ingest_count:
             plans.append(("ingest", ingest_cursor))
             ingest_cursor += 1
-        elif config.topk_every > 0 and i % config.topk_every == config.topk_every - 1:
+        elif i % TOPK_EVERY == TOPK_EVERY - 1:
             plans.append(
                 (
                     "topk",
@@ -105,8 +111,8 @@ def build_plans(
         else:
             queries = np.stack(
                 [
-                    rng.integers(0, num_entities, size=config.queries_per_request),
-                    rng.integers(0, num_relations, size=config.queries_per_request),
+                    rng.integers(0, num_entities, size=QUERIES_PER_REQUEST),
+                    rng.integers(0, num_relations, size=QUERIES_PER_REQUEST),
                 ],
                 axis=1,
             ).astype(np.int64)
@@ -236,7 +242,7 @@ def run_loadgen(
         return server.score(payload, deadline_ms=config.deadline_ms)
 
     responses: List[Optional[ServeResponse]] = [None] * config.requests
-    with ThreadPoolExecutor(max_workers=config.workers) as executor:
+    with ThreadPoolExecutor(max_workers=WORKERS) as executor:
         t0 = time.monotonic()
         futures = []
         for i, offset in enumerate(arrivals):
@@ -301,8 +307,6 @@ def default_chaos_plan():
     stalls are an order of magnitude below the deadline, and the skew is
     well inside the remaining budget.
     """
-    from repro.resilience import ServeFaultInjector
-
     return ServeFaultInjector(
         refresh_fail_at=(0, 1, 2),
         poison_ingest_at=(1, 2, 3),
@@ -311,3 +315,132 @@ def default_chaos_plan():
         skew_every=10,
         skew_seconds=0.05,
     )
+
+
+@dataclass
+class DrillResult:
+    """What :func:`run_drill` leaves behind; the server is already drained."""
+
+    responses: List[ServeResponse]
+    #: :func:`summarize_responses` of ``responses`` (None when there are none).
+    summary: Optional[Dict]
+    wall_s: float
+    clean: bool
+    server: ModelServer
+
+
+def run_drill(
+    model,
+    dataset,
+    load: LoadgenConfig = LoadgenConfig(),
+    *,
+    chaos: bool = False,
+    fault_injector: Optional[ServeFaultInjector] = None,
+    run_report: Optional[str] = None,
+    telemetry_dir: Optional[str] = None,
+    trace_collector: Optional[SpanCollector] = None,
+    trace_root: Optional[Span] = None,
+    prebuilt: Optional[Tuple[np.ndarray, List[tuple]]] = None,
+    stop: Optional[Callable[[], bool]] = None,
+) -> DrillResult:
+    """Serve ``dataset``'s test split from ``model`` under the ``load`` drill.
+
+    The server runs the drill's one :class:`ServeConfig` (deadline and
+    seed from ``load``) with an :class:`OnlineAdapter` taking one online
+    step per ingest, starts at the first test timestamp and takes the
+    open-loop loadgen (``prebuilt`` plans when given; ingests reveal the
+    test snapshots in order).  ``chaos`` arms :func:`default_chaos_plan`
+    in place of ``fault_injector``, then probes the breaker's half-open
+    recovery and waits for firing alerts to resolve.  ``stop`` is polled
+    while the loadgen runs; once it returns True the server drains at
+    once (queued requests are shed as ``draining``).  The drain, the
+    telemetry sink's final write and the run report's close run in a
+    ``finally``, so a failed boot or loadgen leaks no worker thread.
+    """
+    if chaos and fault_injector is not None:
+        raise ValueError("chaos arms its own fault plan; pass no fault_injector")
+    # Chaos drills compress the SLO burn windows so the availability
+    # alert fires *and* resolves inside a ~1s CI run, and hold the
+    # breaker open longer so the bad-request burst is unmistakable.
+    slo_overrides = (
+        dict(
+            breaker_recovery_ms=200.0,
+            slo_fast_window_s=0.5,
+            slo_slow_window_s=2.0,
+            slo_fast_burn=1.0,
+            slo_slow_burn=1.0,
+        )
+        if chaos
+        else dict(breaker_recovery_ms=50.0)
+    )
+    config = ServeConfig(
+        max_batch=32,
+        max_queue=128,
+        batch_wait_ms=1.0,
+        default_deadline_ms=load.deadline_ms,
+        refresh_attempts=3,
+        refresh_backoff_ms=5.0,
+        breaker_failure_threshold=3,
+        seed=load.seed,
+        **slo_overrides,
+    )
+    adapter = OnlineAdapter(model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=load.seed))
+    reporter = RunReporter(run_report) if run_report else None
+    server = ModelServer(
+        model,
+        adapter=adapter,
+        config=config,
+        reporter=reporter,
+        fault_injector=default_chaos_plan() if chaos else fault_injector,
+    )
+    server.trace_collector, server.trace_root = trace_collector, trace_root
+    test_times = [int(t) for t in dataset.test.timestamps]
+    snapshots = [dataset.test.snapshot(t) for t in test_times]
+    clean = None
+    sink = None
+    try:
+        server.start(ts=test_times[0])
+        if telemetry_dir:
+            sink = TelemetrySink(telemetry_dir, server.registry, slo_state=server.slo_state)
+            sink.start()
+        start = time.perf_counter()
+        with ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-loadgen"
+        ) as executor:
+            loadgen = executor.submit(
+                run_loadgen,
+                server,
+                dataset.num_entities,
+                dataset.num_relations,
+                snapshots,
+                load,
+                prebuilt,
+            )
+            while wait([loadgen], timeout=0.05).not_done:
+                if clean is None and stop is not None and stop():
+                    clean = server.drain()
+            responses = loadgen.result()
+        if chaos and clean is None:
+            # Deterministic half-open recovery probe: wait out the
+            # recovery window, then one clean ingest drives
+            # open -> half-open -> closed.
+            time.sleep(config.breaker_recovery_ms / 1000.0 + 0.01)
+            server.ingest(snapshots[-1])
+            # Let the compressed burn windows decay so any firing alert
+            # resolves *naturally* (traffic stopped, burn rates fall)
+            # rather than by the drain's force-resolve.
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                if not any(s["firing"] for s in server.check_slos().values()):
+                    break
+                time.sleep(0.05)
+        wall_s = time.perf_counter() - start
+    finally:
+        if clean is None:
+            clean = server.drain()
+        if sink is not None:
+            sink.stop(final_write=True)
+        if reporter is not None:
+            reporter.close()
+    summary = summarize_responses(responses, wall_s) if responses else None
+    return DrillResult(responses, summary, wall_s, clean, server)

@@ -94,10 +94,6 @@ class ServeConfig:
     breaker_failure_threshold: int = 3
     breaker_recovery_ms: float = 500.0
     breaker_half_open_probes: int = 1
-    #: online continuous training applied per accepted ingest batch.
-    online_steps: int = 1
-    online_lr: float = 1e-3
-    grad_clip: float = 1.0
     seed: int = 0
     #: SLO burn-rate alerting (repro.obs.slo): objectives plus the
     #: shared window/threshold geometry.  Windows are in seconds.
@@ -681,7 +677,7 @@ class ModelServer:
         if self.fault_injector is not None:
             self.fault_injector.arm_ingest(self.adapter, index)
         failure: Optional[tuple] = None
-        skips = 0
+        skips = steps = 0
         with self._model_lock:
             # Admission AND outcome recording happen inside the model
             # lock: checked outside it, a burst of concurrent ingests
@@ -697,6 +693,7 @@ class ModelServer:
                     breaker_state=self.breaker.state,
                 )
             skips_before = self.adapter.nonfinite_skips
+            steps_before = self.adapter.steps_taken
             try:
                 self.adapter.observe(snapshot)
             except ValueError as exc:
@@ -709,6 +706,7 @@ class ModelServer:
                 failure = (STATUS_ERROR, f"{type(exc).__name__}: {exc}")
             else:
                 skips = self.adapter.nonfinite_skips - skips_before
+                steps = self.adapter.steps_taken - steps_before
                 if skips > 0:
                     self.breaker.record_failure(
                         f"non-finite loss on ingest "
@@ -735,7 +733,7 @@ class ModelServer:
             kind="ingest",
             staleness=staleness,
             latency_ms=1000.0 * (self.clock() - started),
-            steps=self.config.online_steps if skips == 0 else 0,
+            steps=steps,
             skips=skips,
             breaker_state=self.breaker.state,
         )

@@ -280,6 +280,25 @@ class TestCLI:
         assert err.startswith("sharded evaluation refused: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--requests", "0", "requests must be >= 1"),
+            ("--qps", "-1", "qps must be > 0"),
+            ("--deadline-ms", "0", "deadline_ms must be > 0"),
+        ],
+    )
+    def test_serve_rejects_bad_load_before_building_anything(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        report = tmp_path / "serve.jsonl"
+        argv = ["serve", "--dataset", "ICEWS14", "--run-report", str(report), flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid load: {message}\n"
+        assert captured.out == ""
+        assert not report.exists()
+
     def test_config_from_dict_still_rejects_unknown_keys(self):
         blob = asdict(RETIAConfig(4, 2))
         assert RETIAConfig.from_dict(dict(blob, fused_cells=True)) == RETIAConfig(4, 2)

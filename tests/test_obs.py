@@ -10,11 +10,9 @@ from repro.obs import (
     EVENT_SCHEMAS,
     MetricError,
     MetricsRegistry,
-    PhaseTimer,
     ReportError,
     RunReporter,
     SpanCollector,
-    collect,
     collect_spans,
     read_events,
     span,
@@ -181,7 +179,6 @@ class TestNonFiniteGuards:
 class TestSpans:
     def test_no_collector_fast_path_yields_none_and_records_nothing(self):
         assert tracing.active() is None
-        assert tracing.active_timer() is None
         with span("evolve", facts=12) as s:
             assert s is None
 
@@ -208,12 +205,15 @@ class TestSpans:
     def test_summary_max_depth_zero_keeps_roots_only(self):
         collector = SpanCollector()
         with collect_spans(collector):
-            with span("evolve"):
-                with span("ram"):
-                    pass
+            for _ in range(2):
+                with span("evolve"):
+                    with span("ram"):
+                        pass
         roots_only = collector.summary(max_depth=0)
         assert set(roots_only) == {"evolve"}
         assert set(collector.summary()) == {"evolve", "ram"}
+        assert roots_only["evolve"]["calls"] == 2
+        assert roots_only["evolve"]["seconds"] == sum(s.seconds for s in collector.roots())
 
     def test_max_spans_bound_counts_drops_and_stays_balanced(self):
         collector = SpanCollector(max_spans=2)
@@ -236,27 +236,6 @@ class TestSpans:
         trace = tracing.to_chrome_trace(collector)
         assert trace["metadata"]["spans_dropped"] == 2
         assert trace["metadata"]["spans_recorded"] == 1
-
-    def test_phase_timer_bounds_name_cardinality(self):
-        timer = PhaseTimer(max_phases=2)
-        timer.add("a", 0.1)
-        timer.add("b", 0.2)
-        timer.add("c", 0.3)  # new name past the bound: dropped
-        timer.add("a", 0.1)  # existing name: still accumulates
-        assert timer.dropped == 1
-        summary = timer.summary()
-        assert summary["a"]["calls"] == 2
-        assert "c" not in summary
-        assert summary["_dropped"] == {"seconds": 0.0, "calls": 1}
-
-    def test_span_feeds_timer_and_collector_together(self):
-        collector = SpanCollector()
-        timer = PhaseTimer()
-        with collect(timer), collect_spans(collector):
-            with span("ram"):
-                pass
-        assert timer.calls["ram"] == 1
-        assert [s.name for s in collector.spans] == ["ram"]
 
     def test_installation_is_thread_local(self):
         seen = {}

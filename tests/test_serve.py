@@ -13,11 +13,13 @@ covered against both real servers and hand-built event streams.
 import importlib.util
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import RETIA, RETIAConfig, TrainerConfig
 from repro.core.model import validate_snapshot_ids
 from repro.core.trainer import OnlineAdapter
@@ -36,6 +38,7 @@ from repro.serve import (
     STATUS_UNAVAILABLE,
     CircuitBreaker,
     DeadlineExceeded,
+    LoadgenConfig,
     MicroBatcher,
     ModelServer,
     ServeConfig,
@@ -45,6 +48,7 @@ from repro.serve import (
     SnapshotStore,
     SnapshotUnavailable,
     capture,
+    run_drill,
     score_entities,
     summarize_responses,
     topk_entities,
@@ -100,11 +104,11 @@ def revealed_model(train, valid, seed=0):
     return model
 
 
-def make_server(splits, reporter=None, fault_injector=None, **overrides):
+def make_server(splits, reporter=None, fault_injector=None, online_steps=1, **overrides):
     train, valid, _ = splits
     model = revealed_model(train, valid)
     adapter = OnlineAdapter(
-        model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=0)
+        model, TrainerConfig(online_steps=online_steps, online_lr=1e-3, seed=0)
     )
     knobs = dict(
         max_batch=8,
@@ -444,6 +448,33 @@ class TestModelServer:
         finally:
             assert server.drain()
 
+    def test_ingest_reports_every_step_the_adapter_took(self, splits):
+        _, _, test = splits
+        server = make_server(splits, online_steps=2)
+        try:
+            ts = int(test.timestamps[0])
+            server.start(ts=ts)
+            response = server.ingest(test.snapshot(ts))
+            assert response.ok and response.skips == 0
+            assert response.steps == 2
+        finally:
+            assert server.drain()
+
+    def test_empty_snapshot_ingest_reports_no_step(self, splits):
+        _, _, test = splits
+        server = make_server(splits)
+        try:
+            ts = int(test.timestamps[0])
+            server.start(ts=ts)
+            empty = Snapshot(
+                np.zeros((0, 3), dtype=np.int64), num_entities=16, num_relations=3, ts=ts
+            )
+            response = server.ingest(empty)
+            assert response.ok
+            assert response.steps == 0 and response.skips == 0
+        finally:
+            assert server.drain()
+
     def test_out_of_vocab_ingest_is_invalid_and_counts_as_breaker_failure(
         self, splits
     ):
@@ -602,6 +633,43 @@ class TestChaosLadder:
             assert response.status == 408
         finally:
             assert server.drain()
+
+
+# ----------------------------------------------------------------------
+# The one serve drill (repro.serve.run_drill, behind repro.cli serve)
+# ----------------------------------------------------------------------
+class TestRunDrill:
+    def test_failed_loadgen_still_drains_the_server(self, splits):
+        train, valid, test = splits
+        dataset = types.SimpleNamespace(test=test, num_entities=16, num_relations=3)
+        workers = ("repro-serve-batcher", "repro-serve-refresh")
+        before = set(threading.enumerate())
+        # A plan naming a snapshot that does not exist fails inside the loadgen.
+        broken = (np.zeros(1), [("ingest", 99)])
+        with pytest.raises(IndexError):
+            run_drill(
+                revealed_model(train, valid),
+                dataset,
+                LoadgenConfig(requests=1),
+                prebuilt=broken,
+            )
+        leaked = [
+            t.name
+            for t in threading.enumerate()
+            if t not in before and t.name in workers and t.is_alive()
+        ]
+        assert leaked == []
+
+    def test_chaos_drill_exits_0_and_drains_a_healthy_report(self, tmp_path, capsys):
+        # The alert pair depends on timing; CI's --require-alert step
+        # gates it on the same command.
+        report = tmp_path / "serve_chaos.jsonl"
+        argv = ["serve", "--dataset", "ICEWS14", "--requests", "160", "--qps", "300"]
+        assert main(argv + ["--chaos", "--run-report", str(report)]) == 0
+        assert "clean drain: True" in capsys.readouterr().out
+        events = read_events(str(report))
+        assert [e["event"] for e in events[-2:]] == ["drain", "run_end"]
+        assert check_events(events) == []
 
 
 # ----------------------------------------------------------------------

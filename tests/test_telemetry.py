@@ -233,7 +233,7 @@ class TestServeExemplars:
 # ----------------------------------------------------------------------
 class TestBuildPlans:
     def test_ingest_plans_are_indices_in_cursor_order(self):
-        config = loadgen.LoadgenConfig(requests=32, ingest_every=8, seed=1)
+        config = loadgen.LoadgenConfig(requests=32, seed=1)
         _, plans = loadgen.build_plans(10, 4, 3, config)
         ingests = [payload for kind, payload in plans if kind == "ingest"]
         assert ingests == [0, 1, 2]
