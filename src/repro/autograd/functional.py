@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd.dtype import default_dtype
+from repro.autograd.segments import SparseSum, add_at
 from repro.autograd.tensor import Tensor, is_grad_enabled
 
 
@@ -104,7 +105,7 @@ def scatter_add(src: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     if index.ndim != 1 or len(index) != src.data.shape[0]:
         raise ValueError("index must be 1-D with one entry per src row")
     out_data = np.zeros((num_segments,) + src.data.shape[1:], dtype=src.data.dtype)
-    np.add.at(out_data, index, src.data)
+    add_at(out_data, index, src.data)
 
     def backward(grad: np.ndarray) -> None:
         if src.requires_grad:
@@ -113,30 +114,27 @@ def scatter_add(src: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     return Tensor._from_op(out_data, (src,), backward, "scatter_add")
 
 
-def segment_sum(src: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(
+    src: Tensor,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    plan: Optional[SparseSum] = None,
+) -> Tensor:
     """Grouped segment sum: rows of ``src`` accumulated into buckets.
 
     Semantically identical to :func:`scatter_add` but fuses the whole
     edge set into one call: the R-GCN layers pass every edge's message at
-    once instead of looping per edge type.  When ``segment_ids`` is
-    non-decreasing (contiguous segments, e.g. edges sorted by
-    destination) the forward uses ``np.add.reduceat`` over segment
-    boundaries instead of scattered adds.
+    once instead of looping per edge type.  The sum is ``plan``, a
+    :meth:`SparseSum.segments <repro.autograd.segments.SparseSum.segments>`
+    of ``segment_ids`` (built here when not given): ``reduceat``'s order
+    over contiguous segments, ``np.add.at``'s otherwise.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if segment_ids.ndim != 1 or len(segment_ids) != src.data.shape[0]:
         raise ValueError("segment_ids must be 1-D with one entry per src row")
-    out_data = np.zeros((num_segments,) + src.data.shape[1:], dtype=src.data.dtype)
-    if len(segment_ids):
-        if np.all(segment_ids[1:] >= segment_ids[:-1]):
-            boundaries = np.flatnonzero(
-                np.r_[True, segment_ids[1:] != segment_ids[:-1]]
-            )
-            out_data[segment_ids[boundaries]] = np.add.reduceat(
-                src.data, boundaries, axis=0
-            )
-        else:
-            np.add.at(out_data, segment_ids, src.data)
+    if plan is None:
+        plan = SparseSum.segments(segment_ids)
+    out_data = plan(src.data, num_segments)
 
     def backward(grad: np.ndarray) -> None:
         if src.requires_grad:
@@ -145,16 +143,22 @@ def segment_sum(src: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tens
     return Tensor._from_op(out_data, (src,), backward, "segment_sum")
 
 
-def typed_linear(x: Tensor, weight: Tensor, types: np.ndarray) -> Tensor:
+def typed_linear(
+    x: Tensor,
+    weight: Tensor,
+    types: np.ndarray,
+    bank_sum: Optional[SparseSum] = None,
+) -> Tensor:
     """Per-row linear transform against a per-type weight bank.
 
     ``out[e] = x[e] @ weight[types[e]]`` for ``x`` of shape ``(E, d_in)``
     and ``weight`` of shape ``(T, d_in, d_out)``.  This is the fused
     replacement for R-GCN's per-edge-type gather/matmul/scatter loop: the
     forward is a single ``einsum`` over the gathered weight bank, and the
-    hand-written backward reduces the per-edge outer products back into
-    the bank — with an ``np.add.reduceat`` fast path over contiguous
-    segments when ``types`` is sorted (type-grouped edge lists).
+    hand-written backward sums the per-edge outer products back into
+    the bank with ``bank_sum``, a :meth:`SparseSum.segments
+    <repro.autograd.segments.SparseSum.segments>` of ``types`` (built
+    here when not given).
     """
     types = np.asarray(types, dtype=np.int64)
     if types.ndim != 1 or len(types) != x.data.shape[0]:
@@ -163,26 +167,15 @@ def typed_linear(x: Tensor, weight: Tensor, types: np.ndarray) -> Tensor:
         raise ValueError("weight must be a (num_types, d_in, d_out) bank")
     gathered = weight.data[types]  # (E, d_in, d_out)
     out_data = np.einsum("ei,eio->eo", x.data, gathered)
-    types_sorted = len(types) == 0 or bool(np.all(types[1:] >= types[:-1]))
 
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad)
         if x.requires_grad:
             x._accumulate(np.einsum("eo,eio->ei", grad, gathered))
         if weight.requires_grad:
-            grad_w = np.zeros_like(weight.data)
-            if len(types):
-                per_edge = np.einsum("ei,eo->eio", x.data, grad)
-                if types_sorted:
-                    boundaries = np.flatnonzero(
-                        np.r_[True, types[1:] != types[:-1]]
-                    )
-                    grad_w[types[boundaries]] = np.add.reduceat(
-                        per_edge, boundaries, axis=0
-                    )
-                else:
-                    np.add.at(grad_w, types, per_edge)
-            weight._accumulate(grad_w)
+            plan = bank_sum if bank_sum is not None else SparseSum.segments(types)
+            per_edge = np.einsum("ei,eo->eio", x.data, grad)
+            weight._accumulate(plan(per_edge, len(weight.data)))
 
     return Tensor._from_op(out_data, (x, weight), backward, "typed_linear")
 
@@ -267,23 +260,30 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
-    """Unfold ``(B, C, H, W)`` into ``(B, C*kh*kw, out_h*out_w)`` columns."""
+    """Unfold ``(B, C, H, W)`` into batch-last ``(C*kh*kw, out_h*out_w, B)`` columns."""
     batch, channels, height, width = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw), dtype=x.dtype)
+    padded[:, :, ph : ph + height, pw : pw + width] = x
     out_h = height + 2 * ph - kh + 1
     out_w = width + 2 * pw - kw + 1
     strides = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded,
-        shape=(batch, channels, kh, kw, out_h, out_w),
-        strides=(strides[0], strides[1], strides[2], strides[3], strides[2], strides[3]),
+        shape=(channels, kh, kw, out_h, out_w, batch),
+        strides=(strides[1], strides[2], strides[3], strides[2], strides[3], strides[0]),
         writeable=False,
     )
-    return windows.reshape(batch, channels * kh * kw, out_h * out_w), out_h, out_w
+    return windows.reshape(channels * kh * kw, out_h * out_w, batch), out_h, out_w
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding=(0, 0)) -> Tensor:
     """2D convolution with stride 1 (what Conv-TransE/ConvE need).
+
+    The forward and the input gradient are ``einsum`` calls over
+    batch-last columns, so each inner loop runs over the batch rather
+    than the few output positions: the same sums in the same order,
+    with far fewer loop calls.  The kernel gradient reduces over the
+    batch and keeps the batch-first layout its summation order needs.
 
     Parameters
     ----------
@@ -299,21 +299,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding=(0,
     ph, pw = padding
     c_out, c_in, kh, kw = weight.data.shape
     batch = x.data.shape[0]
-    cols, out_h, out_w = _im2col(x.data, kh, kw, ph, pw)
+    cols, out_h, out_w = _im2col(x.data, kh, kw, ph, pw)  # (K, L, B)
     w_flat = weight.data.reshape(c_out, -1)
-    out_data = np.einsum("ok,bkl->bol", w_flat, cols).reshape(batch, c_out, out_h, out_w)
+    out_data = np.einsum("ok,klb->olb", w_flat, cols)
+    out_data = np.ascontiguousarray(out_data.transpose(2, 0, 1))
+    out_data = out_data.reshape(batch, c_out, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad).reshape(batch, c_out, out_h * out_w)
         if weight.requires_grad:
-            grad_w = np.einsum("bol,bkl->ok", grad, cols).reshape(weight.data.shape)
+            cols_first = np.ascontiguousarray(cols.transpose(2, 0, 1))
+            grad_w = np.einsum("bol,bkl->ok", grad, cols_first).reshape(weight.data.shape)
             weight._accumulate(grad_w)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
         if x.requires_grad:
-            grad_cols = np.einsum("ok,bol->bkl", w_flat, grad)
+            grad_last = np.ascontiguousarray(grad.transpose(1, 2, 0))
+            grad_cols = np.einsum("ok,olb->klb", w_flat, grad_last).transpose(2, 0, 1)
             grad_x = _col2im(grad_cols, x.data.shape, kh, kw, ph, pw, out_h, out_w)
             x._accumulate(grad_x)
 

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.autograd.dtype import default_dtype
+from repro.autograd.segments import add_at
 
 Scalar = Union[int, float]
 TensorLike = Union["Tensor", np.ndarray, Scalar, Sequence]
@@ -110,13 +111,17 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
         op: str,
     ) -> "Tensor":
-        parents = tuple(p for p in parents if isinstance(p, Tensor))
-        needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = cls(data, requires_grad=needs_grad)
-        if needs_grad:
-            out._backward = backward
-            out._parents = parents
-            out._op = op
+        # Runs once per recorded op: plain loops, no generator frames.
+        parents = tuple([p for p in parents if isinstance(p, Tensor)])
+        out = cls(data)
+        if is_grad_enabled():
+            for parent in parents:
+                if parent.requires_grad:
+                    out.requires_grad = True
+                    out._backward = backward
+                    out._parents = parents
+                    out._op = op
+                    break
         return out
 
     # ------------------------------------------------------------------
@@ -199,18 +204,20 @@ class Tensor:
         visited: set[int] = set()
         # Iterative DFS: model graphs can be deep (k timestamps x layers).
         stack: list[tuple[Tensor, bool]] = [(self, False)]
+        pop, push, visit = stack.pop, stack.append, visited.add
         while stack:
-            node, processed = stack.pop()
+            node, processed = pop()
             if processed:
                 ordered.append(node)
                 continue
-            if id(node) in visited:
+            key = id(node)
+            if key in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visit(key)
+            push((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
-                    stack.append((parent, False))
+                    push((parent, False))
 
         for node in reversed(ordered):
             if node._backward is not None and node.grad is not None:
@@ -513,11 +520,25 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, np.asarray(grad))
+                add_at(full, index, np.asarray(grad))
                 self._accumulate(full)
 
         return Tensor._from_op(out_data, (self,), backward, "getitem")
 
-    def gather_rows(self, index: np.ndarray) -> "Tensor":
-        """Row gather for embedding lookups; ``index`` is an int array."""
-        return self[np.asarray(index, dtype=np.int64)]
+    def gather_rows(self, index: np.ndarray, plan=None) -> "Tensor":
+        """Row gather for embedding lookups; ``index`` is an int array.
+
+        ``plan``, a :meth:`SparseSum.add_at
+        <repro.autograd.segments.SparseSum.add_at>` of ``index``, replaces
+        the backward's ``np.add.at`` with its equal sparse product; the
+        node is the same ``getitem``.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        if plan is None:
+            return self[index]
+
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(plan(grad, len(self.data)))
+
+        return Tensor._from_op(self.data[index], (self,), backward, "getitem")

@@ -291,9 +291,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Measure one registry series, gate it, record it.
 
-    Exit codes: 0 ok (or not gated), 1 regressed, 2 unusable history or
-    baseline file, 3 inconclusive after one re-measure.
+    Exit codes: 0 ok (or not gated), 1 regressed, 2 bad ``--repeats`` or
+    unusable history or baseline file, 3 inconclusive after one re-measure.
     """
+    if args.repeats < 1:
+        print(f"invalid repeats: must be >= 1, got {args.repeats}", file=sys.stderr)
+        return 2
     from repro.bench.history import (
         STRADDLES,
         HistoryError,

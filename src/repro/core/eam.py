@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.graph import Snapshot
+from repro.graph.plan import MessagePlan
 from repro.nn import GRUCell, Module
 from repro.obs import tracing
 from repro.core.rgcn import RGCNStack
@@ -51,8 +52,7 @@ class EntityAggregationModule(Module):
         entity_prev: Tensor,
         relation_embeddings: Tensor,
         snapshot: Snapshot,
-        edges: Optional[np.ndarray] = None,
-        edge_norm: Optional[np.ndarray] = None,
+        plan: Optional[MessagePlan] = None,
     ) -> Tensor:
         """One EAM step: returns the final entity embeddings ``E_t``.
 
@@ -65,15 +65,16 @@ class EntityAggregationModule(Module):
             ablations).
         snapshot:
             The original subgraph ``G_t``.
-        edges, edge_norm:
-            Optional precomputed (type-sorted) edge list and normaliser
-            from :class:`~repro.graph.cache.SnapshotCache`; derived from
+        plan:
+            The snapshot's entity :class:`~repro.graph.plan.MessagePlan`
+            from :class:`~repro.graph.cache.SnapshotCache`; built from
             ``snapshot`` when omitted.
         """
-        if edges is None:
-            edges = snapshot.edges_with_inverse
-            edge_norm = snapshot.edge_norm
-        with tracing.span("eam.gcn", edges=len(edges)):
-            aggregated = self.gcn(entity_prev, relation_embeddings, edges, edge_norm)
+        if plan is None:
+            plan = MessagePlan.build(snapshot.edges_with_inverse, snapshot.edge_norm)
+        with tracing.span("eam.gcn", edges=len(plan)):
+            aggregated = self.gcn(
+                entity_prev, relation_embeddings, plan.edges, plan.edge_norm, plan=plan
+            )
         with tracing.span("eam.gru"):
             return self.gru(aggregated, entity_prev)

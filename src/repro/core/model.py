@@ -271,7 +271,7 @@ class RETIA(Module):
         for snapshot in history:
             with tracing.span("hypergraph", time=snapshot.time, facts=len(snapshot)):
                 artifacts = self.snapshot_cache.artifacts(snapshot)
-            with tracing.span("ram", hyper_edges=len(artifacts.hyper_edges)):
+            with tracing.span("ram", hyper_edges=len(artifacts.hyper_plan)):
                 relation = self._relation_step(
                     snapshot, artifacts, entity, relation, hyper, cell, hyper_cell
                 )
@@ -281,13 +281,12 @@ class RETIA(Module):
                 eam_relations = (
                     relation if cfg.use_tim else self.eam_relation_embedding
                 )
-                with tracing.span("eam", edges=len(artifacts.entity_edges)):
+                with tracing.span("eam", edges=len(artifacts.entity_plan)):
                     entity = self.eam(
                         entity,
                         eam_relations,
                         snapshot,
-                        edges=artifacts.entity_edges,
-                        edge_norm=artifacts.entity_edge_norm,
+                        plan=artifacts.entity_plan,
                     )
             # else: entities stay at their (normalised) initial values.
 
@@ -332,8 +331,7 @@ class RETIA(Module):
                 relation_prev,
                 self.hyper_embedding,
                 hyper_snapshot,
-                edges=artifacts.hyper_edges,
-                edge_norm=artifacts.hyper_edge_norm,
+                plan=artifacts.hyper_plan,
             )
             return relation, cell, self.hyper_embedding, hyper_cell
 
@@ -366,8 +364,7 @@ class RETIA(Module):
             r_lstm,
             hyper_next,
             hyper_snapshot,
-            edges=artifacts.hyper_edges,
-            edge_norm=artifacts.hyper_edge_norm,
+            plan=artifacts.hyper_plan,
         )
         return relation, cell, hyper_next, hyper_cell_next
 

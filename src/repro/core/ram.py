@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.graph import NUM_HYPERRELATIONS, HyperSnapshot
+from repro.graph.plan import MessagePlan
 from repro.nn import GRUCell, Module
 from repro.obs import tracing
 from repro.core.rgcn import RGCNStack
@@ -58,8 +59,7 @@ class RelationAggregationModule(Module):
         relation_lstm: Tensor,
         hyper_embeddings: Tensor,
         hyper_snapshot: HyperSnapshot,
-        edges: Optional[np.ndarray] = None,
-        edge_norm: Optional[np.ndarray] = None,
+        plan: Optional[MessagePlan] = None,
     ) -> Tensor:
         """One RAM step: returns the final relation embeddings ``R_t``.
 
@@ -71,15 +71,16 @@ class RelationAggregationModule(Module):
             ``HR_t`` ``(2H, d)`` from the TIM.
         hyper_snapshot:
             The twin hyperrelation subgraph ``HG_t``.
-        edges, edge_norm:
-            Optional precomputed (type-sorted) hyperedge list and
-            normaliser from :class:`~repro.graph.cache.SnapshotCache`;
-            derived from ``hyper_snapshot`` when omitted.
+        plan:
+            The hyperedge :class:`~repro.graph.plan.MessagePlan` from
+            :class:`~repro.graph.cache.SnapshotCache`; built from
+            ``hyper_snapshot`` when omitted.
         """
-        if edges is None:
-            edges = hyper_snapshot.edges
-            edge_norm = hyper_snapshot.edge_norm
-        with tracing.span("ram.gcn", edges=len(edges)):
-            aggregated = self.gcn(relation_lstm, hyper_embeddings, edges, edge_norm)
+        if plan is None:
+            plan = MessagePlan.build(hyper_snapshot.edges, hyper_snapshot.edge_norm)
+        with tracing.span("ram.gcn", edges=len(plan)):
+            aggregated = self.gcn(
+                relation_lstm, hyper_embeddings, plan.edges, plan.edge_norm, plan=plan
+            )
         with tracing.span("ram.gru"):
             return self.gru(aggregated, relation_lstm)

@@ -12,8 +12,10 @@ one fused pass (gather -> per-type batched transform via
 :func:`~repro.autograd.functional.typed_linear` -> normalised
 :func:`~repro.autograd.functional.segment_sum`), which is the numpy
 formulation of DGL's ``update_all`` without the per-edge-type Python
-loop.  Callers that pass type-sorted edge lists (see
-:class:`~repro.graph.cache.SnapshotCache`) skip the internal sort.
+loop.  The index work of a hop -- the type sort and the sparse sums of
+its scatters -- lives in a :class:`~repro.graph.plan.MessagePlan`
+that :class:`~repro.graph.cache.SnapshotCache` builds once per snapshot;
+callers without one get it built from ``edges`` per call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd import functional as F
+from repro.graph.plan import MessagePlan
 from repro.nn import Module, Parameter, init
 from repro.utils import seeded_rng
 
@@ -72,6 +75,8 @@ class RGCNLayer(Module):
         edge_embeddings: Tensor,
         edges: np.ndarray,
         edge_norm: np.ndarray,
+        *,
+        plan: Optional[MessagePlan] = None,
     ) -> Tensor:
         """Aggregate one hop.
 
@@ -84,28 +89,25 @@ class RGCNLayer(Module):
             (relation embeddings in Eq. 4, hyperrelation embeddings in
             Eq. 1).
         edges:
-            ``(E, 3)`` rows of ``(src, type, dst)``.  Pre-sorting by type
-            (as :class:`~repro.graph.cache.SnapshotCache` does) avoids an
-            argsort here and keeps the weight-bank gradient on the
-            contiguous-segment fast path.
+            ``(E, 3)`` rows of ``(src, type, dst)``, in any order.
         edge_norm:
             ``(E,)`` per-edge ``1 / c_{dst,type}``, aligned with ``edges``.
+        plan:
+            The :class:`~repro.graph.plan.MessagePlan` of ``edges`` and
+            ``edge_norm`` (what :class:`~repro.graph.cache.SnapshotCache`
+            holds); built from them when omitted.
         """
         num_nodes = nodes.shape[0]
         out = nodes @ self.self_weight  # W_0 self-loop term
-        edges = np.asarray(edges, dtype=np.int64)
-        if len(edges):
-            types = edges[:, 1]
-            if not np.all(types[1:] >= types[:-1]):
-                order = np.argsort(types, kind="stable")
-                edges = edges[order]
-                edge_norm = np.asarray(edge_norm)[order]
-                types = edges[:, 1]
-            src, dst = edges[:, 0], edges[:, 2]
-            messages = nodes.gather_rows(src) + edge_embeddings.gather_rows(types)
-            transformed = F.typed_linear(messages, self.weight, types)
-            weighted = transformed * Tensor(np.asarray(edge_norm)[:, None])
-            out = out + F.segment_sum(weighted, dst, num_nodes)
+        if plan is None:
+            plan = MessagePlan.build(edges, edge_norm)
+        if len(plan):
+            src, types, dst = plan.edges.T
+            sources = nodes.gather_rows(src, plan=plan.src_sum)
+            messages = sources + edge_embeddings.gather_rows(types, plan=plan.type_sum)
+            transformed = F.typed_linear(messages, self.weight, types, plan.bank_sum)
+            weighted = transformed * Tensor(plan.edge_norm[:, None])
+            out = out + F.segment_sum(weighted, dst, num_nodes, plan.dst_sum)
         if self.activation:
             out = F.rrelu(out, training=self.training, rng=self._rng)
         if self.dropout:
@@ -142,19 +144,15 @@ class RGCNStack(Module):
                 RGCNLayer(num_edge_types, dim, dropout=dropout, rng=rng),
             )
 
-    def forward(self, nodes, edge_embeddings, edges, edge_norm) -> Tensor:
-        """Aggregate ``num_layers`` hops (same arguments as RGCNLayer)."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if len(edges):
-            # Sort by type once so every layer hits the contiguous-segment
-            # fast path instead of re-sorting per hop.
-            types = edges[:, 1]
-            if not np.all(types[1:] >= types[:-1]):
-                order = np.argsort(types, kind="stable")
-                edges = edges[order]
-                edge_norm = np.asarray(edge_norm)[order]
+    def forward(self, nodes, edge_embeddings, edges, edge_norm, *, plan=None) -> Tensor:
+        """Aggregate ``num_layers`` hops (same arguments as RGCNLayer).
+
+        A missing ``plan`` is built once here and shared by every hop.
+        """
+        if plan is None:
+            plan = MessagePlan.build(edges, edge_norm)
         out = nodes
         for i in range(self.num_layers):
             layer = getattr(self, f"layer{i}")
-            out = layer(out, edge_embeddings, edges, edge_norm)
+            out = layer(out, edge_embeddings, plan.edges, plan.edge_norm, plan=plan)
         return out

@@ -3,12 +3,13 @@
 Every training step re-runs the encoder over the same historical
 snapshots, and everything the encoder needs from a snapshot besides the
 current embeddings is static: the twin hyperrelation subgraph of
-Algorithm 1, the Eq. 1/4 edge normalisers, the type-sorted edge views
-the fused R-GCN kernel consumes, and the mean-pooling index pairs of
-Eq. 7/9.  :class:`SnapshotCache` memoizes all of it, keyed by snapshot
-*content* (timestamp, fact count and a hash of the triples), so offline
-epochs and online continuous training both hit the cache while a
-re-recorded timestamp with different facts misses it.
+Algorithm 1, the R-GCN message plans of both graphs (type-sorted edges,
+the Eq. 1/4 edge normalisers and the hop's planned sums), and the
+mean-pooling index pairs of Eq. 7/9.  :class:`SnapshotCache` memoizes
+all of it, keyed by snapshot *content* (timestamp, fact count and a
+hash of the triples), so offline epochs and online continuous training
+both hit the cache while a re-recorded timestamp with different facts
+misses it.
 
 The cache is bounded (LRU over ``max_entries``) and can be cleared or
 invalidated per timestamp explicitly.
@@ -25,15 +26,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.graph.hypergraph import HyperSnapshot, build_hyperrelation_graph
+from repro.graph.plan import MessagePlan
 from repro.graph.snapshot import Snapshot
-
-
-def _sorted_by_type(edges: np.ndarray, edge_norm: np.ndarray) -> tuple:
-    """Stable-sort an ``(E, 3)`` edge list (and its norm) by edge type."""
-    if not len(edges):
-        return edges, edge_norm
-    order = np.argsort(edges[:, 1], kind="stable")
-    return np.ascontiguousarray(edges[order]), np.ascontiguousarray(edge_norm[order])
 
 
 @dataclass(frozen=True)
@@ -44,12 +38,12 @@ class SnapshotArtifacts:
     ----------
     hyper:
         The built :class:`HyperSnapshot` (Algorithm 1 output).
-    entity_edges, entity_edge_norm:
-        ``G_t``'s inverse-augmented edge list sorted by relation type,
-        with the aligned Eq. 4 normaliser — ready for the fused R-GCN.
-    hyper_edges, hyper_edge_norm:
-        ``HG_t``'s edge list sorted by hyperrelation type, with the
-        aligned Eq. 1 normaliser.
+    entity_plan:
+        The :class:`~repro.graph.plan.MessagePlan` of ``G_t``'s
+        inverse-augmented edge list and its Eq. 4 normaliser (EAM).
+    hyper_plan:
+        The message plan of ``HG_t``'s edge list and its Eq. 1
+        normaliser (RAM).
     relation_entity_pairs:
         ``(entity_ids, relation_ids)`` for Eq. 7 mean pooling.
     hyper_relation_pairs:
@@ -57,10 +51,8 @@ class SnapshotArtifacts:
     """
 
     hyper: HyperSnapshot
-    entity_edges: np.ndarray
-    entity_edge_norm: np.ndarray
-    hyper_edges: np.ndarray
-    hyper_edge_norm: np.ndarray
+    entity_plan: MessagePlan
+    hyper_plan: MessagePlan
     relation_entity_pairs: tuple
     hyper_relation_pairs: tuple
 
@@ -68,16 +60,10 @@ class SnapshotArtifacts:
     def build(snapshot: Snapshot) -> "SnapshotArtifacts":
         """Run all per-snapshot preprocessing once."""
         hyper = build_hyperrelation_graph(snapshot)
-        entity_edges, entity_edge_norm = _sorted_by_type(
-            snapshot.edges_with_inverse, snapshot.edge_norm
-        )
-        hyper_edges, hyper_edge_norm = _sorted_by_type(hyper.edges, hyper.edge_norm)
         return SnapshotArtifacts(
             hyper=hyper,
-            entity_edges=entity_edges,
-            entity_edge_norm=entity_edge_norm,
-            hyper_edges=hyper_edges,
-            hyper_edge_norm=hyper_edge_norm,
+            entity_plan=MessagePlan.build(snapshot.edges_with_inverse, snapshot.edge_norm),
+            hyper_plan=MessagePlan.build(hyper.edges, hyper.edge_norm),
             relation_entity_pairs=snapshot.relation_entity_pairs,
             hyper_relation_pairs=hyper.hyper_relation_pairs,
         )
@@ -101,7 +87,7 @@ class SnapshotCache:
     max_entries:
         Upper bound on cached snapshots; the least recently used entry is
         evicted beyond it.  ``0`` disables caching entirely (every lookup
-        rebuilds), which the benchmarks use for before/after timing.
+        rebuilds); only the cache's own tests use it.
     """
 
     def __init__(self, max_entries: int = 512):

@@ -16,6 +16,11 @@ they replaced live here, test-only, as bit-exactness oracles:
 * :func:`reference_ranks` — the gathered, float64-widened, whole-row
   count ``ranks_from_scores`` replaced with a blocked count in the
   scores' own dtype;
+* :func:`reference_typed_linear` / :func:`reference_segment_sum` /
+  :func:`reference_conv2d` — the R-GCN and Conv-TransE kernels as plain
+  numpy calls (``np.add.at``, ``np.add.reduceat``, batch-first
+  ``einsum``) that the planned sparse sums and batch-last ``einsum``
+  calls of ``repro.autograd.functional`` repeat bit for bit;
 * :func:`reference_evaluate` / :func:`reference_diagnose` — the serial
   score-then-reveal drivers, each with its own loop, that
   ``evaluate_extrapolation`` and ``diagnose_extrapolation`` replaced
@@ -150,6 +155,84 @@ def use_reference_decoder(model):
         lambda *args: reference_sum_probs(relation(*args)),
     )
     return model
+
+
+# ----------------------------------------------------------------------
+# R-GCN and Conv-TransE kernels
+# ----------------------------------------------------------------------
+def _reference_rows_sum(values: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
+    """``reduceat`` over the runs of sorted ``ids``, else ``np.add.at``."""
+    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
+    if len(ids) and np.all(ids[1:] >= ids[:-1]):
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        out[ids[starts]] = np.add.reduceat(values, starts, axis=0)
+    else:
+        np.add.at(out, ids, values)
+    return out
+
+
+def reference_segment_sum(src: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    out_data = _reference_rows_sum(src.data, segment_ids, num_segments)
+
+    def backward(grad: np.ndarray) -> None:
+        if src.requires_grad:
+            src._accumulate(np.asarray(grad)[segment_ids])
+
+    return Tensor._from_op(out_data, (src,), backward, "segment_sum")
+
+
+def reference_typed_linear(x: Tensor, weight: Tensor, types: np.ndarray) -> Tensor:
+    types = np.asarray(types, dtype=np.int64)
+    gathered = weight.data[types]
+    out_data = np.einsum("ei,eio->eo", x.data, gathered)
+
+    def backward(grad: np.ndarray) -> None:
+        grad = np.asarray(grad)
+        if x.requires_grad:
+            x._accumulate(np.einsum("eo,eio->ei", grad, gathered))
+        if weight.requires_grad:
+            per_edge = np.einsum("ei,eo->eio", x.data, grad)
+            weight._accumulate(_reference_rows_sum(per_edge, types, len(weight.data)))
+
+    return Tensor._from_op(out_data, (x, weight), backward, "typed_linear")
+
+
+def reference_conv2d(x: Tensor, weight: Tensor, bias=None, padding=(0, 0)) -> Tensor:
+    ph, pw = padding
+    c_out, c_in, kh, kw = weight.data.shape
+    batch, channels, height, width = x.data.shape
+    padded = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out_h, out_w = height + 2 * ph - kh + 1, width + 2 * pw - kw + 1
+    st = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(batch, channels, kh, kw, out_h, out_w),
+        strides=(st[0], st[1], st[2], st[3], st[2], st[3]),
+    )
+    cols = windows.reshape(batch, channels * kh * kw, out_h * out_w)
+    w_flat = weight.data.reshape(c_out, -1)
+    out_data = np.einsum("ok,bkl->bol", w_flat, cols).reshape(batch, c_out, out_h, out_w)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+
+    def backward(grad: np.ndarray) -> None:
+        grad = np.asarray(grad).reshape(batch, c_out, out_h * out_w)
+        if weight.requires_grad:
+            weight._accumulate(np.einsum("bol,bkl->ok", grad, cols).reshape(weight.data.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2)))
+        if x.requires_grad:
+            grad_cols = np.einsum("ok,bol->bkl", w_flat, grad)
+            grad_cols = grad_cols.reshape(batch, channels, kh, kw, out_h, out_w)
+            grad_padded = np.zeros(padded.shape, dtype=grad_cols.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    grad_padded[:, :, i : i + out_h, j : j + out_w] += grad_cols[:, :, i, j]
+            x._accumulate(grad_padded[:, :, ph : ph + height, pw : pw + width])
+
+    parents = (x, weight, bias) if bias is not None else (x, weight)
+    return Tensor._from_op(out_data, parents, backward, "conv2d")
 
 
 # ----------------------------------------------------------------------

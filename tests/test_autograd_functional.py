@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor
+from repro.autograd import DtypePolicy, Tensor
 from repro.autograd import functional as F
 
+from tests.oracles import reference_conv2d
 from tests.test_autograd_tensor import numerical_grad
 
 
@@ -226,6 +227,29 @@ class TestConv2d:
         np.testing.assert_allclose(x.grad, numerical_grad(loss_x, x_data.copy()), atol=1e-5)
         np.testing.assert_allclose(w.grad, numerical_grad(loss_w, w_data.copy()), atol=1e-5)
         np.testing.assert_allclose(b.grad, numerical_grad(loss_b, b_data.copy()), atol=1e-5)
+
+    @pytest.mark.parametrize("batch", [1, 3, 12, 37, 432])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_conv2d_bitwise_equal_to_batch_first_einsum(self, batch, dtype):
+        # The Conv-TransE shape; the batch-last einsum must repeat the
+        # batch-first one's sums exactly and hand back the same layout.
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, 1, 2, 20)).astype(dtype)
+        w = rng.normal(size=(10, 1, 2, 3)).astype(dtype)
+        b = rng.normal(size=10).astype(dtype)
+        grad = rng.normal(size=(batch, 10, 1, 20)).astype(dtype)
+        results = []
+        with DtypePolicy(dtype):
+            for kernel in (F.conv2d, reference_conv2d):
+                xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+                out = kernel(xt, wt, bt, padding=(0, 1))
+                out.backward(grad)
+                results.append((out.data, xt.grad, wt.grad, bt.grad))
+        for got, want in zip(*results):
+            assert got.dtype == np.dtype(dtype)
+            assert got.strides == want.strides
+            np.testing.assert_array_equal(got, want)
+        assert results[0][0].flags.c_contiguous
 
     def test_conv2d_convtranse_shape(self):
         # Conv-TransE setting: 2 rows (s;r), kernel 2x3, padding (0,1).

@@ -299,6 +299,19 @@ class TestCLI:
         assert captured.out == ""
         assert not report.exists()
 
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_bench_rejects_repeats_below_one_before_reading_history(
+        self, tmp_path, capsys, repeats
+    ):
+        history = tmp_path / "history.jsonl"
+        history.write_text("not json\n")
+        argv = ["bench", "--dataset", "ICEWS14", "--component", "train_step", "--gate"]
+        argv += ["--repeats", repeats, "--history", str(history)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid repeats: must be >= 1, got {repeats}\n"
+        assert captured.out == ""
+
     def test_config_from_dict_still_rejects_unknown_keys(self):
         blob = asdict(RETIAConfig(4, 2))
         assert RETIAConfig.from_dict(dict(blob, fused_cells=True)) == RETIAConfig(4, 2)

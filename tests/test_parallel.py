@@ -276,6 +276,20 @@ class TestSnapshotCacheConcurrency:
             assert len(clone) == 2
         assert len(cache) == 1
 
+    def test_pickled_model_evolves_identically_from_its_cached_plans(self):
+        # Sharded evaluation ships the model, its cache and so the cached
+        # message plans to pool workers by pickling.
+        config = RETIAConfig(num_entities=4, num_relations=2, dim=6, history_length=2, seed=0)
+        model = RETIA(config).eval()
+        history = [_cache_snapshot(1), _cache_snapshot(2, shift=1)]
+        before = model.evolve(history)  # builds and caches the plans
+        clone = pickle.loads(pickle.dumps(model))
+        after = clone.evolve(history)
+        assert clone.snapshot_cache.misses == model.snapshot_cache.misses == 2
+        assert clone.snapshot_cache.hits == model.snapshot_cache.hits + 2
+        for want, got in zip(before[0] + before[1], after[0] + after[1]):
+            np.testing.assert_array_equal(got.data, want.data)
+
 
 # ----------------------------------------------------------------------
 # GracefulInterrupt escalation and thread confinement

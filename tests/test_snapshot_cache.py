@@ -26,13 +26,13 @@ class TestSnapshotCache:
         art = cache.artifacts(snap)
         hyper = build_hyperrelation_graph(snap)
         np.testing.assert_array_equal(np.sort(art.hyper.edges, axis=0), np.sort(hyper.edges, axis=0))
-        # Edge views are type-sorted permutations of the snapshot's own.
-        assert np.all(np.diff(art.entity_edges[:, 1]) >= 0)
-        assert np.all(np.diff(art.hyper_edges[:, 1]) >= 0)
-        assert len(art.entity_edge_norm) == len(snap.edges_with_inverse)
+        # Plan edges are type-sorted permutations of the snapshot's own.
+        assert np.all(np.diff(art.entity_plan.edges[:, 1]) >= 0)
+        assert np.all(np.diff(art.hyper_plan.edges[:, 1]) >= 0)
+        assert len(art.entity_plan.edge_norm) == len(snap.edges_with_inverse)
         order = np.argsort(snap.edges_with_inverse[:, 1], kind="stable")
-        np.testing.assert_array_equal(art.entity_edges, snap.edges_with_inverse[order])
-        np.testing.assert_allclose(art.entity_edge_norm, snap.edge_norm[order])
+        np.testing.assert_array_equal(art.entity_plan.edges, snap.edges_with_inverse[order])
+        np.testing.assert_allclose(art.entity_plan.edge_norm, snap.edge_norm[order])
 
     def test_content_change_misses(self):
         cache = SnapshotCache()
@@ -74,7 +74,7 @@ class TestSnapshotCache:
         cache = SnapshotCache()
         art = cache.artifacts(Snapshot(np.zeros((0, 3)), 4, 2, ts=9))
         assert art.hyper.is_empty
-        assert len(art.entity_edges) == 0
+        assert len(art.entity_plan) == 0
 
 
 class TestModelCacheWiring:
@@ -121,7 +121,7 @@ class TestModelCacheWiring:
         assert model.snapshot_cache.misses == before + 1
         art = model.snapshot_cache.artifacts(replacement)
         np.testing.assert_array_equal(
-            np.unique(art.entity_edges[:, [0, 2]]), np.array([0, 4])
+            np.unique(art.entity_plan.edges[:, [0, 2]]), np.array([0, 4])
         )
 
     def test_predictions_unaffected_by_cache_bound(self):
