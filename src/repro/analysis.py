@@ -101,26 +101,6 @@ def diagnose_stream(graph: TemporalKG, window: int = 3, hyper_sample: int = 8) -
     )
 
 
-def per_timestamp_metric_breakdown(ranks_by_time: Dict[int, np.ndarray]) -> Dict[int, dict]:
-    """Per-timestamp MRR/Hits@k from rank arrays keyed by timestamp.
-
-    Useful for studying how online continuous training pays off as the
-    test stream progresses (the Fig. 8 mechanism).
-    """
-    out = {}
-    for t, ranks in sorted(ranks_by_time.items()):
-        ranks = np.asarray(ranks, dtype=np.float64)
-        if not len(ranks):
-            continue
-        out[t] = {
-            "MRR": float((1.0 / ranks).mean() * 100),
-            "Hits@1": float((ranks <= 1).mean() * 100),
-            "Hits@10": float((ranks <= 10).mean() * 100),
-            "count": int(len(ranks)),
-        }
-    return out
-
-
 def bootstrap_mrr_interval(
     ranks: np.ndarray,
     num_samples: int = 1000,

@@ -26,7 +26,7 @@ from repro.bench.runner import (
     get_trained,
     retia_variant,
 )
-from repro.bench.tables import format_table, print_header
+from repro.bench.tables import format_table
 
 __all__ = [
     "BenchProfile",
@@ -42,5 +42,4 @@ __all__ = [
     "summarize_history",
     "write_summary",
     "format_table",
-    "print_header",
 ]

@@ -5,11 +5,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 
-def print_header(title: str) -> None:
-    bar = "=" * max(60, len(title) + 4)
-    print(f"\n{bar}\n  {title}\n{bar}")
-
-
 def format_table(
     rows: List[Dict[str, object]],
     columns: Sequence[str],

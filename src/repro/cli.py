@@ -102,15 +102,19 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    config = RETIAConfig(
-        num_entities=dataset.num_entities,
-        num_relations=dataset.num_relations,
-        dim=args.dim,
-        history_length=args.history,
-        num_kernels=args.kernels,
-        seed=args.seed,
-        dtype=args.dtype,
-    )
+    try:
+        config = RETIAConfig(
+            num_entities=dataset.num_entities,
+            num_relations=dataset.num_relations,
+            dim=args.dim,
+            history_length=args.history,
+            num_kernels=args.kernels,
+            seed=args.seed,
+            dtype=args.dtype,
+        )
+    except ValueError as exc:
+        print(f"invalid model config: {exc}", file=sys.stderr)
+        return 2
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -431,6 +435,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_hypergraph(args: argparse.Namespace) -> int:
     """Inspect the twin hyperrelation subgraph of one snapshot."""
     dataset = load_dataset(args.dataset)
+    timestamps = dataset.graph.timestamps
+    if args.time not in timestamps:
+        print(
+            f"invalid time: {args.time} is not a timestamp of {dataset.name} "
+            f"(valid: {int(timestamps[0])}..{int(timestamps[-1])})",
+            file=sys.stderr,
+        )
+        return 2
     snapshot = dataset.graph.snapshot(args.time)
     hyper = build_hyperrelation_graph(snapshot)
     print(f"{dataset.name} t={args.time}: {len(snapshot)} facts, {len(hyper)} hyperedges")

@@ -23,11 +23,8 @@ from repro.core.ram import RelationAggregationModule
 from repro.core.eam import EntityAggregationModule
 from repro.core.model import RETIA, RETIAConfig
 from repro.core.trainer import Trainer, TrainerConfig
-from repro.core.static_constraint import StaticGraphConstraint, community_static_graph
 
 __all__ = [
-    "StaticGraphConstraint",
-    "community_static_graph",
     "RGCNLayer",
     "RGCNStack",
     "ConvTransE",

@@ -86,8 +86,12 @@ class RETIAConfig:
             raise ValueError(f"hyper_mode must be one of {HYPER_MODES}")
         if not 0.0 <= self.lambda_entity <= 1.0:
             raise ValueError("lambda_entity must be in [0, 1]")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.history_length < 1:
             raise ValueError("history_length must be >= 1")
+        if self.num_kernels < 1:
+            raise ValueError("num_kernels must be >= 1")
         # Normalise (and validate) to the canonical dtype name so config
         # equality and checkpoint round-trips are exact.
         object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
@@ -183,8 +187,6 @@ class RETIA(Module):
         self.snapshot_cache = SnapshotCache()
         self._predict_cache: Optional[tuple] = None
         self._version = 0
-        self.static_constraint = None
-        self.static_weight = 0.0
         # Candidate-scoring strategy for entity ranking (repro.scale).
         # None keeps the BLAS matmul of predict_entities (see
         # rank_entities for why it stays the default).
@@ -201,16 +203,6 @@ class RETIA(Module):
         from repro.scale.scorers import get_scorer
 
         self.scorer = get_scorer(scorer)
-
-    def attach_static_constraint(self, constraint, weight: float = 1.0) -> None:
-        """Add RE-GCN-style static graph constraints to the training loss.
-
-        Must be called before the optimizer is built so the constraint's
-        parameters are included.  See
-        :mod:`repro.core.static_constraint`.
-        """
-        self.static_constraint = constraint
-        self.static_weight = float(weight)
 
     # ------------------------------------------------------------------
     # History management
@@ -607,9 +599,4 @@ class RETIA(Module):
             loss_relation = losses.nll_of_summed_probs(relation_probs, r)
 
             joint = loss_entity * cfg.lambda_entity + loss_relation * (1.0 - cfg.lambda_entity)
-            if self.static_constraint is not None and self.static_weight:
-                joint = (
-                    joint
-                    + self.static_constraint.sequence_loss(entity_list) * self.static_weight
-                )
         return joint, loss_entity, loss_relation

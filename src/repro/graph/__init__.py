@@ -17,11 +17,6 @@ from repro.graph.hypergraph import (
     HyperSnapshot,
     build_hyperrelation_graph,
 )
-from repro.graph.nx_export import (
-    hypergraph_to_networkx,
-    relation_connectivity,
-    snapshot_to_networkx,
-)
 
 __all__ = [
     "Quadruple",
@@ -33,7 +28,4 @@ __all__ = [
     "build_hyperrelation_graph",
     "HYPERRELATION_NAMES",
     "NUM_HYPERRELATIONS",
-    "snapshot_to_networkx",
-    "hypergraph_to_networkx",
-    "relation_connectivity",
 ]

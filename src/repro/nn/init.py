@@ -26,18 +26,6 @@ def normal_(tensor: Tensor, mean: float = 0.0, std: float = 0.02, rng=None) -> T
     return tensor
 
 
-def zeros_(tensor: Tensor) -> Tensor:
-    """Zero the tensor in place."""
-    tensor.data[...] = 0.0
-    return tensor
-
-
-def ones_(tensor: Tensor) -> Tensor:
-    """Set the tensor to ones in place."""
-    tensor.data[...] = 1.0
-    return tensor
-
-
 def _fan_in_out(shape: tuple) -> tuple:
     if len(shape) < 2:
         return shape[0], shape[0]
@@ -51,18 +39,4 @@ def xavier_uniform_(tensor: Tensor, gain: float = 1.0, rng=None) -> Tensor:
     """Glorot uniform init, the default for R-GCN weight banks."""
     fan_in, fan_out = _fan_in_out(tensor.data.shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform_(tensor, -bound, bound, rng=rng)
-
-
-def xavier_normal_(tensor: Tensor, gain: float = 1.0, rng=None) -> Tensor:
-    """Glorot normal init."""
-    fan_in, fan_out = _fan_in_out(tensor.data.shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return normal_(tensor, 0.0, std, rng=rng)
-
-
-def kaiming_uniform_(tensor: Tensor, rng=None) -> Tensor:
-    """He uniform init (fan-in scaled)."""
-    fan_in, _ = _fan_in_out(tensor.data.shape)
-    bound = math.sqrt(3.0 / fan_in) if fan_in > 0 else 0.0
     return uniform_(tensor, -bound, bound, rng=rng)

@@ -73,11 +73,3 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     targets_t = Tensor(np.asarray(targets, dtype=logits.data.dtype))
     loss = F.softplus(logits) - logits * targets_t
     return loss.mean()
-
-
-def margin_ranking_loss(positive: Tensor, negative: Tensor, margin: float = 1.0) -> Tensor:
-    """TransE-style hinge: ``mean(relu(margin + pos_dist - neg_dist))``.
-
-    ``positive``/``negative`` hold *distances* (lower is better).
-    """
-    return (positive - negative + margin).relu().mean()

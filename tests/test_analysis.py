@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.analysis import (
     bootstrap_mrr_interval,
     diagnose_stream,
-    per_timestamp_metric_breakdown,
 )
 from repro.datasets import SyntheticTKGConfig, generate_tkg, load_dataset
 from repro.graph import TemporalKG
@@ -57,16 +56,6 @@ class TestDiagnoseStream:
 
 
 class TestBreakdownAndBootstrap:
-    def test_per_timestamp_breakdown(self):
-        out = per_timestamp_metric_breakdown({0: np.array([1.0, 2.0]), 1: np.array([10.0])})
-        assert out[0]["Hits@1"] == pytest.approx(50.0)
-        assert out[1]["Hits@10"] == pytest.approx(100.0)
-        assert out[0]["count"] == 2
-
-    def test_breakdown_skips_empty(self):
-        out = per_timestamp_metric_breakdown({0: np.array([])})
-        assert out == {}
-
     def test_bootstrap_interval_contains_point_estimate(self):
         ranks = np.array([1.0, 2.0, 5.0, 10.0, 1.0, 3.0])
         low, high = bootstrap_mrr_interval(ranks, num_samples=500)

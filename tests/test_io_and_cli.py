@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -209,6 +211,51 @@ class TestCLI:
         assert main(["hypergraph", "--dataset", "YAGO", "--time", "2"]) == 0
         out = capsys.readouterr().out
         assert "hyperedges" in out
+
+    @pytest.mark.parametrize("time", ["99999", "-5"])
+    def test_hypergraph_rejects_unknown_timestamp(self, capsys, time):
+        assert main(["hypergraph", "--dataset", "YAGO", "--time", time]) == 2
+        captured = capsys.readouterr()
+        timestamps = load_dataset("YAGO").graph.timestamps
+        assert captured.err == (
+            f"invalid time: {time} is not a timestamp of YAGO "
+            f"(valid: {timestamps[0]}..{timestamps[-1]})\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--dim", "dim must be >= 1"),
+            ("--kernels", "num_kernels must be >= 1"),
+            ("--history", "history_length must be >= 1"),
+        ],
+        ids=["dim", "kernels", "history"],
+    )
+    def test_train_rejects_bad_model_size(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "model.npz"
+        argv = ["train", "--dataset", "YAGO", "--epochs", "1", "--out", str(out), flag, "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid model config: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_cli_import_leaves_networkx_unloaded(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, repro.cli; print('networkx' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert result.stdout == "False\n"
 
     def test_evaluate_rejects_configless_checkpoint(self, tmp_path, capsys):
         path = str(tmp_path / "bad.npz")

@@ -90,8 +90,3 @@ class TestLossesExtra:
         one = losses.nll_of_summed_probs([good], [0]).item()
         two = losses.nll_of_summed_probs([good, good], [0]).item()
         assert two < one
-
-    def test_margin_ranking_zero_when_separated(self):
-        pos = Tensor(np.array([0.0]))
-        neg = Tensor(np.array([10.0]))
-        assert losses.margin_ranking_loss(pos, neg, margin=1.0).item() == 0.0

@@ -274,12 +274,6 @@ class TestLosses:
         loss = losses.binary_cross_entropy_with_logits(logits, np.eye(2))
         assert loss.item() == pytest.approx(np.log(2.0))
 
-    def test_margin_ranking_loss(self):
-        pos = Tensor(np.array([0.5]))
-        neg = Tensor(np.array([2.0]))
-        assert losses.margin_ranking_loss(pos, neg, margin=1.0).item() == 0.0
-        assert losses.margin_ranking_loss(neg, pos, margin=1.0).item() == pytest.approx(2.5)
-
 
 @given(
     batch=st.integers(min_value=1, max_value=6),

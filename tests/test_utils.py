@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.bench import print_header
 from repro.utils import l2_normalize_rows, seeded_rng
 
 
@@ -38,10 +37,3 @@ class TestSeededRng:
         draws_a = seeded_rng(1).integers(0, 10**9)
         draws_b = seeded_rng(2).integers(0, 10**9)
         assert draws_a != draws_b
-
-
-def test_print_header(capsys):
-    print_header("Hello")
-    out = capsys.readouterr().out
-    assert "Hello" in out
-    assert "=" in out
