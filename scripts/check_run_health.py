@@ -25,11 +25,7 @@ checks that the run is *reconstructible and healthy*:
   NaN gradient in telemetry fails CI;
 * diagnostic events decompose losslessly: per-relation and
   per-timestamp query counts sum to the aggregate count and the
-  frequency-weighted per-relation MRR reproduces the aggregate MRR;
-* all eval/diagnostic events in one report used the same candidate
-  scoring strategy — ranks produced by an approximate scorer
-  (history-filtered) must never be averaged into, or compared against,
-  exact ranks within a single run.
+  frequency-weighted per-relation MRR reproduces the aggregate MRR.
 
 Exit code 0 when every check passes, 1 otherwise (one line per
 violation).  Run this against a corrupted/truncated log and it fails —
@@ -153,33 +149,6 @@ def check_diagnostics(events: list) -> list:
                     f"{where}: weighted per-relation MRR {weighted:.9f} does not "
                     f"recompose the aggregate {aggregate_mrr:.9f}"
                 )
-    return problems
-
-
-def check_scorers(events: list) -> list:
-    """Refuse reports that mix candidate scoring strategies.
-
-    ``worker`` (eval scope) and ``diagnostic`` events record the
-    candidate scorer spec that produced their ranks.  A single report
-    mixing strategies (say, half the shards exact and half history-filtered) is
-    not a comparable measurement: approximate ranks cannot be pooled
-    with exact ones, so the gate fails closed.  Events predating the
-    scorer field (older reports) are ignored rather than failed.
-    """
-    problems = []
-    specs = {}
-    for e in events:
-        if e["event"] not in ("worker", "diagnostic"):
-            continue
-        spec = e.get("scorer")
-        if spec is not None:
-            specs.setdefault(str(spec), e["seq"])
-    if len(specs) > 1:
-        listed = ", ".join(f"{spec!r} (first at seq {seq})" for spec, seq in sorted(specs.items()))
-        problems.append(
-            f"mixed candidate scoring strategies in one report: {listed} "
-            "(approximate and exact ranks are not comparable)"
-        )
     return problems
 
 
@@ -526,7 +495,6 @@ def check_events(
 
     problems.extend(check_probes(events))
     problems.extend(check_diagnostics(events))
-    problems.extend(check_scorers(events))
     problems.extend(check_serve(events, min_availability=min_availability))
     problems.extend(check_alerts(events, require_alert=require_alert))
     return problems

@@ -21,8 +21,6 @@ rises by at least the sleep (the CI drill that proves the gate fires).
 from __future__ import annotations
 
 import os
-import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -53,16 +51,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class Measurement:
-    """A registry entry: the function plus its label defaults (their one source).
-
-    ``once`` figures are process-lifetime readings (a high-water mark
-    cannot be reset between repeats), read once after the repeats
-    rather than sampled per repeat.
-    """
+    """A registry entry: the function plus its label defaults (their one source)."""
 
     fn: Callable[..., Sample]
     labels: Dict[str, object] = field(default_factory=dict)
-    once: Dict[str, Callable[[], float]] = field(default_factory=dict)
 
 
 def _pause(per_step_sleep: float, steps: int = 1) -> None:
@@ -223,69 +215,6 @@ def evaluation(dataset_name: str, *, seed: int, per_step_sleep: float, workers: 
     )
 
 
-def peak_rss_mb() -> float:
-    """Lifetime peak RSS of this process and its reaped children, in MB.
-
-    ``ru_maxrss`` is a high-water mark that cannot be reset, and the
-    blocked-scorer allocations of a sharded eval happen in fork-pool
-    workers — so the honest figure is the max over SELF and CHILDREN,
-    read *after* the measured phase.
-    """
-    import resource
-
-    peak = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
-    # Linux reports kilobytes; macOS reports bytes.
-    return peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0
-
-
-def scale(
-    dataset_name: str, *, seed: int, per_step_sleep: float, workers: int, scorer: str
-) -> Sample:
-    """Large-vocabulary eval through the memmap + candidate-scorer path.
-
-    The honest large-N serving shape (DESIGN.md §9): evolve the history
-    window once, spill the evolved stacks to ``.npy`` tables
-    (:class:`repro.scale.EmbeddingStore` memmaps), then run the entity
-    protocol at ``workers`` against a :class:`repro.scale.FrozenWindowModel`
-    whose scorer streams candidate blocks off the tables, so the full
-    ``(queries, entities)`` score matrix never exists.  Relation scoring
-    is skipped: its candidate axis is M, not N.  The ``peak_rss_mb``
-    figure is read once per process (see :data:`MEASUREMENTS`).
-    """
-    from repro.scale import FrozenWindowModel, get_scorer
-
-    dataset = bench_dataset(dataset_name)
-    model = revealed_model(dataset, seed=seed, dtype=DTYPE)
-    steps = len(dataset.test.timestamps)
-    with tempfile.TemporaryDirectory(prefix="repro-scale-") as spill_dir:
-        start = time.perf_counter()
-        frozen = FrozenWindowModel.freeze(
-            model, int(dataset.test.timestamps[0]), spill_dir=spill_dir, scorer=get_scorer(scorer)
-        )
-        freeze_s = time.perf_counter() - start
-        del model  # the encoder is out of the loop from here on
-        start = time.perf_counter()
-        result = evaluate_extrapolation(
-            frozen, dataset.test, evaluate_relations=False, workers=workers
-        )
-        _pause(per_step_sleep, steps)
-        scale_s = (time.perf_counter() - start) / max(1, steps)
-    return Sample(
-        figures={"scale_s": scale_s},
-        labels={"workers": workers, "scorer": frozen.scorer.spec()},
-        extras={
-            "steps": steps,
-            "cpus": os.cpu_count() or 1,
-            "entities": dataset.num_entities,
-            "freeze_s": freeze_s,
-            "entity_mrr": result.entity.get("MRR"),
-        },
-    )
-
-
 def serve(dataset_name: str, *, seed: int, per_step_sleep: float) -> Sample:
     """The serve drill (:func:`repro.serve.run_drill`): 160 requests at 400 qps.
 
@@ -323,11 +252,6 @@ MEASUREMENTS: Dict[str, Measurement] = {
     "train_step": Measurement(train_step),
     "cell": Measurement(cell),
     "eval": Measurement(evaluation, labels={"workers": 1}),
-    "scale": Measurement(
-        scale,
-        labels={"workers": 2, "scorer": "blocked:128:8192"},
-        once={"peak_rss_mb": peak_rss_mb},
-    ),
     "serve": Measurement(serve),
 }
 
@@ -346,7 +270,6 @@ class Run:
     samples: Dict[str, List[float]]
     extras: List[Dict[str, object]]
     per_step_sleep: float = 0.0
-    once: Tuple[str, ...] = ()
 
     @property
     def key(self) -> tuple:
@@ -356,11 +279,8 @@ class Run:
         return {figure: stats(values) for figure, values in self.samples.items()}
 
     def pooled(self, other: "Run") -> "Run":
-        """This run's samples plus ``other``'s (once-figures: the latest)."""
-        samples = {
-            figure: list(values) if figure in self.once else self.samples[figure] + values
-            for figure, values in other.samples.items()
-        }
+        """This run's samples plus ``other``'s."""
+        samples = {f: self.samples[f] + values for f, values in other.samples.items()}
         return replace(self, samples=samples, extras=self.extras + other.extras)
 
 
@@ -386,7 +306,6 @@ def measure(
         for _ in range(repeats)
     ]
     figures = {figure: [s.figures[figure] for s in samples] for figure in samples[0].figures}
-    figures.update({figure: [read()] for figure, read in spec.once.items()})
     return Run(
         name=name,
         dataset=dataset,
@@ -395,7 +314,6 @@ def measure(
         samples=figures,
         extras=[s.extras for s in samples],
         per_step_sleep=per_step_sleep,
-        once=tuple(spec.once),
     )
 
 

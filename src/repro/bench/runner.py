@@ -70,9 +70,6 @@ BENCH_PROFILES: Dict[str, BenchProfile] = {
     "ICEWS18": BenchProfile(),
     "YAGO": BenchProfile(),
     "WIKI": BenchProfile(),
-    # Entity-axis stress profile (repro.scale): a deliberately small
-    # model so the measured cost is the candidate axis, not the encoder.
-    "ICEWS-SCALE": BenchProfile(dim=16, history_length=2, num_kernels=6),
 }
 
 #: Methods evaluated with online continuous training, per the paper
@@ -290,7 +287,7 @@ def revealed_model(dataset: TKGDataset, *, seed: int, dtype: str) -> RETIA:
     """An untrained bench-profile RETIA with train+valid history, in eval mode.
 
     Scoring and serving cost depend on history shape and embedding
-    sizes, not on parameter values, so the eval, scale and serve perf
+    sizes, not on parameter values, so the eval and serve perf
     series and ``repro.cli serve`` skip training.
     """
     config = build_retia_config(dataset, BENCH_PROFILES[dataset.name], seed=seed, dtype=dtype)

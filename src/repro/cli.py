@@ -46,7 +46,6 @@ import numpy as np
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import (
     DATASET_PROFILES,
-    SCALE_PROFILES,
     dataset_statistics,
     load_dataset,
 )
@@ -81,7 +80,7 @@ def _add_dataset_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset",
         required=True,
-        choices=sorted(DATASET_PROFILES) + sorted(SCALE_PROFILES),
+        choices=sorted(DATASET_PROFILES),
         help="synthetic benchmark surrogate to use",
     )
 
@@ -177,14 +176,19 @@ def _load_eval_model(args: argparse.Namespace):
         # Evaluate a float64 checkpoint under float32 (or vice versa):
         # parameters are cast on load, activations follow the policy.
         config_dict = dict(config_dict, dtype=args.dtype)
-    model = RETIA(RETIAConfig.from_dict(config_dict))
-    model.load_state_dict(state)
-    model.set_history(dataset.train)
-    for t in dataset.valid.timestamps:
-        model.observe(dataset.valid.snapshot(int(t)))
+    try:
+        model = RETIA(RETIAConfig.from_dict(config_dict))
+        model.load_state_dict(state)
+        model.set_history(dataset.train)
+        for t in dataset.valid.timestamps:
+            model.observe(dataset.valid.snapshot(int(t)))
+    except (KeyError, TypeError, ValueError) as exc:
+        print(
+            f"checkpoint {args.checkpoint} does not fit dataset {args.dataset}: {exc}",
+            file=sys.stderr,
+        )
+        return dataset, None
     model.eval()
-    if getattr(args, "scorer", None):
-        model.set_scorer(args.scorer)
     return dataset, model
 
 
@@ -192,9 +196,7 @@ def _open_eval_report(args: argparse.Namespace, command: str):
     """A run reporter framed with ``run_start`` (None without --run-report).
 
     ``scripts/check_run_health.py`` requires ``run_start``/``run_end``
-    around every event stream; eval-family reports carry the scorer spec
-    in their config so a refused mixed-strategy comparison also names
-    what the run intended.
+    around every event stream.
     """
     if not args.run_report:
         return None
@@ -203,11 +205,7 @@ def _open_eval_report(args: argparse.Namespace, command: str):
         "run_start",
         schema_version=SCHEMA_VERSION,
         command=command,
-        config={
-            "dataset": args.dataset,
-            "workers": args.eval_workers,
-            "scorer": getattr(args, "scorer", None) or "legacy",
-        },
+        config={"dataset": args.dataset, "workers": args.eval_workers},
     )
     return reporter
 
@@ -296,10 +294,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Measure one registry series, gate it, record it.
 
     Exit codes: 0 ok (or not gated), 1 regressed, 2 bad ``--repeats`` or
-    unusable history or baseline file, 3 inconclusive after one re-measure.
+    ``--eval-workers``, or unusable history or baseline file, 3
+    inconclusive after one re-measure.
     """
     if args.repeats < 1:
         print(f"invalid repeats: must be >= 1, got {args.repeats}", file=sys.stderr)
+        return 2
+    if args.eval_workers is not None and args.eval_workers < 1:
+        print(f"invalid eval workers: must be >= 1, got {args.eval_workers}", file=sys.stderr)
         return 2
     from repro.bench.history import (
         STRADDLES,
@@ -313,12 +315,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.measure import MEASUREMENTS, measure, record
     from repro.obs import MetricsRegistry
 
-    label_args = {"workers": args.eval_workers, "scorer": args.scorer}
-    labels = {
-        k: v
-        for k, v in label_args.items()
-        if k in MEASUREMENTS[args.component].labels and v is not None
-    }
+    labels = (
+        {"workers": args.eval_workers}
+        if "workers" in MEASUREMENTS[args.component].labels and args.eval_workers is not None
+        else {}
+    )
     try:
         history = read_history(args.history) if args.history else []
         baseline = load_baseline() if args.gate else {}
@@ -842,14 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes sharding the test timestamps (metrics are "
         "bit-identical for every worker count)",
     )
-    evaluate.add_argument(
-        "--scorer",
-        default=None,
-        help="candidate scoring strategy (legacy, blocked[:QB[:CB]], "
-        "history:BUDGET); default: the legacy dense decode. "
-        "The choice is recorded in run-report events, and "
-        "check_run_health.py refuses reports mixing strategies",
-    )
     evaluate.set_defaults(handler=cmd_evaluate)
 
     diagnose = commands.add_parser(
@@ -874,12 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes sharding the test timestamps (the decomposition "
         "is bit-identical for every worker count)",
     )
-    diagnose.add_argument(
-        "--scorer",
-        default=None,
-        help="candidate scoring strategy (legacy, blocked[:QB[:CB]], "
-        "history:BUDGET); default: the legacy dense decode",
-    )
     diagnose.set_defaults(handler=cmd_diagnose)
 
     bench = commands.add_parser(
@@ -888,28 +875,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_argument(bench)
     bench.add_argument(
         "--component",
-        choices=("train_step", "cell", "eval", "scale", "serve"),
+        choices=("train_step", "cell", "eval", "serve"),
         default="train_step",
         help="which registry series to measure (train_step: encoder, decoder "
         "and full training step; cell: the recurrent-cell micro-benchmark; "
-        "eval: the evaluation protocol at --eval-workers; scale: "
-        "large-vocabulary memmap eval through the candidate scorer seam — "
-        "pair with --dataset ICEWS-SCALE; serve: the clean `repro.cli serve` "
-        "drill, 160 requests at 400 qps, gated on mean query latency)",
-    )
-    bench.add_argument(
-        "--scorer",
-        default=None,
-        help="candidate scorer spec for --component scale "
-        "(e.g. blocked:128:8192, history:2000; "
-        "default blocked:128:8192)",
+        "eval: the evaluation protocol at --eval-workers; serve: the clean "
+        "`repro.cli serve` drill, 160 requests at 400 qps, gated on mean "
+        "query latency)",
     )
     bench.add_argument(
         "--eval-workers",
         type=int,
         default=None,
-        help="worker count for --component eval (default 1) and scale "
-        "(default 2); each worker count is its own series",
+        help="worker count for --component eval (default 1); each worker "
+        "count is its own series",
     )
     bench.add_argument("--repeats", type=int, default=3, help="timed repeats per run")
     bench.add_argument("--seed", type=int, default=0)

@@ -187,22 +187,6 @@ class RETIA(Module):
         self.snapshot_cache = SnapshotCache()
         self._predict_cache: Optional[tuple] = None
         self._version = 0
-        # Candidate-scoring strategy for entity ranking (repro.scale).
-        # None keeps the BLAS matmul of predict_entities (see
-        # rank_entities for why it stays the default).
-        self.scorer = None
-
-    def set_scorer(self, scorer) -> None:
-        """Select the candidate-scoring strategy for entity ranking.
-
-        Accepts a :class:`repro.scale.CandidateScorer`, a spec string
-        (``"blocked[:QB[:CB]]"``, ``"history:BUDGET"``) or
-        ``None``/``"legacy"`` to restore the default dense matmul path.  See DESIGN.md §9 for when each
-        strategy preserves exact metrics.
-        """
-        from repro.scale.scorers import get_scorer
-
-        self.scorer = get_scorer(scorer)
 
     # ------------------------------------------------------------------
     # History management
@@ -474,24 +458,11 @@ class RETIA(Module):
     ) -> np.ndarray:
         """Average-tie gold ranks for entity queries at timestamp ``ts``.
 
-        The seam the evaluation protocol ranks through.  Without a
-        configured scorer this *is* the protocol's own code — dedup,
-        :meth:`predict_entities` on the distinct queries, then
+        The protocol's own ranking code: dedup, :meth:`predict_entities`
+        on the distinct queries, then
         :func:`~repro.eval.metrics.ranks_from_scores` with the dedup
-        index as ``rows=`` — bit for bit.  With one, query
-        representations are built once (same gathers and stacked
-        decoder pass as the dense path) and the strategy streams
-        candidate scoring, so the full ``(B, N)`` score matrix need
-        never exist.  ``mask`` uses the filtered-setting convention:
-        ``True`` excludes a candidate, targets never are.
-
-        The scorer-less path stays the default: its single BLAS matmul
-        with the in-place blocked softmax-and-sum of
-        :meth:`~repro.core.decoder.ConvTransE.summed_probabilities` is
-        faster than the ``dense`` scorer's ``einsum`` kernel on wide
-        vocabularies (measured in DESIGN.md §9), and the two differ by
-        sub-ulp logit rounding, enough to move tied ranks and so the
-        checked metrics.
+        index as ``rows=``.  ``mask`` uses the filtered-setting
+        convention: ``True`` excludes a candidate, targets never are.
         """
         # Looked up at call time, so a wrapper installed on the module
         # attribute (the e2e benchmark's layer tracer) sees every call.
@@ -500,37 +471,8 @@ class RETIA(Module):
         queries = np.asarray(queries, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         unique_queries, inverse = dedup_rows(queries, dedup)
-        scorer = self.scorer
-        if scorer is None:
-            scores = self.predict_entities(unique_queries, ts)
-            return ranks_from_scores(scores, targets, mask, rows=inverse)
-
-        entity_list, relation_list = self._evolved_for(ts)
-        was_training = self.training
-        self.eval()
-        with no_grad(), self._dtype_policy:
-            # Same gathers and stacked decoder pass as
-            # _entity_probabilities (queries_stacked is bitwise identical
-            # to the per-snapshot loop in eval mode).
-            subj, rel, _ = self._entity_inputs(entity_list, relation_list, unique_queries)
-            reps = self.entity_decoder.queries_stacked(subj, rel).data
-            window, _ = self._decode_window(entity_list, relation_list)
-            candidates = [e.data for e in window]
-        if was_training:
-            self.train()
-        if getattr(scorer, "needs_history", False):
-            # The candidate index wants the full reveal stream, not the
-            # encoder's last-k window.
-            revealed = [self._history[t] for t in sorted(self._history) if t < ts]
-            scorer.sync_history(revealed, self.config.num_relations)
-        return scorer.ranks(
-            reps,
-            candidates,
-            targets,
-            mask=mask,
-            inverse=inverse,
-            query_ids=unique_queries,
-        )
+        scores = self.predict_entities(unique_queries, ts)
+        return ranks_from_scores(scores, targets, mask, rows=inverse)
 
     def predict_relations(self, pairs: np.ndarray, ts: int) -> np.ndarray:
         """Summed per-snapshot probabilities for all M relations."""

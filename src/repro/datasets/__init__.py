@@ -12,7 +12,6 @@ chaining.  See DESIGN.md §2 for the substitution rationale.
 from repro.datasets.synthetic import SyntheticTKGConfig, generate_tkg
 from repro.datasets.registry import (
     DATASET_PROFILES,
-    SCALE_PROFILES,
     TKGDataset,
     dataset_statistics,
     load_dataset,
@@ -25,5 +24,4 @@ __all__ = [
     "load_dataset",
     "dataset_statistics",
     "DATASET_PROFILES",
-    "SCALE_PROFILES",
 ]

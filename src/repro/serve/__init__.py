@@ -58,6 +58,7 @@ from repro.serve.server import (
     ModelServer,
     ServeConfig,
     ServeResponse,
+    select_topk,
     topk_entities,
 )
 from repro.serve.snapshots import (
@@ -96,6 +97,7 @@ __all__ = [
     "ModelServer",
     "ServeConfig",
     "ServeResponse",
+    "select_topk",
     "topk_entities",
     "EmbeddingSnapshot",
     "SnapshotStore",

@@ -48,7 +48,6 @@ import numpy as np
 from repro.graph import Snapshot
 from repro.obs import SCHEMA_VERSION, MetricsRegistry, RunReporter, SLODef, SLOEngine
 from repro.obs.tracing import Span, SpanCollector
-from repro.scale import get_scorer, select_topk
 from repro.serve.batcher import (
     DeadlineExceeded,
     MicroBatcher,
@@ -179,7 +178,6 @@ class ModelServer:
         registry: Optional[MetricsRegistry] = None,
         clock=time.monotonic,
         fault_injector=None,
-        scorer=None,
     ):
         self.model = model
         self.adapter = adapter
@@ -188,9 +186,6 @@ class ModelServer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.clock = clock
         self.fault_injector = fault_injector
-        # Candidate-scoring strategy for the decode path (repro.scale);
-        # None keeps the legacy dense matmul, bit for bit.
-        self.scorer = get_scorer(scorer)
         self.store = SnapshotStore()
         self.counters = _Counters()
         self._model_lock = threading.RLock()
@@ -450,7 +445,7 @@ class ModelServer:
             self.fault_injector.on_score_batch(index)
         snapshot, _ = self.store.current()
         with self._model_lock:
-            return score_entities(self.model, snapshot, rows, scorer=self.scorer)
+            return score_entities(self.model, snapshot, rows)
 
     def _deadline_for(self, deadline_ms: Optional[float], request_index: int) -> float:
         budget_ms = (
@@ -487,8 +482,8 @@ class ModelServer:
         )
         if response.ok:
             scores = response.scores[0]
-            # Deterministic selection shared with the scorer seam:
-            # descending score, ties broken by ascending entity id.
+            # Deterministic selection: descending score, ties broken
+            # by ascending entity id.
             order = select_topk(scores, k)
             response.topk_entities = order
             response.topk_scores = scores[order]
@@ -918,12 +913,38 @@ class ModelServer:
         return clean
 
 
+def select_topk(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest scores, deterministically ordered.
+
+    Descending score, ties broken by ascending index — the same order a
+    stable full sort on ``(-score, index)`` yields, but computed with an
+    ``O(C)`` partition plus an ``O(k log k)`` sort of the survivors.
+    Boundary ties at the k-th value are resolved by smallest index, so
+    the result never depends on ``argpartition``'s internal pivot walk.
+    """
+    s = np.asarray(scores)
+    if s.ndim != 1:
+        raise ValueError(f"select_topk expects a 1-D score vector, got shape {s.shape}")
+    k = int(k)
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    n = s.shape[0]
+    if k >= n:
+        return np.lexsort((np.arange(n), -s)).astype(np.int64)
+    partition = np.argpartition(-s, k - 1)
+    threshold = s[partition[k - 1]]
+    above = np.nonzero(s > threshold)[0]
+    at_threshold = np.nonzero(s == threshold)[0]  # ascending index already
+    take = np.concatenate([above, at_threshold[: k - above.size]])
+    order = np.lexsort((take, -s[take]))
+    return take[order].astype(np.int64)
+
+
 def topk_entities(scores: np.ndarray, k: int) -> List[int]:
     """Utility: indices of the ``k`` best candidates of one score row.
 
-    Routes through :func:`repro.scale.select_topk`, the same
-    deterministic selection the serving ``topk`` endpoint and the top-k
-    scorer strategy use (ties broken by ascending entity id, not by the
-    sort algorithm's internals).
+    Routes through :func:`select_topk`, the same deterministic selection
+    the serving ``topk`` endpoint uses (ties broken by ascending entity
+    id, not by the sort algorithm's internals).
     """
     return list(select_topk(np.asarray(scores), k))

@@ -26,7 +26,6 @@ publish — an invariant ``scripts/check_run_health.py`` replays over the
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -65,19 +64,12 @@ def capture(
     ts: int,
     version: int,
     clock: Callable[[], float] = time.monotonic,
-    spill_dir: Optional[str] = None,
 ) -> EmbeddingSnapshot:
     """Run the encoder once and freeze the evolved stacks for ``ts``.
 
     The caller is responsible for holding whatever lock protects the
     model against concurrent parameter updates; this function only
     guarantees the *returned* snapshot is decoupled (data copied).
-
-    With ``spill_dir``, each frozen stack is written to a ``.npy`` table
-    there (via :class:`repro.scale.EmbeddingStore`) and the snapshot's
-    tensors wrap lazy read-only memmaps instead of RAM copies — the
-    large-vocabulary serving shape, where the query path reads candidate
-    rows straight off disk pages.
     """
     history = model.history_before(ts)
     was_training = getattr(model, "training", False)
@@ -90,26 +82,18 @@ def capture(
         if was_training and hasattr(model, "train"):
             model.train()
 
-    def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
-        if spill_dir is None:
-            table = tensor.data.copy()
-        else:
-            from repro.scale import EmbeddingStore
-
-            path = os.path.join(spill_dir, f"{kind}_v{int(version)}_t{index}.npy")
-            table = EmbeddingStore.save(path, tensor.data).data
+    def _freeze(tensor: Tensor) -> Tensor:
+        table = tensor.data.copy()
         # Construct under the table's own dtype so a float32 model
-        # publishes float32 stacks, and a spilled memmap is wrapped
-        # without copying: rows then load lazily as the decoder
-        # gathers them.
+        # publishes float32 stacks.
         with DtypePolicy(table.dtype):
             return Tensor(table)
 
     return EmbeddingSnapshot(
         ts=int(ts),
         version=int(version),
-        entity_list=tuple(_freeze("entity", i, t) for i, t in enumerate(entity_list)),
-        relation_list=tuple(_freeze("relation", i, t) for i, t in enumerate(relation_list)),
+        entity_list=tuple(_freeze(t) for t in entity_list),
+        relation_list=tuple(_freeze(t) for t in relation_list),
         history_times=tuple(int(s.time) for s in history),
         created_at=clock(),
     )
@@ -172,45 +156,25 @@ class SnapshotStore:
             }
 
 
-def score_entities(model, snapshot: EmbeddingSnapshot, queries, scorer=None) -> "np.ndarray":
+def score_entities(model, snapshot: EmbeddingSnapshot, queries) -> "np.ndarray":
     """Decoder-only entity scores ``(B, N)`` from a frozen snapshot.
 
     Reuses the model's no-grad time-variability decode
     (:meth:`~repro.core.decoder.ConvTransE.summed_probabilities`)
     against the frozen stacks, exactly as ``predict_entities`` does.
     The caller must hold the model lock — the decoder weights are live.
-
-    ``scorer`` (a :class:`repro.scale.CandidateScorer` or spec string)
-    swaps the candidate pass onto the scorer seam: query representations
-    come from the same stacked decoder pass, but candidate scoring
-    streams through the strategy — the route that keeps memory bounded
-    when the snapshot's entity stacks are memmap-backed.  ``None``
-    keeps the legacy dense matmul, bit for bit.
     """
     import numpy as np  # local: keep module import cost off the hot path
 
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-    entity_list = list(snapshot.entity_list)
-    relation_list = list(snapshot.relation_list)
     was_training = getattr(model, "training", False)
     if hasattr(model, "eval"):
         model.eval()
     try:
-        if scorer is None:
-            with no_grad(), model._dtype_policy:
-                return model._summed_entity_probabilities(entity_list, relation_list, queries)
-        from repro.scale import get_scorer
-
-        strategy = get_scorer(scorer)
-        if not model.config.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         with no_grad(), model._dtype_policy:
-            # Per-stack row gathers (not F.stack) so memmap-backed
-            # snapshots never load their full tables for the query side.
-            subj = Tensor(np.stack([e.data[queries[:, 0]] for e in entity_list]))
-            rel = Tensor(np.stack([r.data[queries[:, 1]] for r in relation_list]))
-            reps = model.entity_decoder.queries_stacked(subj, rel).data
-        return strategy.sum_probs(reps, [t.data for t in entity_list])
+            return model._summed_entity_probabilities(
+                list(snapshot.entity_list), list(snapshot.relation_list), queries
+            )
     finally:
         if was_training and hasattr(model, "train"):
             model.train()

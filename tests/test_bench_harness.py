@@ -31,7 +31,7 @@ from repro.bench.history import (
 )
 from repro.bench.measure import MEASUREMENTS, Run, Sample, measure, record
 from repro.bench.runner import METHOD_BUILDERS, ONLINE_METHODS
-from repro.datasets import DATASET_PROFILES, SCALE_PROFILES
+from repro.datasets import DATASET_PROFILES
 
 
 class TestRegistry:
@@ -40,7 +40,7 @@ class TestRegistry:
             assert method in METHOD_BUILDERS
 
     def test_profiles_cover_all_datasets(self):
-        assert set(BENCH_PROFILES) == set(DATASET_PROFILES) | set(SCALE_PROFILES)
+        assert set(BENCH_PROFILES) == set(DATASET_PROFILES)
 
     def test_online_methods_follow_paper(self):
         # The paper reports CEN under the online setting and RETIA always
@@ -224,8 +224,8 @@ class TestSeriesIdentity:
         assert summary["train_step ICEWS14 float32"]["figures"]["step_s"]["min"] == 0.010
 
     def test_label_order_and_type_do_not_split_a_series(self):
-        a = series_key("scale", "X", "float32", {"workers": 2, "scorer": "dense"})
-        b = series_key("scale", "X", "float32", {"scorer": "dense", "workers": "2"})
+        a = series_key("eval", "X", "float32", {"workers": 2, "queries": "all"})
+        b = series_key("eval", "X", "float32", {"queries": "all", "workers": "2"})
         assert a == b
 
     def test_two_series_stay_distinct_in_one_registry(self):
@@ -304,7 +304,6 @@ class TestBaselineFile:
         assert set(baseline) == {
             "train_step ICEWS14 float32",
             "cell ICEWS14 float32",
-            "scale ICEWS-SCALE float32 scorer=blocked:128:8192 workers=2",
         }
         for series in baseline.values():
             for ref in series["figures"].values():
@@ -393,12 +392,8 @@ class TestBenchCli:
 
 @pytest.fixture(scope="module")
 def registry_runs():
-    """Every registry entry measured once on ICEWS14 (``scale`` at 1 worker)."""
-    labels = {"scale": {"workers": 1}}
-    return {
-        name: measure(name, "ICEWS14", repeats=1, **labels.get(name, {}))
-        for name in MEASUREMENTS
-    }
+    """Every registry entry measured once on ICEWS14."""
+    return {name: measure(name, "ICEWS14", repeats=1) for name in MEASUREMENTS}
 
 
 class _VirtualClock:
@@ -429,13 +424,6 @@ class TestMeasurements:
         assert entry["labels"] == run.labels
         assert json.loads(json.dumps(entry)) == entry
 
-    def test_scale_reads_peak_rss_once(self, registry_runs):
-        run = registry_runs["scale"]
-        assert run.labels == {"workers": "1", "scorer": "blocked:128:8192"}
-        pooled = run.pooled(run)
-        assert len(pooled.samples["scale_s"]) == 2
-        assert pooled.samples["peak_rss_mb"] == run.samples["peak_rss_mb"]
-
     @pytest.mark.parametrize("name", sorted(set(MEASUREMENTS) - {"serve"}))
     def test_injected_sleep_lands_in_every_timed_step(self, name, monkeypatch):
         sleep = 0.5
@@ -443,9 +431,8 @@ class TestMeasurements:
         monkeypatch.setattr(bench_measure, "time", types.SimpleNamespace(
             perf_counter=clock.perf_counter, sleep=clock.sleep
         ))
-        labels = {"scale": {"workers": 1}}.get(name, {})
-        clean = measure(name, "ICEWS14", repeats=1, **labels)
-        slowed = measure(name, "ICEWS14", repeats=1, per_step_sleep=sleep, **labels)
+        clean = measure(name, "ICEWS14", repeats=1)
+        slowed = measure(name, "ICEWS14", repeats=1, per_step_sleep=sleep)
         timed = [f for f in slowed.samples if f.endswith("_s")]
         assert timed
         for figure in timed:

@@ -280,6 +280,27 @@ class TestCLI:
         assert f"cannot read checkpoint {path}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("misfit", ["other-vocabulary", "short-embedding"])
+    def test_misfit_checkpoint_is_one_line_and_exit_1(self, tmp_path, capsys, command, misfit):
+        # A YAGO-sized model cannot reveal ICEWS14's history; an archive
+        # one embedding column short cannot load into its own config.
+        dataset = load_dataset("YAGO")
+        config = RETIAConfig(dataset.num_entities, dataset.num_relations, dim=8, num_kernels=4)
+        state = RETIA(config).state_dict()
+        if misfit == "other-vocabulary":
+            name = "ICEWS14"
+        else:
+            name = "YAGO"
+            state["entity_embedding"] = state["entity_embedding"][:, :-1]
+        path = tmp_path / "model.npz"
+        save_checkpoint(str(path), state, config)
+        assert main([command, "--dataset", name, "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"checkpoint {path} does not fit dataset {name}: ")
+        assert "Traceback" not in err
+
     def test_evaluate_loads_checkpoint_with_retired_config_keys(self, tmp_path, capsys):
         # Checkpoints written while the fused-cell and batched-decoder
         # switches existed carry both keys in their config blob.
@@ -357,6 +378,19 @@ class TestCLI:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"invalid repeats: must be >= 1, got {repeats}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bench_rejects_eval_workers_below_one_before_reading_history(
+        self, tmp_path, capsys, workers
+    ):
+        history = tmp_path / "history.jsonl"
+        history.write_text("not json\n")
+        argv = ["bench", "--dataset", "ICEWS14", "--component", "eval", "--gate"]
+        argv += ["--eval-workers", workers, "--history", str(history)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid eval workers: must be >= 1, got {workers}\n"
         assert captured.out == ""
 
     def test_config_from_dict_still_rejects_unknown_keys(self):

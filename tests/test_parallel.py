@@ -9,11 +9,13 @@ too.
 """
 
 import copy
+import importlib.util
 import io
 import os
 import pickle
 import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,11 @@ from repro.parallel import ShardedEvalError, shard_bounds, shard_sequence
 from repro.resilience import GracefulInterrupt
 
 from tests.oracles import reference_diagnose, reference_evaluate
+
+_HEALTH_PATH = Path(__file__).resolve().parent.parent / "scripts" / "check_run_health.py"
+_spec = importlib.util.spec_from_file_location("check_run_health_parallel", _HEALTH_PATH)
+check_run_health = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_run_health)
 
 
 def small_dataset(num_timestamps=14):
@@ -210,7 +217,27 @@ class TestShardedEvaluation:
                 assert [e["worker"] for e in events[:workers]] == list(range(workers))
                 assert all(e["scope"] == "eval" for e in events[:workers])
                 assert sum(e["shards"] for e in events[:workers]) == non_empty
-                assert all(e["scorer"] == "legacy" for e in events)
+
+    def test_reports_carrying_a_scorer_field_stay_healthy(self, splits):
+        # Eval reports written while a candidate-scorer choice existed
+        # tag worker and diagnostic events with its spec; the field is
+        # now ignored, whatever values it holds.
+        train, valid, test = splits
+        buf = io.StringIO()
+        with RunReporter(buf) as reporter:
+            reporter.emit("run_start", schema_version=1, command="diagnose", config={})
+            diagnose_extrapolation(
+                revealed_model(train, valid), test, workers=2, reporter=reporter
+            )
+            reporter.emit("run_end", status="completed", epochs_completed=0)
+        events = read_events(buf.getvalue().splitlines())
+        tagged = [e for e in events if e["event"] in ("worker", "diagnostic")]
+        for event, spec in zip(tagged, ("legacy", "blocked:128:8192", "history:32")):
+            event["scorer"] = spec
+        problems = check_run_health.check_events(
+            events, max_encoder_share=1.0, allowed_statuses={"completed"}
+        )
+        assert problems == []
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ from repro.serve import (
     capture,
     run_drill,
     score_entities,
+    select_topk,
     summarize_responses,
     topk_entities,
 )
@@ -86,17 +87,17 @@ def splits():
     return tiny_dataset()
 
 
-def build_model(seed=0):
+def build_model(seed=0, **overrides):
     return RETIA(
         RETIAConfig(
             num_entities=16, num_relations=3, dim=8, history_length=2,
-            num_kernels=4, seed=seed,
+            num_kernels=4, seed=seed, **overrides,
         )
     )
 
 
-def revealed_model(train, valid, seed=0):
-    model = build_model(seed)
+def revealed_model(train, valid, seed=0, **overrides):
+    model = build_model(seed, **overrides)
     model.set_history(train)
     for ts in valid.timestamps:
         model.record_snapshot(valid.snapshot(int(ts)))
@@ -401,9 +402,40 @@ class TestSnapshotStore:
         model.entity_embedding.data -= 123.0
         np.testing.assert_array_equal(before, after)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_capture_keeps_the_model_dtype(self, splits, dtype):
+        train, valid, _ = splits
+        model = revealed_model(train, valid, dtype=dtype)
+        snapshot = capture(model, int(valid.timestamps[-1]) + 1, version=1)
+        stacks = snapshot.entity_list + snapshot.relation_list
+        assert {t.data.dtype for t in stacks} == {np.dtype(dtype)}
+
     def test_topk_entities_orders_by_score(self):
         scores = np.array([0.1, 0.9, 0.5, 0.7])
         assert topk_entities(scores, 2) == [1, 3]
+
+    def test_topk_selection_matches_full_sort(self):
+        rng = np.random.default_rng(5)
+        # Coarse integer scores force ties at the k-th value.
+        for scores in (rng.normal(size=(8, 37)), rng.integers(0, 4, size=(8, 37)) * 1.0):
+            for row in scores:
+                for k in (1, 4, 36, 37):
+                    reference = np.lexsort((np.arange(row.size), -row))[:k]
+                    assert np.array_equal(select_topk(row, k), reference)
+
+
+class TestSelectTopK:
+    def test_threshold_ties_resolved_by_smallest_index(self):
+        scores = np.array([1.0, 3.0, 3.0, 2.0, 3.0, 0.5])
+        assert np.array_equal(select_topk(scores, 3), [1, 2, 4])
+        assert np.array_equal(select_topk(scores, 4), [1, 2, 4, 3])
+
+    def test_k_bounds(self):
+        scores = np.array([2.0, 1.0, 3.0])
+        assert np.array_equal(select_topk(scores, 10), [2, 0, 1])
+        assert select_topk(scores, 0).size == 0
+        with pytest.raises(ValueError):
+            select_topk(np.zeros((2, 2)), 1)
 
 
 # ----------------------------------------------------------------------
