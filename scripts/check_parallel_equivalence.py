@@ -17,15 +17,15 @@ Two checks, each against the repo's determinism contract (DESIGN.md,
    equivalence check above still gates unconditionally, because the
    contract is about bits, not seconds.
 
-The timings come from the perf registry's ``eval`` series
-(:mod:`repro.bench.measure`) and can be appended to a
-``BENCH_history.jsonl`` trajectory (``--history``), one entry per worker
-count, each its own series for ``repro.cli bench --component eval``.
+Each timing is the minimum over ``--bench-repeats`` wall-clock runs of
+``evaluate_extrapolation(workers=k)`` on a fresh untrained model (the
+cost depends on graph shapes and embedding sizes, not on parameter
+values).
 
 Usage:
     PYTHONPATH=src python scripts/check_parallel_equivalence.py \
         [--dataset YAGO] [--workers 1 2 4] [--min-speedup 1.8] \
-        [--history BENCH_history.jsonl] [--metrics-out parallel_metrics.json]
+        [--bench-repeats 3] [--metrics-out parallel_metrics.json]
 """
 
 from __future__ import annotations
@@ -33,42 +33,31 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
-from repro.bench.measure import measure, record
-from repro.core import RETIA, RETIAConfig
+from repro.bench.runner import revealed_model
 from repro.datasets import load_dataset
 from repro.eval import diagnose_extrapolation, evaluate_extrapolation, known_entities_of
 from repro.obs import MetricsRegistry
 
-
-def revealed_model(dataset, seed: int) -> RETIA:
-    model = RETIA(
-        RETIAConfig(
-            num_entities=dataset.num_entities,
-            num_relations=dataset.num_relations,
-            dim=16,
-            history_length=3,
-            num_kernels=8,
-            seed=seed,
-        )
-    )
-    model.set_history(dataset.train)
-    for ts in dataset.valid.timestamps:
-        model.record_snapshot(dataset.valid.snapshot(int(ts)))
-    model.eval()
-    return model
+#: The one model configuration of every timing (as ``benchmarks/e2e``).
+DTYPE = "float32"
 
 
 def check_eval_equivalence(dataset, worker_counts, seed: int) -> bool:
     known = known_entities_of(dataset.train, dataset.valid)
 
     def evaluate(workers):
-        return evaluate_extrapolation(revealed_model(dataset, seed), dataset.test, workers=workers)
+        model = revealed_model(dataset, seed=seed, dtype=DTYPE)
+        return evaluate_extrapolation(model, dataset.test, workers=workers)
 
     def diagnose(workers):
         return diagnose_extrapolation(
-            revealed_model(dataset, seed), dataset.test, known_entities=known, workers=workers
+            revealed_model(dataset, seed=seed, dtype=DTYPE),
+            dataset.test,
+            known_entities=known,
+            workers=workers,
         ).to_dict()
 
     serial, serial_diag = evaluate(1), diagnose(1)
@@ -81,6 +70,17 @@ def check_eval_equivalence(dataset, worker_counts, seed: int) -> bool:
         print(f"  eval workers={workers}: aggregate+diagnostics {status}")
         ok = ok and agg_match and diag_match
     return ok
+
+
+def eval_seconds(dataset, workers: int, seed: int, repeats: int) -> float:
+    """Minimum wall-clock seconds of one evaluation pass at ``workers``."""
+    best = float("inf")
+    for _ in range(repeats):
+        model = revealed_model(dataset, seed=seed, dtype=DTYPE)
+        start = time.perf_counter()
+        evaluate_extrapolation(model, dataset.test, workers=workers)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def main() -> int:
@@ -96,14 +96,16 @@ def main() -> int:
         help="required eval speedup of max-workers over 1 worker "
              "(waived when the machine has fewer cores than workers)",
     )
-    parser.add_argument("--bench-repeats", type=int, default=3)
     parser.add_argument(
-        "--history", help="append per-worker eval timings to this BENCH_history.jsonl"
+        "--bench-repeats", type=int, default=3, help="timed passes per worker count"
     )
     parser.add_argument(
         "--metrics-out", help="write measurements as MetricsRegistry JSON here"
     )
     args = parser.parse_args()
+    if args.bench_repeats < 1:
+        print(f"invalid bench repeats: must be >= 1, got {args.bench_repeats}", file=sys.stderr)
+        return 2
 
     dataset = load_dataset(args.dataset)
     cpus = os.cpu_count() or 1
@@ -120,13 +122,11 @@ def main() -> int:
 
     print(f"eval speedup (min-of-{args.bench_repeats} per worker count):")
     timings = {}
+    pass_gauge = registry.gauge("eval_pass_seconds", help="min wall-clock of one eval pass")
     for workers in sorted(set(args.workers) | {1}):
-        run = measure(
-            "eval", args.dataset, repeats=args.bench_repeats, seed=args.seed, workers=workers
-        )
-        record(run, registry, history_path=args.history)
-        timings[workers] = min(run.samples["eval_s"])
-        print(f"  workers={workers}: {timings[workers] * 1000:.2f} ms/step")
+        timings[workers] = eval_seconds(dataset, workers, args.seed, args.bench_repeats)
+        pass_gauge.set(timings[workers], workers=str(workers), dataset=args.dataset)
+        print(f"  workers={workers}: {timings[workers] * 1000:.1f} ms/pass")
     top = max(timings)
     speedup = timings[1] / timings[top] if timings[top] > 0 else float("inf")
     waived = cpus < top

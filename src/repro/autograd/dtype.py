@@ -10,7 +10,7 @@ a large GEMM speedup on CPU — can be switched on per run or per model.
 Two usage styles:
 
 * process-wide — ``set_default_dtype("float32")`` (what the CLI's
-  ``--dtype`` flag does for a whole train/evaluate/bench run);
+  ``--dtype`` flag does for a whole train/evaluate/serve run);
 * scoped — ``with DtypePolicy("float32"): ...`` (what :class:`RETIA`
   wraps its constructor and forward entry points in, so models of
   different dtypes coexist in one process, e.g. the float32-vs-float64

@@ -287,8 +287,8 @@ def revealed_model(dataset: TKGDataset, *, seed: int, dtype: str) -> RETIA:
     """An untrained bench-profile RETIA with train+valid history, in eval mode.
 
     Scoring and serving cost depend on history shape and embedding
-    sizes, not on parameter values, so the eval and serve perf
-    series and ``repro.cli serve`` skip training.
+    sizes, not on parameter values, so ``repro.cli serve`` and the
+    timings of ``scripts/check_parallel_equivalence.py`` skip training.
     """
     config = build_retia_config(dataset, BENCH_PROFILES[dataset.name], seed=seed, dtype=dtype)
     model = RETIA(config)

@@ -7,7 +7,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli train --dataset ICEWS14 --checkpoint-dir runs/a --resume
     python -m repro.cli evaluate --dataset ICEWS14 --checkpoint model.npz
     python -m repro.cli diagnose --dataset ICEWS14 --checkpoint model.npz
-    python -m repro.cli bench --dataset ICEWS14 --history BENCH_history.jsonl --gate
     python -m repro.cli hypergraph --dataset YAGO --time 3
     python -m repro.cli drill --dataset YAGO --fault kill --at-batch 5
 
@@ -22,14 +21,9 @@ eval / checkpoint / non-finite skip) that ``report`` reconstructs and
 model and runs the paper's test protocol (optionally with online
 continuous training).  ``diagnose`` decomposes that protocol into
 per-relation / per-timestamp / seen-unseen views with a bounded rank
-histogram.  ``bench`` measures one series of the perf registry
-(:mod:`repro.bench.measure`), appends it to a ``BENCH_history.jsonl``
-trajectory and (``--gate``) judges it against that history or
-``benchmarks/baseline.json``, re-measuring once before it calls a
-straddling result inconclusive.  ``drill`` runs
-the fault-injection harness (NaN loss, mid-run kill, checkpoint
-corruption) against a short training run and reports whether the
-runtime recovered.
+histogram.  ``drill`` runs the fault-injection harness (NaN loss,
+mid-run kill, checkpoint corruption) against a short training run and
+reports whether the runtime recovered.
 """
 
 from __future__ import annotations
@@ -114,24 +108,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid model config: {exc}", file=sys.stderr)
         return 2
+    try:
+        resilience = ResilienceConfig(
+            checkpoint_dir=args.checkpoint_dir,
+            keep=args.keep,
+            checkpoint_every_batches=args.checkpoint_every,
+        )
+        trainer_config = TrainerConfig(epochs=args.epochs, patience=args.patience, seed=args.seed)
+        probes = ProbeConfig(every_batches=args.probe_every) if args.probe_every else None
+    except ValueError as exc:
+        print(f"invalid training config: {exc}", file=sys.stderr)
+        return 2
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
     model = RETIA(config)
-    resilience = ResilienceConfig(
-        checkpoint_dir=args.checkpoint_dir,
-        keep=args.keep,
-        checkpoint_every_batches=args.checkpoint_every,
-    )
     reporter = RunReporter(args.run_report) if args.run_report else None
-    probes = ProbeConfig(every_batches=args.probe_every) if args.probe_every else None
     trainer = Trainer(
         model,
-        TrainerConfig(
-            epochs=args.epochs,
-            patience=args.patience,
-            seed=args.seed,
-        ),
+        trainer_config,
         resilience=resilience,
         reporter=reporter,
         probes=probes,
@@ -219,6 +214,11 @@ def _close_eval_report(reporter, status: str) -> None:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.parallel import ShardedEvalError
 
+    try:
+        online_config = TrainerConfig(online_steps=args.online_steps)
+    except ValueError as exc:
+        print(f"invalid evaluation config: {exc}", file=sys.stderr)
+        return 2
     dataset, model = _load_eval_model(args)
     if model is None:
         return 1
@@ -226,7 +226,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     status = "failed"
     try:
         if args.online:
-            trainer = Trainer(model, TrainerConfig(online_steps=args.online_steps))
+            trainer = Trainer(model, online_config)
             target = trainer.online_adapter(reporter=reporter)
         else:
             target = model
@@ -288,94 +288,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     else:
         print(format_diagnostics(report, top=args.top))
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Measure one registry series, gate it, record it.
-
-    Exit codes: 0 ok (or not gated), 1 regressed, 2 bad ``--repeats`` or
-    ``--eval-workers``, or unusable history or baseline file, 3
-    inconclusive after one re-measure.
-    """
-    if args.repeats < 1:
-        print(f"invalid repeats: must be >= 1, got {args.repeats}", file=sys.stderr)
-        return 2
-    if args.eval_workers is not None and args.eval_workers < 1:
-        print(f"invalid eval workers: must be >= 1, got {args.eval_workers}", file=sys.stderr)
-        return 2
-    from repro.bench.history import (
-        STRADDLES,
-        HistoryError,
-        judge,
-        load_baseline,
-        read_history,
-        update_baseline,
-        write_summary,
-    )
-    from repro.bench.measure import MEASUREMENTS, measure, record
-    from repro.obs import MetricsRegistry
-
-    labels = (
-        {"workers": args.eval_workers}
-        if "workers" in MEASUREMENTS[args.component].labels and args.eval_workers is not None
-        else {}
-    )
-    try:
-        history = read_history(args.history) if args.history else []
-        baseline = load_baseline() if args.gate else {}
-    except HistoryError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 2
-
-    def run_once():
-        run = measure(
-            args.component,
-            args.dataset,
-            repeats=args.repeats,
-            seed=args.seed,
-            per_step_sleep=args.inject_sleep_ms / 1000.0,
-            **labels,
-        )
-        for figure, values in run.samples.items():
-            shown = ", ".join(f"{v:.4g}" for v in values)
-            print(f"{run.name} {figure}: {shown}")
-        return run
-
-    run = run_once()
-    status_code = 0
-    if args.gate:
-        verdict = judge(run.key, run.samples, history, baseline)
-        if verdict.status == STRADDLES:
-            print(f"{verdict}\nre-measuring once and judging the pooled samples")
-            run = run.pooled(run_once())
-            verdict = judge(run.key, run.samples, history, baseline, pooled=True)
-        print(verdict)
-        status_code = verdict.exit_code
-    for figure, stats in run.stats().items():
-        print(
-            f"{figure}: min {stats['min']:.4g}  median {stats['median']:.4g}  "
-            f"MAD {stats['mad']:.3g}  over {len(run.samples[figure])} sample(s)"
-        )
-    registry = MetricsRegistry()
-    record(run, registry, history_path=None if args.dry_run else args.history)
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(registry.to_json() + "\n")
-        print(f"metrics written to {args.metrics_out}")
-    if args.history and not args.dry_run:
-        entries = read_history(args.history)
-        print(f"1 entry appended to {args.history} ({len(entries)} total)")
-        if args.summary:
-            write_summary(args.summary, entries)
-            print(f"summary written to {args.summary}")
-    if args.update_baseline:
-        try:
-            update_baseline(run)
-        except HistoryError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 2
-        print(f"baseline updated for {run.name} {run.dataset} {run.dtype}")
-    return status_code
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -868,59 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         "is bit-identical for every worker count)",
     )
     diagnose.set_defaults(handler=cmd_diagnose)
-
-    bench = commands.add_parser(
-        "bench", help="measure a perf series and gate it against history or baseline"
-    )
-    _add_dataset_argument(bench)
-    bench.add_argument(
-        "--component",
-        choices=("train_step", "cell", "eval", "serve"),
-        default="train_step",
-        help="which registry series to measure (train_step: encoder, decoder "
-        "and full training step; cell: the recurrent-cell micro-benchmark; "
-        "eval: the evaluation protocol at --eval-workers; serve: the clean "
-        "`repro.cli serve` drill, 160 requests at 400 qps, gated on mean "
-        "query latency)",
-    )
-    bench.add_argument(
-        "--eval-workers",
-        type=int,
-        default=None,
-        help="worker count for --component eval (default 1); each worker "
-        "count is its own series",
-    )
-    bench.add_argument("--repeats", type=int, default=3, help="timed repeats per run")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--history", help="BENCH_history.jsonl trajectory to read/append")
-    bench.add_argument("--summary", help="also write a rolling per-series summary JSON here")
-    bench.add_argument(
-        "--gate",
-        action="store_true",
-        help="judge the run against its series' history (x1.2 over the "
-        "window minimum) or benchmarks/baseline.json: exit 1 on a "
-        "regression, 3 when still inconclusive after one re-measure",
-    )
-    bench.add_argument(
-        "--inject-sleep-ms",
-        type=float,
-        default=0.0,
-        help="inject a per-step sleep (CI drill proving the gate fires)",
-    )
-    bench.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="measure and gate but do not append to the history",
-    )
-    bench.add_argument(
-        "--metrics-out", help="write the run's bench_figure gauges as MetricsRegistry JSON"
-    )
-    bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the run's per-figure minimum into benchmarks/baseline.json",
-    )
-    bench.set_defaults(handler=cmd_bench)
 
     report = commands.add_parser(
         "report", help="summarise a JSONL run report written by train --run-report"

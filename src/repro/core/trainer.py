@@ -63,6 +63,10 @@ class TrainerConfig:
     online_lr: float = 1e-3
     seed: int = 0
 
+    def __post_init__(self):
+        if self.online_steps < 1:
+            raise ValueError(f"online_steps must be >= 1, got {self.online_steps}")
+
 
 @dataclass
 class EpochLog:

@@ -1,8 +1,8 @@
 """Run-wide observability: metrics, span tracing and JSONL run reports.
 
 Dependency-free layers, designed so that *uninstrumented* code
-pays nothing (the hot-path contract the ``train_step`` perf series
-gates, ``repro.cli bench``):
+pays nothing (the hot-path contract the end-to-end benchmark,
+``benchmarks/e2e``, measures):
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms with labeled series and one JSON

@@ -49,8 +49,6 @@ EVENT_SCHEMAS: Dict[str, tuple] = {
     "nonfinite_skip": ("epoch", "global_batch", "stage"),
     # Online continuous training.
     "observe": ("time", "facts", "steps", "skips"),
-    # Benchmark measurements (MetricsRegistry dumps ride in ``metrics``).
-    "bench": ("name", "metrics"),
     # Sharded evaluation: one per worker slot per batch run; ``scope``
     # is always "eval".
     "worker": ("scope", "worker", "shards", "seconds"),

@@ -74,6 +74,14 @@ class ResilienceConfig:
     backoff_factor: float = 0.5
     min_lr: float = 1e-6
 
+    def __post_init__(self):
+        if self.keep < 1:
+            raise ValueError(f"keep must be >= 1, got {self.keep}")
+        if self.checkpoint_every_batches < 0:
+            raise ValueError(
+                f"checkpoint_every_batches must be >= 0, got {self.checkpoint_every_batches}"
+            )
+
     def sentinel_config(self) -> SentinelConfig:
         return SentinelConfig(
             backoff_patience=self.backoff_patience,

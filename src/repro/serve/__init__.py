@@ -19,9 +19,8 @@ See DESIGN.md §8 for the serve robustness contract and the README
 * :mod:`repro.serve.server` — :class:`ModelServer` composing the above
   with a supervised refresh worker, probes and drain;
 * :mod:`repro.serve.loadgen` — open-loop Poisson traffic, its SLO
-  summary and :func:`run_drill`, the one serve drill that both
-  ``repro.cli serve`` and the ``serve`` series of ``repro.cli bench``
-  run.
+  summary and :func:`run_drill`, the one serve drill, which
+  ``repro.cli serve`` runs.
 """
 
 from repro.serve.batcher import (

@@ -13,9 +13,7 @@ requests — the number the CI ``serve-chaos`` job gates at 99%).
 :func:`run_drill` is the whole drill — server boot with the drill's one
 :class:`~repro.serve.ServeConfig` and online adapter, loadgen, optional
 :func:`default_chaos_plan` with its half-open recovery probe, drain.
-``repro.cli serve`` and the ``serve`` series of the perf registry
-(:mod:`repro.bench.measure`, gated on the mean OK-query latency) both
-run it.
+``repro.cli serve`` runs it.
 """
 
 from __future__ import annotations
@@ -289,8 +287,8 @@ def summarize_responses(
         "qps": total / wall_seconds if wall_seconds > 0 else float("nan"),
         "serve_p50_seconds": p50,
         "serve_p99_seconds": p99,
-        # Mean OK-query latency: the bench gate's figure (stable,
-        # compute-dominated, unlike the order statistics above).
+        # Mean OK-query latency: stable and compute-dominated, unlike
+        # the order statistics above.
         "serve_mean_seconds": mean_latency,
         "max_staleness": max((r.staleness for r in responses), default=0),
     }

@@ -367,31 +367,39 @@ class TestCLI:
         assert captured.out == ""
         assert not report.exists()
 
-    @pytest.mark.parametrize("repeats", ["0", "-3"])
-    def test_bench_rejects_repeats_below_one_before_reading_history(
-        self, tmp_path, capsys, repeats
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--keep", "0", "--checkpoint-dir", "{tmp}/runs"],
+             "invalid training config: keep must be >= 1, got 0"),
+            (["train", "--checkpoint-every", "-1"],
+             "invalid training config: checkpoint_every_batches must be >= 0, got -1"),
+            (["train", "--probe-every", "-2"],
+             "invalid training config: every_batches must be >= 1"),
+            (["evaluate", "--checkpoint", "{tmp}/model.npz", "--online", "--online-steps", "-1"],
+             "invalid evaluation config: online_steps must be >= 1, got -1"),
+        ],
+        ids=["keep", "checkpoint-every", "probe-every", "online-steps"],
+    )
+    def test_out_of_range_run_options_exit_2_before_any_work(
+        self, tmp_path, capsys, argv, message
     ):
-        history = tmp_path / "history.jsonl"
-        history.write_text("not json\n")
-        argv = ["bench", "--dataset", "ICEWS14", "--component", "train_step", "--gate"]
-        argv += ["--repeats", repeats, "--history", str(history)]
+        out = tmp_path / "model.npz"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        argv[1:1] = ["--dataset", "ICEWS14"]
+        if argv[0] == "train":
+            argv += ["--epochs", "1", "--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"invalid repeats: must be >= 1, got {repeats}\n"
+        assert captured.err == f"{message}\n"
         assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_bench_rejects_eval_workers_below_one_before_reading_history(
-        self, tmp_path, capsys, workers
-    ):
-        history = tmp_path / "history.jsonl"
-        history.write_text("not json\n")
-        argv = ["bench", "--dataset", "ICEWS14", "--component", "eval", "--gate"]
-        argv += ["--eval-workers", workers, "--history", str(history)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"invalid eval workers: must be >= 1, got {workers}\n"
-        assert captured.out == ""
+    def test_bench_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dataset", "ICEWS14"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_config_from_dict_still_rejects_unknown_keys(self):
         blob = asdict(RETIAConfig(4, 2))

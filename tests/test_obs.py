@@ -280,7 +280,6 @@ def _one_of_each_event(reporter):
     reporter.emit("checkpoint", path="ckpt/epoch1.npz", epoch=1, global_batch=4, kind="epoch")
     reporter.emit("nonfinite_skip", epoch=1, global_batch=2, stage="loss")
     reporter.emit("observe", time=9, facts=17, steps=3, skips=0)
-    reporter.emit("bench", name="encoder", metrics={"metrics": []})
     reporter.emit("worker", scope="eval", worker=0, shards=3, seconds=0.05)
     reporter.emit(
         "probe",

@@ -651,6 +651,25 @@ class TestChaosLadder:
         )
         assert check_events(events) == []
 
+    def test_slow_batches_stall_every_query_they_serve(self, splits):
+        _, _, test = splits
+        # One stall per decoder micro-batch: each sequential query waits
+        # out its own batch's stall, and nothing else is injected.
+        injector = ServeFaultInjector(slow_batch_every=1, slow_batch_seconds=0.05)
+        server = make_server(splits, fault_injector=injector)
+        try:
+            server.start(ts=int(test.timestamps[0]))
+            responses = [server.score(np.array([[0, 1]])) for _ in range(3)]
+        finally:
+            assert server.drain()
+        assert all(r.ok and r.latency_ms >= 50.0 for r in responses)
+        assert injector.summary() == {
+            "refresh_failures_injected": 0,
+            "injected_nans": 0,
+            "stalls_injected": 3,
+            "skews_injected": 0,
+        }
+
     def test_skewed_deadline_is_rejected_not_served(self, splits):
         _, _, test = splits
         # Skew larger than the whole budget: the request cannot make its
