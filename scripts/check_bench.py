@@ -21,6 +21,14 @@ failed share of operations exceeds base's; 3 when rows are only
 unresolved; 2 on unusable input (a workload with fewer than two runs on
 a side); 0 otherwise.  ``--history PATH`` appends one JSON line per
 workload with head's median and quartiles per end-to-end metric.
+
+``--claim WORKLOAD/METRIC`` (repeatable) also tests a claimed gain.  The
+runs of each side are put in run order (the ``time.time_ns()`` in each
+result file's name) and paired, base run i with head run i.  The claim
+holds when head is better in at least nine of every ten pairs (a tie
+counts for neither side) and head's median beats base's by more than
+base's own quartile distance.  It needs at least ten pairs and as many
+runs on each side (exit 2 otherwise); a claim that does not hold exits 1.
 """
 
 from __future__ import annotations
@@ -36,12 +44,24 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
 from agree import load, quartiles  # noqa: E402
 
 
+#: A claimed gain needs this many pairs, and head winning this share of them.
+CLAIM_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
+
+
+def run_order(path: Path) -> int:
+    """The ``time.time_ns()`` that ``run.py`` puts last in a result file's name."""
+    try:
+        return int(path.stem.rsplit(".", 1)[1])
+    except (IndexError, ValueError):
+        raise ValueError(f"{path.name} is not named like a run.py result") from None
+
+
 def outcomes(directory: Path) -> dict:
-    """``{workload: [record]}`` over the untraced result files."""
+    """``{workload: [record]}`` over the untraced result files, in run order."""
     runs: dict = {}
-    for path in sorted(directory.glob("*.json")):
-        if path.name.endswith(".trace.json"):
-            continue
+    paths = [p for p in directory.glob("*.json") if not p.name.endswith(".trace.json")]
+    for path in sorted(paths, key=run_order):
         record = json.loads(path.read_text())
         if not record.get("trace"):
             runs.setdefault(record["workload"], []).append(record)
@@ -69,14 +89,34 @@ def row_verdict(base, head, bound: float, sign: int) -> str:
     return "worse" if min(changes) > bound else "unresolved"
 
 
+def claim_verdict(base, head, sign: int) -> tuple:
+    """``(holds, summary)`` of a claimed gain over run-ordered pairs."""
+    wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
+    (b1, b2, b3), (_, h2, _) = quartiles(base), quartiles(head)
+    holds = wins >= CLAIM_WIN_SHARE * len(base) and sign * (b2 - h2) > b3 - b1
+    summary = (
+        f"head won {wins}/{len(base)} pairs, median {b2:.4g} -> {h2:.4g}, "
+        f"base IQR {b3 - b1:.4g}"
+    )
+    return holds, summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_dir", type=Path)
     parser.add_argument("head_dir", type=Path)
     parser.add_argument("--history", help="append head's per-workload summary lines here")
+    parser.add_argument(
+        "--claim",
+        action="append",
+        default=[],
+        metavar="WORKLOAD/METRIC",
+        help="also require a gain on this end-to-end metric (repeatable)",
+    )
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     try:
         base, head = load(args.base_dir), load(args.head_dir)
         base_runs, head_runs = outcomes(args.base_dir), outcomes(args.head_dir)
@@ -85,6 +125,18 @@ def main(argv=None) -> int:
                 for metric in spec["end_to_end"]:
                     if len(rows.get((workload, metric["name"]), [])) < 2:
                         raise ValueError(f"{side} has < 2 runs of {workload} {metric['name']}")
+        claims = []
+        for claim in args.claim:
+            workload, _, name = claim.partition("/")
+            if workload not in workloads or name not in metrics:
+                raise ValueError(f"claim {claim!r} names no benchmark workload/metric")
+            counts = len(base_runs[workload]), len(head_runs[workload])
+            if counts[0] != counts[1] or counts[0] < CLAIM_PAIRS:
+                raise ValueError(
+                    f"claim {claim} needs >= {CLAIM_PAIRS} runs on each side, as many "
+                    f"on both; got base {counts[0]}, head {counts[1]}"
+                )
+            claims.append((claim, workload, metrics[name]))
     except (OSError, ValueError, KeyError) as exc:
         print(f"unusable input: {exc}", file=sys.stderr)
         return 2
@@ -125,6 +177,16 @@ def main(argv=None) -> int:
                 "metrics": summary,
             }
         )
+
+    for claim, workload, metric in claims:
+        values = [
+            [run["metrics"][metric["name"]]["value"] for run in side[workload]]
+            for side in (base_runs, head_runs)
+        ]
+        holds, summary = claim_verdict(*values, 1 if metric["better"] == "lower" else -1)
+        print(f"claim {claim}: {summary} {metric['unit']}: {'met' if holds else 'not met'}")
+        if not holds:
+            problems.append(f"claim {claim} not met")
 
     if args.history:
         with open(args.history, "a", encoding="utf-8") as fh:

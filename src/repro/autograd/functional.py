@@ -211,14 +211,19 @@ def rrelu(
 
     In training the negative slope is sampled per element from
     ``U(lower, upper)``; in evaluation the mean slope is used, matching
-    the PyTorch semantics.
+    the PyTorch semantics.  Both bounds must lie in ``[0, 1]``: the
+    slope is then the branch-free ``max(x > 0, neg_slope)``, equal to
+    selecting 1 or ``neg_slope`` but without ``np.where``'s cost.
     """
+    if not (0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0):
+        raise ValueError(f"rrelu slopes must lie in [0, 1], got ({lower}, {upper})")
+    dtype = x.data.dtype
     if training:
         rng = rng or np.random.default_rng()
-        neg_slope = rng.uniform(lower, upper, size=x.data.shape)
+        neg_slope = rng.uniform(lower, upper, size=x.data.shape).astype(dtype)
+        slope = np.maximum(x.data > 0, neg_slope, out=neg_slope)
     else:
-        neg_slope = (lower + upper) / 2.0
-    slope = np.where(x.data > 0, 1.0, neg_slope).astype(x.data.dtype)
+        slope = np.maximum(x.data > 0, dtype.type((lower + upper) / 2.0), dtype=dtype)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -422,13 +427,13 @@ def _sigmoid_(z: np.ndarray) -> np.ndarray:
     The reference evaluates ``1/(1+exp(-z))`` where ``z >= 0`` and
     ``exp(z)/(1+exp(z))`` elsewhere via masked assignment.  Both
     branches feed ``e = exp(-|z|)`` into ``1/(1+e)`` resp. ``e/(1+e)``,
-    so the same values fall out of a branch-free select — which avoids
-    the reference's four fancy-indexing passes (the expensive part at
-    gate-buffer sizes).
+    so the same values fall out of one division whose numerator is
+    ``max(e, z >= 0)``: ``e <= 1`` makes it 1 where ``z >= 0`` and ``e``
+    elsewhere (NaN stays NaN).  A ufunc, not a select — no fancy
+    indexing and no ``np.where``, both expensive at gate-buffer sizes.
     """
-    pos = z >= 0
     e = np.exp(-np.abs(z))
-    np.divide(np.where(pos, 1.0, e), 1.0 + e, out=z)
+    np.divide(np.maximum(e, z >= 0), 1.0 + e, out=z)
     return z
 
 

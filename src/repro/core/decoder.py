@@ -10,7 +10,9 @@ projected query vector with all candidate embeddings.
 
 from __future__ import annotations
 
-from typing import Optional
+import contextlib
+import threading
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -23,6 +25,62 @@ from repro.utils import seeded_rng
 #: covers (all T snapshots of its rows): about 1 MB, so the in-place passes
 #: over a block run in cache.
 SUM_BLOCK_BYTES = 1 << 20
+
+
+class LogitWorkspace:
+    """Grow-only scratch for the no-grad decode's ``(T, B, C)`` logits.
+
+    One flat buffer per dtype, grown to the largest request seen and
+    never shrunk, so a pass over many timestamps reuses one allocation
+    (and its already-faulted pages) instead of paying for a fresh
+    ``T·B·C`` array at every timestamp.  A buffer is removed from the
+    free map while :meth:`hold` lends it out, so a second thread
+    decoding at the same time gets a fresh array and no two callers ever
+    share memory.
+    """
+
+    def __init__(self):
+        self._free: dict = {}
+        self._lock = threading.Lock()
+        self.taken = 0
+        self.reused = 0
+
+    @contextlib.contextmanager
+    def hold(self, shape: tuple, dtype) -> Iterator[np.ndarray]:
+        """An uninitialised C-contiguous ``shape`` array, exclusively held."""
+        dtype = np.dtype(dtype)
+        size = int(np.prod(shape))
+        with self._lock:
+            self.taken += 1
+            flat = self._free.pop(dtype.str, None)
+            if flat is not None and flat.size >= size:
+                self.reused += 1
+            else:
+                flat = np.empty(size, dtype)
+        try:
+            yield flat[:size].reshape(shape)
+        finally:
+            with self._lock:
+                kept = self._free.get(dtype.str)
+                if kept is None or kept.size < flat.size:
+                    self._free[dtype.str] = flat
+
+    def stats(self) -> dict:
+        """Holds, reuses and the bytes currently kept for reuse."""
+        with self._lock:
+            kept = sum(flat.nbytes for flat in self._free.values())
+            return {"taken": self.taken, "reused": self.reused, "bytes": kept}
+
+    def clear(self) -> None:
+        """Drop every kept buffer and reset the counters."""
+        with self._lock:
+            self._free.clear()
+            self.taken = 0
+            self.reused = 0
+
+
+#: Process-wide logit workspace shared by every decoder.
+logit_workspace = LogitWorkspace()
 
 
 class ConvTransE(Module):
@@ -115,26 +173,46 @@ class ConvTransE(Module):
         return F.softmax(scores, axis=-1)
 
     def summed_probabilities(
-        self, firsts: Tensor, seconds: Tensor, candidates: Tensor
-    ) -> np.ndarray:
+        self,
+        firsts: Tensor,
+        seconds: Tensor,
+        candidates: Tensor,
+        visit: Optional[Callable[[int, np.ndarray], None]] = None,
+    ) -> Optional[np.ndarray]:
         """No-grad decode: ``probabilities_multi(...).data.sum(0)``, ``(B, C)``.
 
         The queries and the single batched matmul are those of
         :meth:`probabilities_multi`, so the logits are bitwise the same
         (a row-blocked matmul would not be: BLAS reduction order follows
-        the block shape).  Softmax and the sum over the T snapshots then
-        run in place on row blocks of that one logit array, sized by
-        :data:`SUM_BLOCK_BYTES` so each block stays cache-resident,
-        writing into a single ``(B, C)`` result — no further full-size
-        temporaries.
+        the block shape).  The matmul writes into the reused
+        :data:`logit_workspace` buffer rather than a fresh ``(T, B, C)``
+        array; it is the same GEMM call either way.  Softmax and the sum
+        over the T snapshots then run in place on row blocks of that
+        buffer, sized by :data:`SUM_BLOCK_BYTES` so each block stays
+        cache-resident, writing into a single ``(B, C)`` result — no
+        further full-size temporaries.
+
+        With ``visit``, no ``(B, C)`` result is built: each block's sums
+        go to one ``(rows, C)`` scratch and ``visit(start, sums)`` is
+        called with rows ``start:start + len(sums)`` while they are still
+        in cache; the next block overwrites them, and ``None`` is
+        returned.
         """
         queries = self.queries_stacked(firsts, seconds).data  # (T, B, d)
-        logits = queries @ candidates.data.transpose(0, 2, 1)  # (T, B, C)
-        snaps, batch, width = logits.shape
-        out = np.empty((batch, width), dtype=logits.dtype)
-        rows = max(1, SUM_BLOCK_BYTES // (snaps * width * logits.itemsize))
-        for start in range(0, batch, rows):
-            block = logits[:, start : start + rows]
-            F.softmax_array(block, axis=-1, out=block)
-            block.sum(axis=0, out=out[start : start + rows])
-        return out
+        table = candidates.data.transpose(0, 2, 1)  # (T, d, C)
+        snaps, batch, width = queries.shape[0], queries.shape[1], table.shape[2]
+        dtype = np.result_type(queries, table)
+        rows = max(1, SUM_BLOCK_BYTES // (snaps * width * dtype.itemsize))
+        out = np.empty((batch if visit is None else min(rows, batch), width), dtype)
+        with logit_workspace.hold((snaps, batch, width), dtype) as logits:
+            np.matmul(queries, table, out=logits)
+            for start in range(0, batch, rows):
+                block = logits[:, start : start + rows]
+                F.softmax_array(block, axis=-1, out=block)
+                if visit is None:
+                    block.sum(axis=0, out=out[start : start + rows])
+                else:
+                    sums = out[: block.shape[1]]
+                    block.sum(axis=0, out=sums)
+                    visit(start, sums)
+        return out if visit is None else None

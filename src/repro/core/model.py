@@ -36,6 +36,7 @@ from repro.core.decoder import ConvTransE
 from repro.core.eam import EntityAggregationModule
 from repro.core.ram import RelationAggregationModule
 from repro.core.tim import TwinInteractModule
+from repro.eval.metrics import count_ranks, dedup_rows
 from repro.graph import (
     NUM_HYPERRELATIONS,
     HyperSnapshot,
@@ -403,13 +404,17 @@ class RETIA(Module):
             return self.relation_decoder.probabilities_multi(*inputs)
 
     def _summed_entity_probabilities(
-        self, entity_list, relation_list, queries: np.ndarray
-    ) -> np.ndarray:
-        """No-grad ``(B, N)`` sum of :meth:`_entity_probabilities` over the snapshots."""
+        self, entity_list, relation_list, queries: np.ndarray, visit=None
+    ) -> Optional[np.ndarray]:
+        """No-grad ``(B, N)`` sum of :meth:`_entity_probabilities` over the snapshots.
+
+        ``visit`` streams the sum block by block instead, as in
+        :meth:`~repro.core.decoder.ConvTransE.summed_probabilities`.
+        """
         queries = np.asarray(queries, dtype=np.int64)
         with self._decoder_span(len(queries), entity_list):
             inputs = self._entity_inputs(entity_list, relation_list, queries)
-            return self.entity_decoder.summed_probabilities(*inputs)
+            return self.entity_decoder.summed_probabilities(*inputs, visit=visit)
 
     def _summed_relation_probabilities(
         self, entity_list, relation_list, pairs: np.ndarray
@@ -439,11 +444,16 @@ class RETIA(Module):
 
     def predict_entities(self, queries: np.ndarray, ts: int) -> np.ndarray:
         """Summed per-snapshot probabilities for all N entities."""
+        return self._decode_entities(queries, ts)
+
+    def _decode_entities(self, queries: np.ndarray, ts: int, visit=None) -> Optional[np.ndarray]:
         entity_list, relation_list = self._evolved_for(ts)
         was_training = self.training
         self.eval()
         with no_grad(), self._dtype_policy:
-            summed = self._summed_entity_probabilities(entity_list, relation_list, queries)
+            summed = self._summed_entity_probabilities(
+                entity_list, relation_list, queries, visit=visit
+            )
         if was_training:
             self.train()
         return summed
@@ -458,21 +468,40 @@ class RETIA(Module):
     ) -> np.ndarray:
         """Average-tie gold ranks for entity queries at timestamp ``ts``.
 
-        The protocol's own ranking code: dedup, :meth:`predict_entities`
-        on the distinct queries, then
-        :func:`~repro.eval.metrics.ranks_from_scores` with the dedup
-        index as ``rows=``.  ``mask`` uses the filtered-setting
-        convention: ``True`` excludes a candidate, targets never are.
+        Bit for bit ``ranks_from_scores(predict_entities(unique), targets,
+        mask, rows=inverse)`` after a query dedup, but each decoder row
+        block is ranked while it is still in cache, so the ``(B, N)``
+        score matrix is never built: the ranked rows are grouped by their
+        score row, and each block's group goes to
+        :func:`~repro.eval.metrics.count_ranks`.  ``mask`` uses the
+        filtered-setting convention: ``True`` excludes a candidate,
+        targets never are.
         """
-        # Looked up at call time, so a wrapper installed on the module
-        # attribute (the e2e benchmark's layer tracer) sees every call.
-        from repro.eval.metrics import dedup_rows, ranks_from_scores
-
         queries = np.asarray(queries, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        if len(targets) != len(queries):
+            raise ValueError("one target per query row is required")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
         unique_queries, inverse = dedup_rows(queries, dedup)
-        scores = self.predict_entities(unique_queries, ts)
-        return ranks_from_scores(scores, targets, mask, rows=inverse)
+        if inverse is None:
+            inverse = np.arange(len(queries))
+        order = np.argsort(inverse, kind="stable")
+        # bounds[u] is where score row u's ranked rows start in ``order``.
+        bounds = np.searchsorted(inverse[order], np.arange(len(unique_queries) + 1))
+        ranks = np.empty(len(targets), dtype=np.float64)
+
+        def visit(start: int, sums: np.ndarray) -> None:
+            picked = order[bounds[start] : bounds[start + len(sums)]]
+            ranks[picked] = count_ranks(
+                sums,
+                targets[picked],
+                None if mask is None else mask[picked],
+                inverse[picked] - start,
+            )
+
+        self._decode_entities(unique_queries, ts, visit)
+        return ranks
 
     def predict_relations(self, pairs: np.ndarray, ts: int) -> np.ndarray:
         """Summed per-snapshot probabilities for all M relations."""

@@ -21,8 +21,8 @@ def dedup_rows(keys: np.ndarray, dedup: bool = True) -> Tuple[np.ndarray, Option
     return unique, inverse.ravel()
 
 
-#: Score bytes one counting block of :func:`ranks_from_scores` covers
-#: (about 1 MB), so the comparison masks stay cache-sized.
+#: Score bytes one counting block of :func:`count_ranks` covers (about
+#: 1 MB), so the comparison masks stay cache-sized.
 RANK_BLOCK_BYTES = 1 << 20
 
 
@@ -40,8 +40,8 @@ def ranks_from_scores(
 
     Comparisons run in the scores' own floating dtype: widening float32
     to float64 is exact and order-preserving, so it could not change a
-    rank.  Counting goes block by block, so no full-size temporary is
-    built.
+    rank.  Counting goes block by block (:func:`count_ranks`), so no
+    full-size temporary is built.
 
     Parameters
     ----------
@@ -62,13 +62,30 @@ def ranks_from_scores(
     if not np.issubdtype(scores.dtype, np.floating):
         scores = scores.astype(np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    count = len(targets)
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64).ravel()
-    if scores.ndim != 2 or count != (scores.shape[0] if rows is None else len(rows)):
+    if scores.ndim != 2 or len(targets) != (scores.shape[0] if rows is None else len(rows)):
         raise ValueError("scores must be (B, C) with one target per row")
     mask = None if filter_mask is None else np.asarray(filter_mask, dtype=bool)
+    return count_ranks(scores, targets, mask, rows)
 
+
+def count_ranks(
+    scores: np.ndarray,
+    targets: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+    rows: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The counting of :func:`ranks_from_scores`, on checked arguments.
+
+    ``scores`` is a floating ``(U, C)`` array, ``targets`` and ``rows``
+    int64 and ``mask`` boolean, as :func:`ranks_from_scores` leaves
+    them.  Ranked rows are counted :data:`RANK_BLOCK_BYTES` of scores at
+    a time.  :meth:`repro.core.model.RETIA.rank_entities` calls this on
+    each decoder block directly, so both rankings share one
+    implementation of the tie and filter rules.
+    """
+    count = len(targets)
     ranks = np.empty(count, dtype=np.float64)
     block = max(1, RANK_BLOCK_BYTES // max(1, scores.shape[1] * scores.itemsize))
     for start in range(0, count, block):

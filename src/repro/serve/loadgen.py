@@ -272,9 +272,8 @@ def summarize_responses(
     if query_latencies:
         p50 = float(np.percentile(query_latencies, 50))
         p99 = float(np.percentile(query_latencies, 99))
-        mean_latency = float(np.mean(query_latencies))
     else:
-        p50 = p99 = mean_latency = float("nan")
+        p50 = p99 = float("nan")
     return {
         "requests": total,
         "ok": ok,
@@ -287,9 +286,6 @@ def summarize_responses(
         "qps": total / wall_seconds if wall_seconds > 0 else float("nan"),
         "serve_p50_seconds": p50,
         "serve_p99_seconds": p99,
-        # Mean OK-query latency: stable and compute-dominated, unlike
-        # the order statistics above.
-        "serve_mean_seconds": mean_latency,
         "max_staleness": max((r.staleness for r in responses), default=0),
     }
 

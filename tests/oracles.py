@@ -21,6 +21,9 @@ they replaced live here, test-only, as bit-exactness oracles:
   numpy calls (``np.add.at``, ``np.add.reduceat``, batch-first
   ``einsum``) that the planned sparse sums and batch-last ``einsum``
   calls of ``repro.autograd.functional`` repeat bit for bit;
+* :func:`reference_sigmoid` / :func:`reference_rrelu_slope` — the
+  ``np.where`` selects that ``F._sigmoid_`` and ``F.rrelu`` replaced
+  with ``np.maximum``;
 * :func:`reference_evaluate` / :func:`reference_diagnose` — the serial
   score-then-reveal drivers, each with its own loop, that
   ``evaluate_extrapolation`` and ``diagnose_extrapolation`` replaced
@@ -95,6 +98,24 @@ def use_reference_cells(model):
     return model
 
 
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The stable logistic as a select: ``1/(1+e)`` or ``e/(1+e)``, ``e = exp(-|z|)``."""
+    e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=np.empty_like(z))
+
+
+def reference_rrelu_slope(
+    x: np.ndarray, lower: float, upper: float, training: bool, rng=None
+) -> np.ndarray:
+    """RReLU's per-element slope as a select: 1 where ``x > 0``, else the
+    negative slope (sampled from ``rng`` in training, the mean in eval)."""
+    if training:
+        neg_slope = rng.uniform(lower, upper, size=x.shape)
+    else:
+        neg_slope = (lower + upper) / 2.0
+    return np.where(x > 0, 1.0, neg_slope).astype(x.dtype)
+
+
 # ----------------------------------------------------------------------
 # Time-variability decode
 # ----------------------------------------------------------------------
@@ -138,17 +159,21 @@ def use_reference_decoder(model):
 
     Both the training decode (per-snapshot probability tensors) and the
     no-grad summed decode behind ``predict_entities`` /
-    ``predict_relations`` / serving are rebound.
+    ``rank_entities`` / ``predict_relations`` / serving are rebound; a
+    block visitor sees the whole sum as one block.
     """
     entity = partial(reference_entity_probabilities, model)
     relation = partial(reference_relation_probabilities, model)
+
+    def summed_entities(*args, visit=None):
+        total = reference_sum_probs(entity(*args))
+        if visit is None:
+            return total
+        visit(0, total)
+
     object.__setattr__(model, "_entity_probabilities", entity)
     object.__setattr__(model, "_relation_probabilities", relation)
-    object.__setattr__(
-        model,
-        "_summed_entity_probabilities",
-        lambda *args: reference_sum_probs(entity(*args)),
-    )
+    object.__setattr__(model, "_summed_entity_probabilities", summed_entities)
     object.__setattr__(
         model,
         "_summed_relation_probabilities",

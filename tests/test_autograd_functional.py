@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.autograd import DtypePolicy, Tensor
 from repro.autograd import functional as F
 
-from tests.oracles import reference_conv2d
+from tests.oracles import reference_conv2d, reference_rrelu_slope, reference_sigmoid
 from tests.test_autograd_tensor import numerical_grad
 
 
@@ -161,6 +161,49 @@ class TestDropoutRReLU:
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         F.rrelu(x, lower=0.2, upper=0.2, training=False).sum().backward()
         np.testing.assert_allclose(x.grad, [0.2, 1.0])
+
+
+def special_values(dtype) -> np.ndarray:
+    """±0, ±inf, NaN, ±subnormals, ±tiny, ±max, |z| > 100 and a normal spread."""
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, info.smallest_subnormal,
+             -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max,
+             100.5, -100.5, 750.0, -750.0, 1e4, -1e4, 1.0, -1.0]
+    spread = 40.0 * np.random.default_rng(7).normal(size=4000)
+    return np.concatenate([np.array(edges), spread]).astype(dtype)
+
+
+def assert_bits_equal(got, expected):
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)  # NaN equals NaN here
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestBranchFreeSelects:
+    """``np.maximum`` forms equal the ``np.where`` selects they replaced."""
+
+    def test_sigmoid(self, dtype):
+        z = special_values(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_sigmoid(z)
+            got = F._sigmoid_(z.copy())
+        assert_bits_equal(got, expected)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_rrelu(self, dtype, training):
+        x = special_values(dtype)
+        slope = reference_rrelu_slope(x, 0.125, 1 / 3, training, np.random.default_rng(3))
+        with DtypePolicy(dtype), np.errstate(invalid="ignore"):
+            t = Tensor(x, requires_grad=True)
+            out = F.rrelu(t, training=training, rng=np.random.default_rng(3))
+            out.backward(np.ones_like(x))
+            assert_bits_equal(out.data, x * slope)
+        assert_bits_equal(t.grad, slope)
+
+    def test_rrelu_slopes_outside_unit_interval_rejected(self, dtype):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            F.rrelu(Tensor(np.ones(3, dtype=dtype)), lower=0.5, upper=1.5)
 
 
 class TestLayerNorm:

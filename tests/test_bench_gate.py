@@ -23,21 +23,26 @@ TYPICAL = {"setup_s": 0.4, "peak_rss_mb": 120.0, "op_p10_ms": 100.0}
 JITTER = (0.99, 1.0, 1.01)
 
 
-def write_runs(directory, workloads=WORKLOADS, scale=None, values=None, **fields):
-    """Three result files per workload; ``scale``/``values`` reshape one metric.
+def write_runs(
+    directory, workloads=WORKLOADS, scale=None, values=None, jitter=JITTER, first=0, **fields
+):
+    """One result file per ``jitter`` entry and workload (three by default);
+    ``scale``/``values`` reshape one metric.
 
     ``scale={(workload, metric): factor}`` multiplies every run's value;
-    ``values={(workload, metric): [v1, v2, v3]}`` sets them outright;
-    ``fields`` override the record's ``correct``/``attempted``/``failed``.
+    ``values={(workload, metric): [v1, v2, v3]}`` sets them outright, in
+    run order; files are numbered in run order from ``first``, where
+    ``run.py`` puts its ``time_ns``; ``fields`` override the record's
+    ``correct``/``attempted``/``failed``.
     """
     directory.mkdir(parents=True, exist_ok=True)
     scale, values = scale or {}, values or {}
     for workload in workloads:
-        for i, jitter in enumerate(JITTER):
+        for i, factor in enumerate(jitter):
             metrics = {}
             for name, unit in UNITS.items():
-                value = TYPICAL[name] * jitter * scale.get((workload, name), 1.0)
-                value = values.get((workload, name), [value] * len(JITTER))[i]
+                value = TYPICAL[name] * factor * scale.get((workload, name), 1.0)
+                value = values.get((workload, name), [value] * len(jitter))[i]
                 metrics[name] = {"value": value, "unit": unit}
             record = {
                 "workload": workload,
@@ -49,7 +54,7 @@ def write_runs(directory, workloads=WORKLOADS, scale=None, values=None, **fields
                 "environment": {"git_commit": "c0ffee"},
             }
             record.update(fields)
-            name = f"{workload}.seed0.trace{record['trace']}.{i}.json"
+            name = f"{workload}.seed0.trace{record['trace']}.{first + i}.json"
             (directory / name).write_text(json.dumps(record))
     return directory
 
@@ -192,3 +197,87 @@ def test_committed_history_lines_cover_every_end_to_end_metric():
         for name, summary in line["metrics"].items():
             assert summary["unit"] == UNITS[name]
             assert summary["q1"] <= summary["median"] <= summary["q3"]
+
+
+# ----------------------------------------------------------------------
+# --claim: a claimed gain over run-ordered pairs
+# ----------------------------------------------------------------------
+#: Ten runs a side, +-1% around the typical value.
+TEN = tuple(1.0 + (i - 4.5) / 450 for i in range(10))
+CLAIM = ("eval-wide", "op_p10_ms")
+
+
+def claim_dirs(tmp_path, base_values, head_values):
+    base = write_runs(tmp_path / "base", jitter=TEN, values={CLAIM: base_values})
+    head = write_runs(tmp_path / "head", jitter=TEN, values={CLAIM: head_values})
+    return base, head
+
+
+def claim(base, head, *extra):
+    return gate(base, head, "--claim", "eval-wide/op_p10_ms", *extra)
+
+
+def test_claim_met_prints_wins_medians_and_iqr(tmp_path, capsys):
+    base_values = [1000.0 + 4 * i for i in range(10)]
+    base, head = claim_dirs(tmp_path, base_values, [v * 0.75 for v in base_values])
+    assert claim(base, head) == 0
+    out = capsys.readouterr().out
+    assert "claim eval-wide/op_p10_ms: head won 10/10 pairs, median 1018 -> 763.5, " in out
+    assert "base IQR 22 ms: met" in out
+
+
+@pytest.mark.parametrize(
+    "head_values",
+    [
+        [700.0] * 8 + [1100.0] * 2,  # 8/10 wins
+        [700.0] * 8 + [1000.0] * 2,  # two ties count for neither side
+    ],
+    ids=["eight-wins", "ties"],
+)
+def test_claim_needs_nine_wins_in_ten(tmp_path, capsys, head_values):
+    base, head = claim_dirs(tmp_path, [1000.0] * 10, head_values)
+    assert claim(base, head) == 1
+    out = capsys.readouterr().out
+    assert "head won 8/10 pairs" in out
+    assert "FAIL: claim eval-wide/op_p10_ms not met" in out
+
+
+def test_claim_gap_must_exceed_the_base_iqr(tmp_path, capsys):
+    base_values = [800.0, 1200.0] * 5  # IQR 400
+    base, head = claim_dirs(tmp_path, base_values, [v - 100.0 for v in base_values])
+    assert claim(base, head) == 1
+    assert "head won 10/10 pairs, median 1000 -> 900, base IQR 400 ms: not met" in (
+        capsys.readouterr().out
+    )
+
+
+def test_claim_pairs_runs_in_run_order_not_name_order(tmp_path, capsys):
+    # The host drifts slower run by run; head is 5% faster than the base
+    # run beside it.  Head's files are numbered 5..16, so sorting names
+    # as text ("10" < "5") would pair early base runs with late head runs.
+    twelve = TEN + (1.0, 1.0)
+    base_values = [1000.0 * (1 + i) for i in range(12)]
+    base = write_runs(tmp_path / "base", jitter=twelve, values={CLAIM: base_values})
+    head_values = [0.95 * v for v in base_values]
+    head = write_runs(tmp_path / "head", jitter=twelve, first=5, values={CLAIM: head_values})
+    runs = check_bench.outcomes(head)["eval-wide"]
+    assert [run["metrics"]["op_p10_ms"]["value"] for run in runs] == head_values
+    assert claim(base, head) == 1  # every pair won, but the drift makes base's IQR wide
+    assert "head won 12/12 pairs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "head_jitter, flag, message",
+    [
+        (JITTER, "eval-wide/op_p10_ms", "needs >= 10 runs on each side"),
+        (TEN[:9] + (1.0, 1.0), "eval-wide/op_p10_ms", "got base 10, head 11"),
+        (TEN, "eval-wide/pass_s", "names no benchmark workload/metric"),
+        (TEN, "eval-wider/op_p10_ms", "names no benchmark workload/metric"),
+    ],
+    ids=["three-runs", "unequal-runs", "unknown-metric", "unknown-workload"],
+)
+def test_claim_without_ten_pairs_is_unusable(tmp_path, capsys, head_jitter, flag, message):
+    base = write_runs(tmp_path / "base", jitter=TEN if head_jitter is not JITTER else JITTER)
+    head = write_runs(tmp_path / "head", jitter=head_jitter)
+    assert gate(base, head, "--claim", flag) == 2
+    assert message in capsys.readouterr().err

@@ -12,16 +12,21 @@ the previously unseeded default generators (Dropout / RReLU /
 ConvTransE) make two identical constructions bit-equal.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.autograd import DtypePolicy, Tensor, default_dtype, no_grad
 from repro.autograd import functional as F
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
-from repro.core.decoder import SUM_BLOCK_BYTES, ConvTransE
+from repro.core import decoder as decoder_module
+from repro.core.decoder import SUM_BLOCK_BYTES, ConvTransE, logit_workspace
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.eval import evaluate_extrapolation
-from repro.eval.metrics import RANK_BLOCK_BYTES, ranks_from_scores
+from repro.eval import metrics as metrics_module
+from repro.eval.filters import FilterIndex
+from repro.eval.metrics import RANK_BLOCK_BYTES, dedup_rows, ranks_from_scores
 from repro.graph import TemporalKG
 from repro.nn.layers import Dropout, RReLU
 from repro.nn.losses import binary_cross_entropy_with_logits, nll_of_summed_probs
@@ -264,6 +269,140 @@ class TestBlockedRanks:
     def test_rows_length_must_match_targets(self):
         with pytest.raises(ValueError):
             ranks_from_scores(np.zeros((2, 3)), [0, 1, 2], rows=[0, 1])
+
+
+class TestLogitWorkspace:
+    def _decode(self, dtype, batch, snaps=2, width=301, dim=8):
+        rng = np.random.default_rng(batch)
+        with DtypePolicy(dtype):
+            decoder = ConvTransE(dim, num_kernels=4).eval()
+            args = [Tensor(rng.normal(size=shape)) for shape in (
+                (snaps, batch, dim), (snaps, batch, dim), (snaps, width, dim)
+            )]
+        with no_grad(), DtypePolicy(dtype):
+            got = decoder.summed_probabilities(*args)
+            expected = decoder.probabilities_multi(*args).data.sum(0)
+        np.testing.assert_array_equal(got, expected)  # no stale logits leak in
+
+    def test_reused_across_batch_sizes_and_dtypes(self):
+        logit_workspace.clear()
+        steps = [
+            (np.float64, 8, 0),  # first float64 buffer
+            (np.float64, 5, 1),  # a smaller batch fits it
+            (np.float32, 8, 1),  # float32 has its own buffer
+            (np.float64, 16, 1),  # a larger batch grows the float64 one
+            (np.float64, 8, 2),  # ... which later batches reuse
+            (np.float32, 3, 3),  # the float32 buffer survived the switch
+        ]
+        for taken, (dtype, batch, reused) in enumerate(steps, start=1):
+            self._decode(dtype, batch)
+            stats = logit_workspace.stats()
+            assert (stats["taken"], stats["reused"]) == (taken, reused), (dtype, batch)
+        assert logit_workspace.stats()["bytes"] == 2 * 301 * (16 * 8 + 8 * 4)
+
+    def test_held_buffer_is_never_shared(self):
+        logit_workspace.clear()
+        with logit_workspace.hold((2, 3), np.float64) as kept:
+            pass
+        with logit_workspace.hold((2, 3), np.float64) as first:
+            assert np.shares_memory(first, kept)
+            with logit_workspace.hold((2, 3), np.float64) as second:
+                assert not np.shares_memory(first, second)
+
+
+class TestFusedRanks:
+    """``rank_entities`` ranks inside the decoder's row blocks, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def revealed(self):
+        train, valid, test = small_dataset()
+        model = make_model(num_entities=20, num_relations=4)
+        model.set_history(train)
+        for ts in valid.timestamps:
+            model.record_snapshot(valid.snapshot(int(ts)))
+        ts = int(test.timestamps[0])
+        triples = test.snapshot(ts).triples
+        s, r, o = triples.T
+        queries = np.concatenate([np.stack([s, r], 1), np.stack([o, r + 4], 1)])
+        targets = np.concatenate([o, s])
+        return model.eval(), FilterIndex(test), ts, queries, targets
+
+    @staticmethod
+    def expected(model, queries, targets, ts, mask, dedup):
+        unique, inverse = dedup_rows(queries, dedup)
+        return ranks_from_scores(model.predict_entities(unique, ts), targets, mask, rows=inverse)
+
+    @staticmethod
+    def small_blocks(monkeypatch, model, snaps=3, width=20):
+        # Two decoder rows per sum block and three ranked rows per count.
+        itemsize = np.dtype(model.config.dtype).itemsize
+        monkeypatch.setattr(decoder_module, "SUM_BLOCK_BYTES", 2 * snaps * width * itemsize)
+        monkeypatch.setattr(metrics_module, "RANK_BLOCK_BYTES", 3 * width * itemsize)
+
+    @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "rows"])
+    @pytest.mark.parametrize("setting", ["raw", "time"])
+    @pytest.mark.parametrize("case", ["protocol", "straddle", "one"])
+    def test_equals_ranks_of_predicted_scores(self, revealed, monkeypatch, dedup, setting, case):
+        model, filters, ts, queries, targets = revealed
+        if case == "straddle":
+            # Every query twice, each pair split by a two-row block boundary.
+            queries = np.concatenate([queries[-1:], np.repeat(queries, 2, axis=0)])
+            targets = np.concatenate([targets[-1:], np.repeat(targets, 2)])
+        elif case == "one":
+            queries, targets = queries[:1], targets[:1]
+        mask = filters.mask(queries, ts, setting)
+        expected = self.expected(model, queries, targets, ts, mask, dedup)
+        self.small_blocks(monkeypatch, model)
+        got = model.rank_entities(queries, targets, ts, mask=mask, dedup=dedup)
+        assert got.dtype == expected.dtype and got.shape == (len(queries),)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "rows"])
+    def test_all_tied_scores(self, monkeypatch, dedup):
+        train, valid, test = small_dataset()
+        model = make_model(num_entities=20, num_relations=4)
+        model.set_history(train)
+        # A zero projection makes every query zero: uniform scores, all tied.
+        model.entity_decoder.project.weight.data[...] = 0.0
+        model.entity_decoder.project.bias.data[...] = 0.0
+        queries = np.array([[0, 0], [3, 1], [0, 0], [5, 6]])
+        targets = np.array([1, 2, 3, 19])
+        expected = self.expected(model, queries, targets, 9, None, dedup)
+        self.small_blocks(monkeypatch, model)
+        got = model.rank_entities(queries, targets, 9, dedup=dedup)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, np.full(4, 10.5))  # (20 + 1) / 2
+
+    def test_targets_must_match_queries(self, revealed):
+        model, _, ts, queries, targets = revealed
+        with pytest.raises(ValueError):
+            model.rank_entities(queries, targets[:-1], ts)
+
+    def test_wide_vocabulary_builds_no_score_matrix(self):
+        entities, batch = 20_000, 64
+        rng = np.random.default_rng(0)
+        pairs = rng.integers(0, entities, (3, 50, 2))
+        facts = [(int(s), 0, int(o), t) for t in range(3) for s, o in pairs[t]]
+        graph = TemporalKG(facts, num_entities=entities, num_relations=2)
+        model = make_model(num_entities=entities, num_relations=2, history_length=2)
+        model.set_history(graph)
+        queries = np.stack([np.arange(batch), np.arange(batch) % 4], axis=1)
+        targets = rng.integers(0, entities, batch)
+        model.rank_entities(queries, targets, 3)  # evolve once, grow the workspace
+        score_bytes = model.predict_entities(queries, 3).nbytes
+        assert score_bytes == batch * entities * np.dtype(model.config.dtype).itemsize
+        peaks = {}
+        for name, call in (
+            ("rank", lambda: model.rank_entities(queries, targets, 3)),
+            ("predict", lambda: model.predict_entities(queries, 3)),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["rank"] < score_bytes <= peaks["predict"]
 
 
 # ----------------------------------------------------------------------

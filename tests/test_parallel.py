@@ -371,29 +371,34 @@ class KilledInWorker(RETIA):
 
     Module-level (not a closure) so the pool can ship it to workers; the
     parent pid is captured at construction, so only forked children die.
+    Both entity scoring entry points are covered: the protocol ranks
+    RETIA's entities through ``rank_entities``, which does not call
+    ``predict_entities``.
     """
 
     def __init__(self, config):
         super().__init__(config)
         self._parent_pid = os.getpid()
 
-    def predict_entities(self, queries, ts):
+    def _fault(self):
         if os.getpid() != self._parent_pid:
             os.kill(os.getpid(), signal.SIGKILL)
-        return super().predict_entities(queries, ts)
-
-
-class ExplodesInWorker(RETIA):
-    """Raises from ``predict_entities`` only inside a pool worker."""
-
-    def __init__(self, config):
-        super().__init__(config)
-        self._parent_pid = os.getpid()
 
     def predict_entities(self, queries, ts):
+        self._fault()
+        return super().predict_entities(queries, ts)
+
+    def rank_entities(self, *args, **kwargs):
+        self._fault()
+        return super().rank_entities(*args, **kwargs)
+
+
+class ExplodesInWorker(KilledInWorker):
+    """Raises from ``predict_entities``/``rank_entities`` only inside a pool worker."""
+
+    def _fault(self):
         if os.getpid() != self._parent_pid:
             raise RuntimeError("worker exploded on purpose")
-        return super().predict_entities(queries, ts)
 
 
 def _revealed(klass, train, valid):

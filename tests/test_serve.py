@@ -785,14 +785,6 @@ class TestLoadgenSummary:
         assert summary["availability"] == 0.9
         assert summary["deadline_exceeded"] == 1
 
-    def test_gating_key_is_the_mean_latency(self):
-        responses = [
-            _response(STATUS_OK, latency_ms=10.0),
-            _response(STATUS_OK, latency_ms=30.0),
-        ]
-        summary = summarize_responses(responses, wall_seconds=1.0)
-        assert summary["serve_mean_seconds"] == pytest.approx(0.02)
-
     def test_max_staleness_reported(self):
         responses = [_response(STATUS_OK, staleness=3), _response(STATUS_OK)]
         assert summarize_responses(responses, 1.0)["max_staleness"] == 3
