@@ -7,6 +7,13 @@ requests, concatenates their query rows into a single ``(B, 2)`` array,
 runs the scorer once, and splits the ``(B, C)`` result back per
 request.
 
+**Waiting for companions.** A batch waits for more requests only while
+a caller is on its way: :meth:`MicroBatcher.arrival` counts callers that
+have entered the query path but not yet submitted (or given up).  Once
+that count is zero the batch goes at once -- no caller can join it, so
+sleeping out ``max_wait`` would only add latency.  ``max_wait`` and
+``max_batch`` still cap the wait.
+
 The degradation ladder lives here:
 
 * **Deadline propagation.** Every request carries an absolute deadline.
@@ -32,6 +39,7 @@ reports.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -87,8 +95,53 @@ class ServeRequest:
         return self._done.wait(timeout)
 
 
+class Arrival:
+    """One caller counted as on its way to :meth:`MicroBatcher.submit`.
+
+    A context manager from :meth:`MicroBatcher.arrival`: entering it
+    counts the caller, :meth:`submit` hands the count over to the
+    enqueue, and leaving without submitting (a refusal or an exception)
+    takes it back and wakes the batcher.
+    """
+
+    __slots__ = ("_batcher", "_open")
+
+    def __init__(self, batcher: "MicroBatcher"):
+        self._batcher = batcher
+        self._open = False
+
+    def __enter__(self) -> "Arrival":
+        with self._batcher._lock:
+            self._batcher._arriving += 1
+        self._open = True
+        return self
+
+    def submit(self, request: ServeRequest) -> None:
+        """Enqueue ``request`` (see :meth:`MicroBatcher.submit`)."""
+        if not self._open:
+            raise RuntimeError("arrival already submitted or closed")
+        self._open = False
+        self._batcher._enqueue(request, arrived=True)
+
+    def __exit__(self, *exc_info) -> bool:
+        if self._open:
+            self._open = False
+            batcher = self._batcher
+            with batcher._lock:
+                batcher._arriving -= 1
+                batcher._wakeup.notify()
+        return False
+
+
 class MicroBatcher:
-    """Background thread coalescing requests into batched scorer calls."""
+    """Background thread coalescing requests into batched scorer calls.
+
+    A batch is taken as soon as something is queued and no caller is
+    arriving (see :meth:`arrival`); while one is, the batcher waits for
+    it, at most ``max_wait`` seconds and until ``max_batch`` requests are
+    queued.  Callers that :meth:`submit` without an arrival are never
+    waited for.
+    """
 
     def __init__(
         self,
@@ -104,6 +157,8 @@ class MicroBatcher:
             raise ValueError("max_batch must be >= 1")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
+        if not (math.isfinite(max_wait) and max_wait >= 0):
+            raise ValueError("max_wait must be finite and >= 0")
         self.scorer = scorer
         self.max_batch = max_batch
         self.max_queue = max_queue
@@ -115,6 +170,8 @@ class MicroBatcher:
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._closing = False
+        #: callers inside :meth:`arrival` that have not submitted yet.
+        self._arriving = 0
         self._stopped = threading.Event()
         self.submitted = 0
         self.shed = 0
@@ -127,6 +184,21 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+    def arrival(self) -> Arrival:
+        """Count the caller as on its way to submit, for a ``with`` block.
+
+        While any arrival is open, a non-full batch waits (up to
+        ``max_wait``) for it; leave the block on every path, submitted
+        or not, or the batcher keeps waiting out ``max_wait``.
+        """
+        return Arrival(self)
+
+    @property
+    def arriving(self) -> int:
+        """Callers counted by :meth:`arrival` that have not submitted."""
+        with self._lock:
+            return self._arriving
+
     def submit(self, request: ServeRequest) -> None:
         """Enqueue; sheds the oldest queued request when the queue is full.
 
@@ -134,8 +206,13 @@ class MicroBatcher:
         *older* request is reported through ``on_shed``; the older
         request's waiter is resolved with a :class:`Shed` error.
         """
+        self._enqueue(request, arrived=False)
+
+    def _enqueue(self, request: ServeRequest, arrived: bool) -> None:
         shed_request = None
         with self._lock:
+            if arrived:
+                self._arriving -= 1
             if self._closing:
                 raise Shed(SHED_DRAINING)
             if len(self._queue) >= self.max_queue:
@@ -165,15 +242,15 @@ class MicroBatcher:
             if not self._queue:
                 return None  # closing and drained
             batch = []
-            # Once something is queued, wait up to max_wait for companions
-            # so concurrent callers actually coalesce.
-            if len(self._queue) < self.max_batch and self.max_wait > 0:
-                deadline = self.clock() + self.max_wait
-                while len(self._queue) < self.max_batch and not self._closing:
-                    remaining = deadline - self.clock()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(timeout=remaining)
+            # Once something is queued, wait up to max_wait for callers
+            # already on their way, so concurrent callers coalesce; with
+            # none arriving, nobody can join and the batch goes now.
+            deadline = self.clock() + self.max_wait
+            while len(self._queue) < self.max_batch and self._arriving and not self._closing:
+                remaining = deadline - self.clock()
+                if remaining <= 0:
+                    break
+                self._wakeup.wait(timeout=remaining)
             while self._queue and len(batch) < self.max_batch:
                 batch.append(self._queue.popleft())
             return batch

@@ -37,6 +37,8 @@ explained, staleness monotone between refreshes).
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -77,7 +79,12 @@ LATENCY_BUCKETS = (
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Knobs for :class:`ModelServer` (all times in milliseconds)."""
+    """Knobs for :class:`ModelServer` (all times in milliseconds).
+
+    ``batch_wait_ms`` is the longest a micro-batch waits for a caller
+    already in the query path; with none on its way the batch is
+    decoded at once (:class:`~repro.serve.batcher.MicroBatcher`).
+    """
 
     max_batch: int = 64
     max_queue: int = 256
@@ -111,6 +118,12 @@ class ServeConfig:
     exemplar_capacity: int = 64
 
     def __post_init__(self):
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
+        if not (math.isfinite(self.batch_wait_ms) and self.batch_wait_ms >= 0):
+            raise ValueError("batch_wait_ms must be finite and >= 0")
         if self.refresh_attempts < 1:
             raise ValueError("refresh_attempts must be >= 1")
         if self.default_deadline_ms <= 0:
@@ -197,7 +210,9 @@ class ModelServer:
         self._rng = np.random.default_rng(config.seed)
         self._version = 0
         self._batch_index = 0
-        self._request_index = 0
+        #: request indices (exemplar sampling, chaos deadline skews);
+        #: ``next`` on a count is atomic, so concurrent callers never share one.
+        self._request_counter = itertools.count()
         self._ingest_index = 0
         self._refresh_attempt_index = 0
         self._draining = False
@@ -455,6 +470,10 @@ class ModelServer:
             budget_ms -= 1000.0 * self.fault_injector.deadline_skew(request_index)
         return self.clock() + budget_ms / 1000.0
 
+    def _refuse_draining(self, kind: str) -> ServeResponse:
+        self._emit_shed(kind, "draining")
+        return self._refusal(kind, STATUS_UNAVAILABLE, "server is draining")
+
     def _refusal(self, kind: str, status: int, error: str, **extra) -> ServeResponse:
         response = ServeResponse(
             status=status, kind=kind, staleness=self.store.staleness,
@@ -494,22 +513,27 @@ class ModelServer:
         self, kind: str, queries: np.ndarray, deadline_ms: Optional[float]
     ) -> ServeResponse:
         started = self.clock()
-        request_index = self._request_index
-        self._request_index += 1
-        if self.batcher is None or self._draining:
-            self._emit_shed(kind, "draining")
-            return self._refusal(kind, STATUS_UNAVAILABLE, "server is draining")
-        try:
-            queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-        except (TypeError, ValueError) as exc:
-            return self._refusal(kind, STATUS_INVALID, f"malformed queries: {exc}")
-        deadline = self._deadline_for(deadline_ms, request_index)
-        request = ServeRequest(queries, deadline, now=started)
-        try:
-            self.batcher.submit(request)
-        except Shed as exc:
-            self._emit_shed(kind, exc.reason)
-            return self._refusal(kind, STATUS_UNAVAILABLE, str(exc))
+        request_index = next(self._request_counter)
+        batcher = self.batcher
+        if batcher is None:
+            return self._refuse_draining(kind)
+        # Counted as arriving until submitted: a batch already queued
+        # waits for this caller, and for no one once every path out of
+        # this block has closed the count.
+        with batcher.arrival() as arrival:
+            if self._draining:
+                return self._refuse_draining(kind)
+            try:
+                queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+            except (TypeError, ValueError) as exc:
+                return self._refusal(kind, STATUS_INVALID, f"malformed queries: {exc}")
+            deadline = self._deadline_for(deadline_ms, request_index)
+            request = ServeRequest(queries, deadline, now=started)
+            try:
+                arrival.submit(request)
+            except Shed as exc:
+                self._emit_shed(kind, exc.reason)
+                return self._refusal(kind, STATUS_UNAVAILABLE, str(exc))
         submitted = self.clock()
 
         # Deadline propagation to the waiter too: never block past it.

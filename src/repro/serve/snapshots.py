@@ -73,7 +73,8 @@ def capture(
     """
     history = model.history_before(ts)
     was_training = getattr(model, "training", False)
-    if hasattr(model, "eval"):
+    # Already in eval mode (a served model is): skip the module-tree walk.
+    if was_training and hasattr(model, "eval"):
         model.eval()
     try:
         with no_grad():
@@ -168,7 +169,9 @@ def score_entities(model, snapshot: EmbeddingSnapshot, queries) -> "np.ndarray":
 
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
     was_training = getattr(model, "training", False)
-    if hasattr(model, "eval"):
+    # A served model is already in eval mode; walking its module tree
+    # again on every decode would be wasted work.
+    if was_training and hasattr(model, "eval"):
         model.eval()
     try:
         with no_grad(), model._dtype_policy:

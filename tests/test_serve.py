@@ -11,6 +11,7 @@ covered against both real servers and hand-built event streams.
 """
 
 import importlib.util
+import sys
 import threading
 import time
 import types
@@ -360,6 +361,96 @@ class TestMicroBatcher:
             MicroBatcher(identity_scorer, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(identity_scorer, max_queue=0)
+        for max_wait in (-0.005, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MicroBatcher(identity_scorer, max_wait=max_wait)
+
+
+class TestCompanionWait:
+    """A batch waits (up to ``max_wait``) only for callers on their way.
+
+    ``max_wait`` is 5 s throughout, so "did not wait" (well under 1 s)
+    and "waited" (still unresolved after 0.2 s) are far apart.
+    """
+
+    def make(self, calls):
+        def scorer(rows):
+            calls.append(len(rows))
+            return identity_scorer(rows)
+
+        return MicroBatcher(scorer, max_batch=8, max_wait=5.0)
+
+    def test_lone_caller_is_not_held_for_max_wait(self):
+        calls = []
+        batcher = self.make(calls)
+        try:
+            for _ in range(3):
+                request = ServeRequest(np.array([[1, 2]]), None, now=time.monotonic())
+                begin = time.monotonic()
+                with batcher.arrival() as arrival:
+                    arrival.submit(request)
+                assert request.wait(timeout=5.0)
+                assert time.monotonic() - begin < 1.0
+            assert calls == [1, 1, 1]
+            assert batcher.arriving == 0
+        finally:
+            assert batcher.close(timeout=5.0)
+
+    def test_announced_caller_is_waited_for(self):
+        calls = []
+        batcher = self.make(calls)
+        try:
+            with batcher.arrival() as late:
+                early = ServeRequest(np.array([[0, 1]]), None, now=time.monotonic())
+                batcher.submit(early)
+                # `late` is still on its way: the batch holds for it.
+                assert not early.wait(timeout=0.2)
+                assert calls == []
+                second = ServeRequest(np.array([[2, 3]]), None, now=time.monotonic())
+                late.submit(second)
+            assert early.wait(timeout=5.0) and second.wait(timeout=5.0)
+            assert calls == [2]  # both rows in one scorer call
+            np.testing.assert_array_equal(early.result, [[0, 1]])
+            np.testing.assert_array_equal(second.result, [[2, 3]])
+        finally:
+            assert batcher.close(timeout=5.0)
+
+    def test_caller_leaving_without_submitting_releases_the_batch(self):
+        calls = []
+        batcher = self.make(calls)
+        try:
+            request = ServeRequest(np.array([[0, 1]]), None, now=time.monotonic())
+            with batcher.arrival():
+                batcher.submit(request)
+                assert not request.wait(timeout=0.2)
+                begin = time.monotonic()
+            assert request.wait(timeout=5.0)
+            assert time.monotonic() - begin < 1.0
+            assert calls == [1]
+            assert batcher.arriving == 0
+        finally:
+            assert batcher.close(timeout=5.0)
+
+    def test_arrival_submits_once(self):
+        batcher = MicroBatcher(identity_scorer)
+        try:
+            with batcher.arrival() as arrival:
+                arrival.submit(ServeRequest(np.array([[0, 0]]), None, now=time.monotonic()))
+                with pytest.raises(RuntimeError):
+                    arrival.submit(
+                        ServeRequest(np.array([[0, 0]]), None, now=time.monotonic())
+                    )
+            assert batcher.arriving == 0
+        finally:
+            assert batcher.close(timeout=5.0)
+
+    def test_shed_on_submit_closes_the_arrival(self):
+        batcher = MicroBatcher(identity_scorer)
+        assert batcher.close(timeout=5.0)
+        with batcher.arrival() as arrival:
+            with pytest.raises(Shed):
+                arrival.submit(ServeRequest(np.array([[0, 0]]), None, now=time.monotonic()))
+        assert batcher.arriving == 0
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +493,33 @@ class TestSnapshotStore:
         model.entity_embedding.data -= 123.0
         np.testing.assert_array_equal(before, after)
 
+    def test_score_entities_keeps_the_training_mode(self, splits, monkeypatch):
+        train, valid, _ = splits
+        model = revealed_model(train, valid)
+        snapshot = capture(model, int(valid.timestamps[-1]) + 1, version=1)
+        queries = np.array([[0, 1], [3, 0]], dtype=np.int64)
+        walks = []
+        module_eval = type(model).eval
+
+        def counting_eval(self):
+            walks.append(1)
+            return module_eval(self)
+
+        monkeypatch.setattr(type(model), "eval", counting_eval)
+        served = score_entities(model, snapshot, queries)
+        assert walks == []  # already in eval mode: no tree walk
+        assert not any(m.training for m in model.modules())
+        model.train()
+        np.testing.assert_array_equal(score_entities(model, snapshot, queries), served)
+        assert walks == [1]
+        assert all(m.training for m in model.modules())
+        # capture follows the same rule.
+        recaptured = capture(model, snapshot.ts, version=2)
+        assert walks == [1, 1]
+        assert all(m.training for m in model.modules())
+        for a, b in zip(recaptured.entity_list, snapshot.entity_list):
+            np.testing.assert_array_equal(a.data, b.data)
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_capture_keeps_the_model_dtype(self, splits, dtype):
         train, valid, _ = splits
@@ -441,6 +559,25 @@ class TestSelectTopK:
 # ----------------------------------------------------------------------
 # The server end to end
 # ----------------------------------------------------------------------
+class TestServeConfig:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(max_batch=0),
+            dict(max_queue=0),
+            dict(batch_wait_ms=-5.0),
+            dict(batch_wait_ms=float("nan")),
+            dict(batch_wait_ms=float("inf")),
+        ],
+    )
+    def test_invalid_batching_knobs_are_refused(self, knobs):
+        with pytest.raises(ValueError):
+            ServeConfig(**knobs)
+
+    def test_zero_batch_wait_is_allowed(self):
+        assert ServeConfig(batch_wait_ms=0.0, max_batch=1, max_queue=1).max_batch == 1
+
+
 class TestModelServer:
     def test_score_matches_direct_predict(self, splits):
         train, valid, test = splits
@@ -536,6 +673,89 @@ class TestModelServer:
         refused = server.score(np.array([[0, 0]]))
         assert refused.status == STATUS_UNAVAILABLE
         assert server.health()["drained"]
+
+    def test_lone_request_does_not_wait_out_the_batch_window(self, splits):
+        _, _, test = splits
+        server = make_server(splits, batch_wait_ms=5000.0)
+        try:
+            server.start(ts=int(test.timestamps[0]))
+            for _ in range(3):
+                response = server.score(np.array([[0, 1]]))
+                assert response.ok and response.latency_ms < 1000.0
+        finally:
+            assert server.drain()
+
+    def test_arrival_count_returns_to_zero_on_every_path(self, splits):
+        _, _, test = splits
+        server = make_server(splits, batch_wait_ms=5000.0)
+        batcher = None
+
+        def quick_ok():
+            response = server.score(np.array([[0, 1]]))
+            assert response.ok and response.latency_ms < 1000.0
+
+        try:
+            server.start(ts=int(test.timestamps[0]))
+            batcher = server.batcher
+            # Malformed queries leave before submit.
+            assert server.score(np.array([1, 2, 3])).status == STATUS_INVALID
+            assert batcher.arriving == 0
+            quick_ok()
+            # An exception before submit.
+            server.fault_injector = types.SimpleNamespace(
+                deadline_skew=lambda index: 1 / 0
+            )
+            with pytest.raises(ZeroDivisionError):
+                server.score(np.array([[0, 1]]))
+            server.fault_injector = None
+            assert batcher.arriving == 0
+            quick_ok()
+            # A scorer exception fails the request after submit.
+            scorer = batcher.scorer
+            batcher.scorer = lambda rows: 1 / 0
+            assert server.score(np.array([[0, 1]])).status == 500
+            batcher.scorer = scorer
+            assert batcher.arriving == 0
+            quick_ok()
+            # Shed on submit: the batcher refuses while the server is up.
+            assert batcher.close(timeout=5.0)
+            shed = server.score(np.array([[0, 1]]))
+            assert shed.status == STATUS_UNAVAILABLE and "draining" in shed.error
+            assert batcher.arriving == 0
+        finally:
+            assert server.drain()
+        # Draining: refused inside the arrival block.
+        assert server.score(np.array([[0, 1]])).status == STATUS_UNAVAILABLE
+        assert batcher.arriving == 0
+
+    def test_concurrent_requests_get_unique_indices(self, splits):
+        _, _, test = splits
+        threads, per_thread = 8, 40
+        server = make_server(
+            splits, exemplar_every=1, exemplar_capacity=threads * per_thread
+        )
+        interval = sys.getswitchinterval()
+        try:
+            server.start(ts=int(test.timestamps[0]))
+            sys.setswitchinterval(1e-6)
+
+            def client():
+                for _ in range(per_thread):
+                    server.score(np.array([[0, 1]]))
+
+            pool = [threading.Thread(target=client) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in pool)
+            # Every caller closed its arrival: no lost update on the count.
+            assert server.batcher.arriving == 0
+        finally:
+            sys.setswitchinterval(interval)
+            assert server.drain()
+        indices = sorted(e["request_index"] for e in server.exemplars())
+        assert indices == list(range(threads * per_thread))
 
     def test_event_stream_passes_health_check(self, splits, tmp_path):
         _, _, test = splits
