@@ -161,10 +161,10 @@ def _chain_rules(config: SyntheticTKGConfig, rng: np.random.Generator, patterns:
     return rules
 
 
-def _sample_entity(community: int, communities: np.ndarray, rng: np.random.Generator) -> int:
-    members = np.flatnonzero(communities == community)
+def _sample_entity(members: np.ndarray, num_entities: int, rng: np.random.Generator) -> int:
+    """A uniform draw from one community (any entity if it is empty)."""
     if not len(members):
-        return int(rng.integers(0, len(communities)))
+        return int(rng.integers(0, num_entities))
     return int(rng.choice(members))
 
 
@@ -172,13 +172,18 @@ class _BaseFact:
     """A recurring event template: subject, relation, an object pool with
     drifting preferences, and a firing period."""
 
-    __slots__ = ("subject", "relation", "objects", "logits", "period")
+    __slots__ = ("subject", "relation", "objects", "logits", "hot", "probs", "period")
 
     def __init__(self, subject, relation, objects, period):
         self.subject = int(subject)
         self.relation = int(relation)
         self.objects = np.asarray(objects, dtype=np.int64)
         self.logits = np.zeros(len(self.objects))
+        #: ``self.logits.any()``, set whenever ``drift`` replaces the logits.
+        self.hot = False
+        #: The object distribution of the current logits, computed by the
+        #: first draw after ``drift`` replaces them.
+        self.probs = None
         self.period = float(period)
 
     def drift(self, switch_probability: float, rng: np.random.Generator) -> None:
@@ -188,22 +193,26 @@ class _BaseFact:
         window to identify it, short enough that global history counts
         see a nearly flat marginal over the pool."""
         if switch_probability and len(self.objects) > 1:
-            if rng.random() < switch_probability or not self.logits.any():
+            if rng.random() < switch_probability or not self.hot:
                 self.logits = rng.normal(0.0, 3.0, size=self.logits.shape)
+                self.hot = bool(self.logits.any())
+                self.probs = None
 
     def sample_object(self, rng: np.random.Generator) -> int:
         if len(self.objects) == 1:
             return int(self.objects[0])
-        shifted = self.logits - self.logits.max()
-        probs = np.exp(shifted)
-        probs /= probs.sum()
-        return int(rng.choice(self.objects, p=probs))
+        if self.probs is None:
+            shifted = self.logits - self.logits.max()
+            probs = np.exp(shifted)
+            probs /= probs.sum()
+            self.probs = probs
+        return int(rng.choice(self.objects, p=self.probs))
 
 
 def _build_base_pool(
     config: SyntheticTKGConfig,
     rng: np.random.Generator,
-    communities: np.ndarray,
+    members: List[np.ndarray],
     patterns: np.ndarray,
     usage: np.ndarray,
 ) -> List[_BaseFact]:
@@ -211,11 +220,11 @@ def _build_base_pool(
     pool = []
     for _ in range(config.base_pool_size):
         rel = int(rng.choice(config.num_relations, p=usage))
-        subj = _sample_entity(patterns[rel, 0], communities, rng)
+        subj = _sample_entity(members[patterns[rel, 0]], config.num_entities, rng)
         pool_size = int(rng.integers(1, config.objects_per_fact + 1))
         objects = []
         for _ in range(pool_size):
-            obj = _sample_entity(patterns[rel, 1], communities, rng)
+            obj = _sample_entity(members[patterns[rel, 1]], config.num_entities, rng)
             if obj == subj:
                 obj = (obj + 1) % config.num_entities
             objects.append(obj)
@@ -234,7 +243,11 @@ def generate_tkg(config: SyntheticTKGConfig, granularity: str = "1 step") -> Tem
     patterns = _relation_patterns(config, rng)
     usage = _relation_usage(config, rng)
     rules = _chain_rules(config, rng, patterns)
-    pool = _build_base_pool(config, rng, communities, patterns, usage)
+    # Each community's members, ascending, built once: every draw then
+    # calls ``rng.choice`` on the array a per-draw scan of the labels
+    # would give, so the stream is consumed exactly as by that scan.
+    members = [np.flatnonzero(communities == c) for c in range(config.num_communities)]
+    pool = _build_base_pool(config, rng, members, patterns, usage)
 
     # Phase offsets stagger base facts so snapshots differ.
     offsets = rng.uniform(0, config.mean_period, size=len(pool))
@@ -259,7 +272,9 @@ def generate_tkg(config: SyntheticTKGConfig, granularity: str = "1 step") -> Tem
                 if rng.random() < min(1.0, weight):
                     obj = fact.sample_object(rng)
                     if config.object_jitter and rng.random() < config.object_jitter:
-                        jittered = _sample_entity(patterns[fact.relation, 1], communities, rng)
+                        jittered = _sample_entity(
+                            members[patterns[fact.relation, 1]], config.num_entities, rng
+                        )
                         if jittered == fact.subject:
                             jittered = (jittered + 1) % config.num_entities
                         obj = jittered
@@ -274,7 +289,7 @@ def generate_tkg(config: SyntheticTKGConfig, granularity: str = "1 step") -> Tem
         #    rare relations remain family-typical rather than pure noise.
         for _ in range(noise_per_step):
             rel = int(rng.choice(config.num_relations, p=usage))
-            subj = _sample_entity(patterns[rel, 0], communities, rng)
+            subj = _sample_entity(members[patterns[rel, 0]], config.num_entities, rng)
             obj = int(rng.integers(0, config.num_entities))
             if subj == obj:
                 obj = (obj + 1) % config.num_entities
@@ -284,7 +299,9 @@ def generate_tkg(config: SyntheticTKGConfig, granularity: str = "1 step") -> Tem
         for subj, rel, obj in step_facts:
             successor = rules.get(rel)
             if successor is not None and rng.random() < config.chain_probability:
-                next_obj = _sample_entity(patterns[successor, 1], communities, rng)
+                next_obj = _sample_entity(
+                    members[patterns[successor, 1]], config.num_entities, rng
+                )
                 if next_obj == obj:
                     next_obj = (next_obj + 1) % config.num_entities
                 pending_chains.append((obj, successor, next_obj))

@@ -13,10 +13,10 @@ hyperrelations:
 
 The adjacency of each hyperrelation type is a sparse product of the
 relation-subject / relation-object incidence matrices (``RO @ RS^T``
-etc.), with the diagonal of ``o-o``/``s-s`` zeroed to avoid self-loop
-relation nodes.  Inverse hyperedges (types 4–7) are appended so that, as
-with entities, only in-edges need aggregating — hence ``2H = 8`` edge
-types for the paper's ``H = 4``.
+etc.), with the diagonal of ``o-o``/``s-s`` masked out to avoid
+self-loop relation nodes.  Inverse hyperedges (types 4–7) are appended
+so that, as with entities, only in-edges need aggregating — hence
+``2H = 8`` edge types for the paper's ``H = 4``.
 """
 
 from __future__ import annotations
@@ -83,19 +83,24 @@ class HyperSnapshot:
         """``(relation_ids, hyper_type_ids)`` for hyper mean pooling (Eq. 9).
 
         The paper's ``R_hr^t``: relations immediately connected to each
-        hyperrelation regardless of direction.
+        hyperrelation regardless of direction.  Pairs come sorted by
+        relation, then hyper type: the order of the 1-D key
+        ``relation * 2H + hyper_type``.
         """
         if self.is_empty:
             return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         src, htype, dst = self.edges[:, 0], self.edges[:, 1], self.edges[:, 2]
-        relation = np.concatenate([src, dst])
-        hyper = np.concatenate([htype, htype])
-        pairs = np.unique(np.stack([relation, hyper], axis=1), axis=0)
-        return (pairs[:, 0], pairs[:, 1])
+        width = 2 * NUM_HYPERRELATIONS
+        keys = np.unique(np.concatenate([src, dst]) * width + np.concatenate([htype, htype]))
+        return (keys // width, keys % width)
 
 
 def _incidence_matrices(snapshot: Snapshot) -> tuple:
     """Binary relation-subject (RS) and relation-object (RO) incidences.
+
+    Stored as int32 so the products of Algorithm 1, which count shared
+    entities, cannot wrap: a count that wrapped to 0 would drop the
+    hyperedge it witnesses.
 
     Algorithm 1 traverses the *original* quadruples of ``G_t`` (not the
     inverse-augmented edge list): building the incidences over the
@@ -110,14 +115,14 @@ def _incidence_matrices(snapshot: Snapshot) -> tuple:
     num_rel = 2 * snapshot.num_relations
     num_ent = snapshot.num_entities
     if not len(triples):
-        empty = sparse.csr_matrix((num_rel, num_ent), dtype=np.int8)
+        empty = sparse.csr_matrix((num_rel, num_ent), dtype=np.int32)
         return empty, empty
-    ones = np.ones(len(triples), dtype=np.int8)
+    ones = np.ones(len(triples), dtype=np.int32)
     rs = sparse.csr_matrix(
-        (ones, (triples[:, 1], triples[:, 0])), shape=(num_rel, num_ent), dtype=np.int8
+        (ones, (triples[:, 1], triples[:, 0])), shape=(num_rel, num_ent), dtype=np.int32
     )
     ro = sparse.csr_matrix(
-        (ones, (triples[:, 1], triples[:, 2])), shape=(num_rel, num_ent), dtype=np.int8
+        (ones, (triples[:, 1], triples[:, 2])), shape=(num_rel, num_ent), dtype=np.int32
     )
     # Binarise: multiple witnesses of the same incidence collapse to 1.
     rs.data[:] = 1
@@ -142,17 +147,18 @@ def build_hyperrelation_graph(snapshot: Snapshot) -> HyperSnapshot:
         ro @ ro.T,  # o-o
         rs @ rs.T,  # s-s
     ]
-    # Zero the diagonals of o-o and s-s to prevent self-loop relation
+    # Sorted column indices give o-o and s-s edges in row-major order;
+    # their diagonals are masked out below to prevent self-loop relation
     # nodes (Algorithm 1, lines 11 and 14).
-    for idx in (2, 3):
-        adjacency[idx] = adjacency[idx].tolil()
-        adjacency[idx].setdiag(0)
-        adjacency[idx] = adjacency[idx].tocsr()
+    adjacency[2].sort_indices()
+    adjacency[3].sort_indices()
 
     blocks = []
     for htype, matrix in enumerate(adjacency):
         coo = matrix.tocoo()
         mask = coo.data != 0
+        if htype >= 2:
+            mask &= coo.row != coo.col
         src, dst = coo.row[mask], coo.col[mask]
         if not len(src):
             continue

@@ -97,7 +97,9 @@ class Snapshot:
         list holds the entities *immediately connected* to ``r`` at this
         timestamp, regardless of edge direction, exactly the paper's
         ``E_r^t``.  Duplicate (entity, relation) incidences are collapsed
-        so high-degree entities do not dominate the pool.
+        so high-degree entities do not dominate the pool.  Pairs come
+        sorted by entity, then relation: the order of the 1-D key
+        ``entity * 2M + relation``.
         """
         if self.is_empty:
             return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -105,5 +107,5 @@ class Snapshot:
         m = self.num_relations
         entity = np.concatenate([s, o, o, s])
         relation = np.concatenate([r, r, r + m, r + m])
-        pairs = np.unique(np.stack([entity, relation], axis=1), axis=0)
-        return (pairs[:, 0], pairs[:, 1])
+        keys = np.unique(entity * (2 * m) + relation)
+        return (keys // (2 * m), keys % (2 * m))

@@ -27,7 +27,10 @@ they replaced live here, test-only, as bit-exactness oracles:
 * :func:`reference_evaluate` / :func:`reference_diagnose` — the serial
   score-then-reveal drivers, each with its own loop, that
   ``evaluate_extrapolation`` and ``diagnose_extrapolation`` replaced
-  with one protocol loop at every worker count.
+  with one protocol loop at every worker count;
+* :func:`reference_build_hyperrelation_graph` — Algorithm 1 with the
+  o-o/s-s diagonals zeroed through a LIL round trip, which
+  ``build_hyperrelation_graph`` replaced with a sorted-CSR mask.
 
 :func:`use_reference_cells` and :func:`use_reference_decoder` rebind a
 ``RETIA`` instance onto them, so model-level parity tests compare a
@@ -42,11 +45,13 @@ from functools import partial
 from typing import List
 
 import numpy as np
+from scipy import sparse
 
 from repro.autograd import Tensor
 from repro.eval.diagnostics import DiagnosticsAccumulators, DiagnosticsReport
 from repro.eval.metrics import RankAccumulator
 from repro.eval.protocol import EvaluationResult, score_timestamp
+from repro.graph.hypergraph import NUM_HYPERRELATIONS
 from repro.nn.rnn import GRUCell, LSTMCell
 
 
@@ -369,3 +374,37 @@ def reference_diagnose(
             model.observe(snapshot)
 
     return accumulators.report(setting, evaluate_relations)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1
+# ----------------------------------------------------------------------
+def reference_build_hyperrelation_graph(snapshot) -> np.ndarray:
+    """``(E, 3)`` hyperedges of ``snapshot`` in production's edge order.
+
+    Incidences over the original facts, binarised, in int64 so the
+    shared-entity counts cannot wrap; the o-o/s-s diagonals are zeroed
+    with ``tolil().setdiag(0).tocsr()``, which also leaves those two
+    products with sorted column indices.
+    """
+    triples = snapshot.triples
+    shape = (2 * snapshot.num_relations, snapshot.num_entities)
+    ones = np.ones(len(triples), dtype=np.int64)
+    rs = sparse.csr_matrix((ones, (triples[:, 1], triples[:, 0])), shape=shape, dtype=np.int64)
+    ro = sparse.csr_matrix((ones, (triples[:, 1], triples[:, 2])), shape=shape, dtype=np.int64)
+    rs.data[:] = 1
+    ro.data[:] = 1
+    adjacency = [ro @ rs.T, rs @ ro.T, ro @ ro.T, rs @ rs.T]
+    for idx in (2, 3):
+        lil = adjacency[idx].tolil()
+        lil.setdiag(0)
+        adjacency[idx] = lil.tocsr()
+    blocks = [np.zeros((0, 3), dtype=np.int64)]
+    for htype, matrix in enumerate(adjacency):
+        coo = matrix.tocoo()
+        mask = coo.data != 0
+        src, dst = coo.row[mask].astype(np.int64), coo.col[mask].astype(np.int64)
+        types = np.full(len(src), htype, dtype=np.int64)
+        blocks.append(np.stack([src, types, dst], axis=1))
+        blocks.append(np.stack([dst, types + NUM_HYPERRELATIONS, src], axis=1))
+    return np.concatenate(blocks, axis=0)

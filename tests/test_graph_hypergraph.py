@@ -10,6 +10,7 @@ from repro.graph import (
     Snapshot,
     build_hyperrelation_graph,
 )
+from tests.oracles import reference_build_hyperrelation_graph
 
 
 def make_snapshot(triples, num_entities=8, num_relations=4, ts=0):
@@ -151,6 +152,80 @@ class TestDuplicateWitnesses:
         hyper = build_hyperrelation_graph(snap)
         oo = [tuple(e) for e in hyper.edges if e[1] == 2]
         assert len(oo) == len(set(oo))
+
+
+class TestSharedEntityCounts:
+    """Hyperedges survive however many entities witness them.
+
+    The products of Algorithm 1 count shared entities; a count type
+    that wraps at 256 made such a count read 0 and lose its hyperedge.
+    """
+
+    @staticmethod
+    def bridged(shared, first_rel=0, second_rel=1, chain=True):
+        """``shared`` entities that are objects of ``first_rel`` and
+        subjects (``chain``) or objects of ``second_rel``."""
+        ents = np.arange(shared)
+        hub_a, hub_b = np.full(shared, 600), np.full(shared, 601)
+        first = np.stack([hub_a, np.full(shared, first_rel), ents], axis=1)
+        if chain:
+            second = np.stack([ents, np.full(shared, second_rel), hub_b], axis=1)
+        else:
+            second = np.stack([hub_b, np.full(shared, second_rel), ents], axis=1)
+        return Snapshot(np.concatenate([first, second]), 700, 2, 0)
+
+    def test_chain_witnessed_by_256_or_more_entities(self):
+        for shared in (255, 256, 512):
+            hyper = build_hyperrelation_graph(self.bridged(shared))
+            assert {tuple(e) for e in hyper.edges.tolist()} == {
+                (0, 0, 1), (1, 4, 0), (1, 1, 0), (0, 5, 1)
+            }, shared
+
+    def test_common_object_witnessed_by_256_entities(self):
+        hyper = build_hyperrelation_graph(self.bridged(256, chain=False))
+        assert {tuple(e) for e in hyper.edges.tolist()} == {
+            (0, 2, 1), (1, 2, 0), (1, 6, 0), (0, 6, 1)
+        }
+
+    def test_matches_oracle(self):
+        for chain in (True, False):
+            snap = self.bridged(256, chain=chain)
+            np.testing.assert_array_equal(
+                build_hyperrelation_graph(snap).edges,
+                reference_build_hyperrelation_graph(snap),
+            )
+
+
+@st.composite
+def snapshots(draw):
+    """Small snapshots with self-loop facts (``s == o``), repeated facts,
+    relations that have no facts, and empty fact lists."""
+    num_entities = draw(st.integers(2, 9))
+    num_relations = draw(st.integers(1, 6))
+    used = draw(st.integers(1, num_relations))
+    fact = st.tuples(
+        st.integers(0, num_entities - 1),
+        st.integers(0, used - 1),
+        st.integers(0, num_entities - 1),
+    )
+    facts = draw(st.lists(fact, max_size=40))
+    loops = draw(st.lists(st.integers(0, num_entities - 1), max_size=4))
+    facts += [(e, draw(st.integers(0, used - 1)), e) for e in loops]
+    if facts:
+        facts += draw(st.lists(st.sampled_from(facts), max_size=5))
+    triples = np.array(facts, dtype=np.int64).reshape(-1, 3)
+    return Snapshot(triples, num_entities, num_relations, draw(st.integers(0, 50)))
+
+
+@given(snapshot=snapshots())
+@settings(max_examples=150, deadline=None)
+def test_property_edges_equal_lil_oracle(snapshot):
+    """Algorithm 1's hyperedges equal the LIL ``setdiag(0)`` form,
+    order and dtype included (the message plans sum in edge order)."""
+    hyper = build_hyperrelation_graph(snapshot)
+    reference = reference_build_hyperrelation_graph(snapshot)
+    assert hyper.edges.dtype == reference.dtype
+    np.testing.assert_array_equal(hyper.edges, reference)
 
 
 @given(
