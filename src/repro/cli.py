@@ -200,7 +200,7 @@ def _open_eval_report(args: argparse.Namespace, command: str):
         "run_start",
         schema_version=SCHEMA_VERSION,
         command=command,
-        config={"dataset": args.dataset, "workers": args.eval_workers},
+        config={"dataset": args.dataset},
     )
     return reporter
 
@@ -212,8 +212,6 @@ def _close_eval_report(reporter, status: str) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.parallel import ShardedEvalError
-
     try:
         online_config = TrainerConfig(online_steps=args.online_steps)
     except ValueError as exc:
@@ -238,19 +236,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 target,
                 dataset.test,
                 known_entities=known_entities_of(dataset.train, dataset.valid),
-                workers=args.eval_workers,
                 reporter=reporter,
             )
             entity, relation = report.aggregate, report.relation_aggregate
         else:
-            result = evaluate_extrapolation(
-                target, dataset.test, workers=args.eval_workers, reporter=reporter
-            )
+            result = evaluate_extrapolation(target, dataset.test, reporter=reporter)
             entity, relation = result.entity, result.relation
         status = "completed"
-    except ShardedEvalError as exc:
-        print(f"sharded evaluation refused: {exc}", file=sys.stderr)
-        return 2
     finally:
         _close_eval_report(reporter, status)
     print("entity  :", {k: round(v, 2) for k, v in entity.items()})
@@ -262,8 +254,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     """Per-relation / per-timestamp / seen-unseen evaluation diagnostics."""
-    from repro.parallel import ShardedEvalError
-
+    if args.top < 1:
+        print(f"invalid diagnose options: top must be >= 1, got {args.top}", file=sys.stderr)
+        return 2
     dataset, model = _load_eval_model(args)
     if model is None:
         return 1
@@ -274,13 +267,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             model,
             dataset.test,
             known_entities=known_entities_of(dataset.train, dataset.valid),
-            workers=args.eval_workers,
             reporter=reporter,
         )
         status = "completed"
-    except ShardedEvalError as exc:
-        print(f"sharded evaluation refused: {exc}", file=sys.stderr)
-        return 2
     finally:
         _close_eval_report(reporter, status)
     if args.format == "json":
@@ -748,13 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the per-relation / per-timestamp decomposition",
     )
-    evaluate.add_argument(
-        "--eval-workers",
-        type=int,
-        default=1,
-        help="processes sharding the test timestamps (metrics are "
-        "bit-identical for every worker count)",
-    )
     evaluate.set_defaults(handler=cmd_evaluate)
 
     diagnose = commands.add_parser(
@@ -771,13 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument(
         "--run-report",
         help="also stream the decomposition as a JSONL diagnostic event here",
-    )
-    diagnose.add_argument(
-        "--eval-workers",
-        type=int,
-        default=1,
-        help="processes sharding the test timestamps (the decomposition "
-        "is bit-identical for every worker count)",
     )
     diagnose.set_defaults(handler=cmd_diagnose)
 

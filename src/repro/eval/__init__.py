@@ -9,10 +9,8 @@ for completeness.
 
 :mod:`repro.eval.diagnostics` decomposes the same protocol along
 per-relation / per-timestamp / seen-unseen axes with bounded memory —
-the ``repro.cli diagnose`` view.  Both drivers run the one
-score-then-reveal loop of :mod:`repro.eval.protocol` and take
-``workers``: above 1 the test timestamps are scored in the process pool
-of :mod:`repro.parallel.eval`, with bit-identical results.
+the ``repro.cli diagnose`` view.  Both views run the one in-process
+score-then-reveal loop of :mod:`repro.eval.protocol`.
 """
 
 from repro.eval.metrics import (

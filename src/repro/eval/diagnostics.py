@@ -30,11 +30,7 @@ import numpy as np
 from repro.eval.filters import FilterIndex
 from repro.eval.interface import ExtrapolationModel
 from repro.eval.metrics import RankAccumulator
-from repro.eval.protocol import (
-    DEFAULT_SHARD_TIMEOUT,
-    TimestampScores,
-    run_protocol,
-)
+from repro.eval.protocol import TimestampScores, run_protocol
 from repro.graph import TemporalKG
 
 
@@ -109,9 +105,7 @@ class DiagnosticsAccumulators:
     """The mutable accumulator state behind :func:`diagnose_extrapolation`.
 
     :func:`diagnose_extrapolation` folds each scored timestamp in with
-    one :meth:`update`, **in chronological order** — whether the
-    timestamp was scored in-process or by a pool worker — so the report
-    is bit-identical at every worker count.
+    one :meth:`update`, in chronological order.
     """
 
     def __init__(self, known_entities: Optional[Set[int]], num_entities: int):
@@ -190,20 +184,18 @@ def diagnose_extrapolation(
     known_entities: Optional[Set[int]] = None,
     evaluate_relations: bool = True,
     *,
-    workers: int = 1,
     reporter=None,
-    shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
 ) -> DiagnosticsReport:
     """Run the evaluation protocol, decomposed along diagnostic axes.
 
     Mirrors :func:`~repro.eval.evaluate_extrapolation` (same queries,
-    both entity directions, same filtering, online-observe and
-    ``workers``/``shard_timeout`` semantics) but groups every entity
+    both entity directions, same filtering and online-observe
+    semantics) but groups every entity
     rank by relation id, test timestamp and seen/unseen gold entity.
     ``known_entities`` is the id set revealed before the test period
     (train + validation); without it the seen/unseen split is skipped.
     A :class:`~repro.obs.RunReporter` passed as ``reporter`` receives the
-    ``worker`` events and then one schema-validated ``diagnostic`` event
+    ``worker`` event and then one schema-validated ``diagnostic`` event
     with the full decomposition.
     """
     accumulators = DiagnosticsAccumulators(known_entities, test_graph.num_entities)
@@ -216,9 +208,7 @@ def diagnose_extrapolation(
         evaluate_relations=evaluate_relations,
         observe=observe,
         dedup=False,
-        workers=workers,
         reporter=reporter,
-        shard_timeout=shard_timeout,
     )
     report = accumulators.report(setting, evaluate_relations)
     if reporter is not None:

@@ -3,20 +3,18 @@
 The paper's protocol is one loop — score timestamp ``t`` from history
 before ``t``, then reveal ``t`` — and :func:`run_protocol` is its one
 implementation, behind both :func:`evaluate_extrapolation` and
-:func:`~repro.eval.diagnose_extrapolation`.  With ``workers == 1`` the
-loop runs in-process and reveals each timestamp right after scoring it,
-which is what online models (``OnlineAdapter``) need.  With
-``workers > 1`` the process pool of :mod:`repro.parallel.eval` scores
-the timestamps and the loop folds them in timestamp order, so every
-metric is bit-identical at every worker count.
+:func:`~repro.eval.diagnose_extrapolation`.  It runs in the calling
+process and reveals each timestamp right after scoring it, which is
+what online models (``OnlineAdapter``) need.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -25,13 +23,6 @@ from repro.eval.interface import ExtrapolationModel
 from repro.eval.metrics import RankAccumulator, dedup_rows, ranks_from_scores
 from repro.graph import Snapshot, TemporalKG
 from repro.obs import tracing
-from repro.obs.tracing import TraceContext
-
-#: Default ceiling on one shard block's wall-clock at ``workers > 1``.  A
-#: SIGKILLed pool worker loses its task without any notification to the
-#: parent, so every block result is collected with a timeout and
-#: re-raised as a diagnosable :class:`~repro.parallel.ShardedEvalError`.
-DEFAULT_SHARD_TIMEOUT = 300.0
 
 
 @dataclass
@@ -51,12 +42,10 @@ class TimestampScores:
     """Everything one scored timestamp contributes to the metrics.
 
     :func:`run_protocol` hands one of these per non-empty timestamp, in
-    timestamp order, to the driver's fold.  Rank arrays are tiny
-    compared to the score matrices they came from, so this is also the
-    unit pool workers ship back (:mod:`repro.parallel.eval`); the
-    grouping keys (``targets`` for the seen/unseen split,
-    ``base_relations`` for the per-relation split) let the diagnostics
-    decomposition fold it without re-scoring.
+    timestamp order, to the caller's fold.  The grouping keys
+    (``targets`` for the seen/unseen split, ``base_relations`` for the
+    per-relation split) let the diagnostics decomposition fold it
+    without re-scoring.
     """
 
     ts: int
@@ -143,142 +132,57 @@ def run_protocol(
     evaluate_relations: bool,
     observe: bool,
     dedup: bool,
-    workers: int,
     reporter,
-    shard_timeout: Optional[float],
 ) -> None:
     """The score-then-reveal loop behind both evaluation drivers.
 
     Every non-empty test timestamp's :class:`TimestampScores` reaches
     ``fold`` in timestamp order; with ``observe`` the model then sees
-    the timestamp's facts.  ``workers > 1`` scores in the process pool
-    of :mod:`repro.parallel.eval`, which refuses models whose ``observe``
-    is not record-only.  A ``reporter`` receives one ``worker`` event
-    (scope ``eval``) per worker block, and an active span collector
-    receives one ``eval_block`` tree per block, spliced in block order.
-    Without either, the loop records nothing.
+    the timestamp's facts.  A ``reporter`` receives one ``worker`` event
+    (scope ``eval``, worker 0) for the pass.  An active span collector
+    receives one ``eval_block`` span with a ``score_ts`` child per
+    timestamp, under whatever span the caller has open.  Without either,
+    the loop records nothing.
     """
     if setting != "raw" and filter_index is None:
         raise ValueError("filtered settings need a FilterIndex over the full graph")
-    options = dict(
-        setting=setting,
-        filter_index=filter_index,
-        evaluate_relations=evaluate_relations,
-        dedup=dedup,
-    )
-    parent = tracing.active()
-    trace = (
-        None
-        if parent is None
-        else TraceContext(trace_id=parent.trace_id, pid=parent.pid, tid=parent.tid)
-    )
-    if workers == 1:
-        timestamps = [int(ts) for ts in test_graph.timestamps]
-        telemetry = [
-            score_block(
-                model,
-                test_graph,
-                timestamps,
-                fold,
-                block=0,
-                trace=trace,
-                observe=observe,
-                **options,
-            )
-        ]
-    else:
-        # Imported here: the pool module imports this one.
-        from repro.parallel.eval import score_sharded
-
-        scored, telemetry = score_sharded(
-            model,
-            test_graph,
-            workers=workers,
-            shard_timeout=shard_timeout,
-            trace=trace,
-            observe=observe,
-            **options,
-        )
-        for entry in scored:
-            fold(entry)
-    for stats in telemetry:
-        tree = stats.pop("spans", None)
-        if tree:
-            parent.splice(tree)
-        if reporter is not None:
-            reporter.emit("worker", scope="eval", **stats)
-
-
-def score_block(
-    model: ExtrapolationModel,
-    test_graph: TemporalKG,
-    timestamps: List[int],
-    fold: Callable[[TimestampScores], None],
-    *,
-    block: int,
-    trace: Optional[TraceContext],
-    setting: str,
-    filter_index: Optional[FilterIndex],
-    evaluate_relations: bool,
-    observe: bool,
-    dedup: bool,
-) -> dict:
-    """Score a run of timestamps in order: fold each, then reveal it.
-
-    Returns the block's ``worker`` event fields.  Given a ``trace``
-    context the block records one ``eval_block`` span with a
-    ``score_ts`` child per timestamp into a private collector carrying
-    that identity, and returns the serialized tree under ``"spans"`` for
-    the caller to splice — the same shape in-process and in a pool
-    worker, so the stitched trace does not depend on the worker count.
-    """
     start = time.perf_counter()
     shards = queries = 0
-
-    def score(snapshot: Snapshot) -> Optional[TimestampScores]:
-        return score_timestamp(
-            model,
-            snapshot,
-            test_graph.num_relations,
-            setting=setting,
-            filter_index=filter_index,
-            evaluate_relations=evaluate_relations,
-            dedup=dedup,
-        )
-
-    def walk(instrumented: bool) -> None:
-        nonlocal shards, queries
+    timestamps = [int(ts) for ts in test_graph.timestamps]
+    traced = tracing.active() is not None
+    with (
+        tracing.span("eval_block", block=0, timestamps=len(timestamps))
+        if traced
+        else nullcontext()
+    ):
         for ts in timestamps:
             snapshot = test_graph.snapshot(ts)
-            if instrumented:
-                with tracing.span("score_ts", ts=ts):
-                    scored = score(snapshot)
-            else:
-                scored = score(snapshot)
+            with tracing.span("score_ts", ts=ts) if traced else nullcontext():
+                scored = score_timestamp(
+                    model,
+                    snapshot,
+                    test_graph.num_relations,
+                    setting=setting,
+                    filter_index=filter_index,
+                    evaluate_relations=evaluate_relations,
+                    dedup=dedup,
+                )
             if scored is not None:
                 fold(scored)
                 shards += 1
                 queries += len(scored.entity_ranks)
             if observe and len(snapshot.triples):
                 model.observe(snapshot)
-
-    spans = {}
-    if trace is None:
-        walk(False)
-    else:
-        collector = tracing.SpanCollector(context=trace)
-        with tracing.collect_spans(collector):
-            with tracing.span("eval_block", block=block, timestamps=len(timestamps)):
-                walk(True)
-        spans["spans"] = collector.serialize_tree()
-    return {
-        "worker": block,
-        "shards": shards,
-        "seconds": time.perf_counter() - start,
-        "pid": os.getpid(),
-        "queries": queries,
-        **spans,
-    }
+    if reporter is not None:
+        reporter.emit(
+            "worker",
+            scope="eval",
+            worker=0,
+            shards=shards,
+            seconds=time.perf_counter() - start,
+            pid=os.getpid(),
+            queries=queries,
+        )
 
 
 def evaluate_extrapolation(
@@ -289,9 +193,7 @@ def evaluate_extrapolation(
     evaluate_relations: bool = True,
     observe: bool = True,
     *,
-    workers: int = 1,
     reporter=None,
-    shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
 ) -> EvaluationResult:
     """Run the paper's link-prediction protocol over a test graph.
 
@@ -312,17 +214,9 @@ def evaluate_extrapolation(
         Reveal each timestamp's facts to the model after scoring it
         (online continuous training).  Disable for strictly-offline runs
         (Fig. 8 ablation).
-    workers:
-        Processes scoring the test timestamps.  Metrics are
-        bit-identical for every count; above 1 the model must expose a
-        record-only ``observe`` (see :mod:`repro.parallel.eval`).
     reporter:
         A :class:`~repro.obs.RunReporter` receiving one ``worker`` event
-        per worker block.
-    shard_timeout:
-        Ceiling in seconds on one worker block (``None`` disables); a
-        block that misses it raises
-        :class:`~repro.parallel.ShardedEvalError`.
+        for the pass.
     """
     entity_acc = RankAccumulator()
     relation_acc = RankAccumulator()
@@ -341,8 +235,6 @@ def evaluate_extrapolation(
         evaluate_relations=evaluate_relations,
         observe=observe,
         dedup=True,
-        workers=workers,
         reporter=reporter,
-        shard_timeout=shard_timeout,
     )
     return EvaluationResult(entity=entity_acc.summary(), relation=relation_acc.summary())

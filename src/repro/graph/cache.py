@@ -76,11 +76,10 @@ class SnapshotCache:
     evict) happens under one internal lock, matching
     :class:`~repro.obs.MetricsRegistry`'s discipline, so threads
     sharing one model cannot corrupt the ``OrderedDict``.  **One cache
-    per process**: the lock does not (and cannot) span processes, so
-    sharded-eval pool workers must each own their model copy and its
-    cache — never a cache reached through shared memory.
-    Pickling/deepcopy (which is how those copies are made) drops the
-    lock and recreates a fresh one in the copy.
+    per process**: the lock does not (and cannot) span processes, so a
+    model copied into another process brings its own cache.
+    Pickling/deepcopy drops the lock and recreates a fresh one in the
+    copy.
 
     Parameters
     ----------

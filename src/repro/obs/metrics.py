@@ -3,8 +3,7 @@
 A :class:`MetricsRegistry` owns named metrics; each metric owns labeled
 series (a Prometheus-style data model without the wire format).  The
 registry serialises to a stable JSON structure consumed by the
-telemetry sink (:mod:`repro.obs.exposition`), the ``--metrics-out``
-files of ``scripts/check_parallel_equivalence.py`` and the CI artifact
+telemetry sink (:mod:`repro.obs.exposition`) and the CI artifact
 uploads:
 
     registry = MetricsRegistry()

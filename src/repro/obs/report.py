@@ -49,8 +49,8 @@ EVENT_SCHEMAS: Dict[str, tuple] = {
     "nonfinite_skip": ("epoch", "global_batch", "stage"),
     # Online continuous training.
     "observe": ("time", "facts", "steps", "skips"),
-    # Sharded evaluation: one per worker slot per batch run; ``scope``
-    # is always "eval".
+    # Evaluation: one per evaluation pass; ``scope`` is always "eval"
+    # and ``worker`` always 0.
     "worker": ("scope", "worker", "shards", "seconds"),
     # Model introspection: one per probe firing (repro.obs.probes).
     "probe": (

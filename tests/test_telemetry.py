@@ -3,9 +3,9 @@
 Three pillars under test:
 
 * **trace stitching** — ``TraceContext`` pickles across processes,
-  worker span trees splice deterministically under the coordinator
-  (bit-same structure at workers 1/2/4), and the serve path's exemplar
-  span chains partition each request's latency exactly;
+  serialized span trees splice under the caller's span, evaluation
+  records its ``eval_block``/``score_ts`` spans in place, and the serve
+  path's exemplar span chains partition each request's latency exactly;
 * **metrics exposition** — Prometheus text rendering, quantile
   recovery from histogram buckets, and the :class:`TelemetrySink`'s
   atomic snapshot files;
@@ -140,31 +140,25 @@ class TestTraceContext:
         assert block.pid == worker.pid
         assert score.pid == worker.pid
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sharded_eval_splices_identically_across_workers(
-        self, splits, workers
-    ):
+    def test_eval_records_its_spans_under_the_callers_span(self, splits):
         train, valid, test = splits
         collector = SpanCollector()
         with tracing.collect_spans(collector):
             with tracing.span("evaluate"):
-                evaluate_extrapolation(revealed_model(train, valid), test, workers=workers)
-        assert collector.is_balanced
-        # Flattened score_ts timestamps are the full reveal schedule,
-        # in block order, identical for every worker count.
-        ts_meta = [
-            s.meta["ts"] for s in collector.spans if s.name == "score_ts"
-        ]
-        expected = sorted(int(t) for t in test.timestamps)
-        assert ts_meta == expected
-        blocks = [s for s in collector.spans if s.name == "eval_block"]
-        assert blocks, "worker trees were not spliced"
+                evaluate_extrapolation(revealed_model(train, valid), test)
+        assert collector.is_balanced()
+        # One score_ts span per test timestamp, in the reveal order.
+        scored = [s for s in collector.spans if s.name == "score_ts"]
+        assert [s.meta["ts"] for s in scored] == sorted(int(t) for t in test.timestamps)
         root = next(s for s in collector.spans if s.name == "evaluate")
-        assert all(s.parent_id == root.span_id for s in blocks)
+        (block,) = [s for s in collector.spans if s.name == "eval_block"]
+        assert block.parent_id == root.span_id
+        assert block.meta == {"block": 0, "timestamps": len(scored)}
+        assert all(s.parent_id == block.span_id for s in scored)
 
     def test_uninstrumented_eval_collects_nothing(self, splits):
         train, valid, test = splits
-        evaluate_extrapolation(revealed_model(train, valid), test, workers=2)
+        evaluate_extrapolation(revealed_model(train, valid), test)
         assert tracing.active() is None
 
 
