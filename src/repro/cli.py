@@ -457,7 +457,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     with ExitStack() as stack, GracefulInterrupt() as interrupt:
         if args.trace_out:
             # One collector spans the whole drill; the forked planner
-            # and the batcher's request spans stitch into it so the
+            # and the server's request spans stitch into it so the
             # Chrome trace shows every process.
             trace_collector = tracing.SpanCollector()
             stack.enter_context(tracing.collect_spans(trace_collector))

@@ -68,7 +68,13 @@ class DiagnosticsReport:
         return sum(g["count"] * g["MRR"] for g in groups.values()) / total
 
     def worst_relations(self, n: int = 5) -> List[tuple]:
-        """``(relation_id, summary)`` pairs, lowest MRR first."""
+        """The ``n`` ``(relation_id, summary)`` pairs of lowest MRR, lowest first.
+
+        Raises ValueError for ``n < 1``: a negative slice bound would
+        list every relation but the best ``-n``.
+        """
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         ranked = sorted(self.per_relation.items(), key=lambda kv: kv[1]["MRR"])
         return ranked[:n]
 
@@ -217,7 +223,12 @@ def diagnose_extrapolation(
 
 
 def format_diagnostics(report: DiagnosticsReport, top: int = 5) -> str:
-    """Human-readable diagnostics table (``repro.cli diagnose``)."""
+    """Human-readable diagnostics table (``repro.cli diagnose``).
+
+    ``top`` (>= 1, else ValueError) worst relations are listed.
+    """
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     lines: List[str] = []
     agg = report.aggregate
     lines.append(

@@ -347,9 +347,10 @@ def run_drill(
     in place of ``fault_injector``, then probes the breaker's half-open
     recovery and waits for firing alerts to resolve.  ``stop`` is polled
     while the loadgen runs; once it returns True the server drains at
-    once (queued requests are shed as ``draining``).  The drain, the
-    telemetry sink's final write and the run report's close run in a
-    ``finally``, so a failed boot or loadgen leaks no worker thread.
+    once (new requests are shed as ``draining``; queued ones are still
+    decoded).  The drain, the telemetry sink's final write and the run
+    report's close run in a ``finally``, so a failed boot or loadgen
+    leaks no worker thread.
     """
     if chaos and fault_injector is not None:
         raise ValueError("chaos arms its own fault plan; pass no fault_injector")

@@ -453,7 +453,11 @@ class ModelServer:
     # Query path (decoder-only)
     # ------------------------------------------------------------------
     def _score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """One micro-batched decode against the published snapshot."""
+        """One micro-batched decode against the published snapshot.
+
+        Runs on the batcher's leading caller, one batch at a time, so
+        ``_batch_index`` and the fault injector's batch plan are sequential.
+        """
         index = self._batch_index
         self._batch_index += 1
         if self.fault_injector is not None:

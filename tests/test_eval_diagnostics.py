@@ -155,6 +155,12 @@ class TestDiagnosticsDecomposition:
         mrrs = [stats["MRR"] for _, stats in worst]
         assert mrrs == sorted(mrrs)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_worst_relations_refuses_counts_below_one(self, diagnosed, n):
+        *_, report = diagnosed
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            report.worst_relations(n)
+
     def test_filtered_setting_requires_index(self, diagnosed):
         train, valid, test, _ = diagnosed
         with pytest.raises(ValueError):
@@ -272,6 +278,12 @@ class TestFormatDiagnostics:
         assert "horizon" in text
         assert "seen entities" in text
         assert "rank histogram" in text
+
+    @pytest.mark.parametrize("top", [0, -2])
+    def test_top_below_one_is_refused(self, diagnosed, top):
+        *_, report = diagnosed
+        with pytest.raises(ValueError, match="top must be >= 1"):
+            format_diagnostics(report, top=top)
 
     def test_handles_empty_report(self):
         from repro.eval import DiagnosticsReport

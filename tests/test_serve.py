@@ -240,6 +240,23 @@ def identity_scorer(rows):
     return np.asarray(rows, dtype=np.float64)
 
 
+def wait_in_thread(request, timeout=5.0):
+    """Start a thread waiting on ``request``; returns it and its outcome list."""
+    outcome = []
+    thread = threading.Thread(
+        target=lambda: outcome.append(request.wait(timeout=timeout))
+    )
+    thread.start()
+    return thread, outcome
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.001)
+
+
 class TestMicroBatcher:
     def test_coalesces_and_splits_results(self):
         calls = []
@@ -302,11 +319,13 @@ class TestMicroBatcher:
             max_wait=0.0,
             on_shed=lambda request, reason: sheds.append(reason),
         )
+        first = ServeRequest(np.array([[0, 0]]), None, now=time.monotonic())
+        helper = None
         try:
-            first = ServeRequest(np.array([[0, 0]]), None, now=time.monotonic())
             batcher.submit(first)
-            # Wait until the batcher thread has dequeued `first` and is
-            # blocked inside the scorer, so the queue is empty again.
+            # A helper thread waits on `first`: it leads, dequeues it and
+            # blocks inside the scorer, so the queue is empty again.
+            helper, _ = wait_in_thread(first)
             deadline = time.monotonic() + 5.0
             while batcher.depth > 0 and time.monotonic() < deadline:
                 time.sleep(0.001)
@@ -321,8 +340,11 @@ class TestMicroBatcher:
             gate.set()
             assert newest.wait(timeout=5.0)
             np.testing.assert_array_equal(newest.result, [[2, 2]])
+            np.testing.assert_array_equal(first.result, [[0, 0]])
         finally:
             gate.set()
+            if helper is not None:
+                helper.join(timeout=5.0)
             batcher.close(timeout=5.0)
 
     def test_scorer_exception_fails_waiters_but_batcher_survives(self):
@@ -367,10 +389,11 @@ class TestMicroBatcher:
 
 
 class TestCompanionWait:
-    """A batch waits (up to ``max_wait``) only for callers on their way.
+    """A leader holds a batch (up to ``max_wait``) only for callers on their way.
 
     ``max_wait`` is 5 s throughout, so "did not wait" (well under 1 s)
-    and "waited" (still unresolved after 0.2 s) are far apart.
+    and "waited" (still unresolved after 0.2 s) are far apart.  Where a
+    batch is held, a helper thread is the waiting caller that leads.
     """
 
     def make(self, calls):
@@ -403,12 +426,15 @@ class TestCompanionWait:
             with batcher.arrival() as late:
                 early = ServeRequest(np.array([[0, 1]]), None, now=time.monotonic())
                 batcher.submit(early)
-                # `late` is still on its way: the batch holds for it.
-                assert not early.wait(timeout=0.2)
-                assert calls == []
+                waiter, outcome = wait_in_thread(early)
+                # `late` is still on its way: the leading waiter holds
+                # the batch for it.
+                time.sleep(0.2)
+                assert not early.done and calls == []
                 second = ServeRequest(np.array([[2, 3]]), None, now=time.monotonic())
                 late.submit(second)
-            assert early.wait(timeout=5.0) and second.wait(timeout=5.0)
+            waiter.join(timeout=5.0)
+            assert outcome == [True] and second.wait(timeout=5.0)
             assert calls == [2]  # both rows in one scorer call
             np.testing.assert_array_equal(early.result, [[0, 1]])
             np.testing.assert_array_equal(second.result, [[2, 3]])
@@ -422,9 +448,13 @@ class TestCompanionWait:
             request = ServeRequest(np.array([[0, 1]]), None, now=time.monotonic())
             with batcher.arrival():
                 batcher.submit(request)
-                assert not request.wait(timeout=0.2)
+                waiter, outcome = wait_in_thread(request)
+                time.sleep(0.2)
+                assert not request.done
                 begin = time.monotonic()
-            assert request.wait(timeout=5.0)
+            # Leaving the block wakes the leader holding the batch.
+            waiter.join(timeout=5.0)
+            assert outcome == [True]
             assert time.monotonic() - begin < 1.0
             assert calls == [1]
             assert batcher.arriving == 0
@@ -452,6 +482,172 @@ class TestCompanionWait:
                 arrival.submit(ServeRequest(np.array([[0, 0]]), None, now=time.monotonic()))
         assert batcher.arriving == 0
 
+
+class TestLeader:
+    """The waiting callers run the scorer; no batcher thread exists."""
+
+    def test_lone_caller_scores_on_its_own_thread(self):
+        threads = []
+
+        def scorer(rows):
+            threads.append(threading.current_thread())
+            return identity_scorer(rows)
+
+        batcher = MicroBatcher(scorer, max_wait=5.0)
+        try:
+            request = ServeRequest(np.array([[1, 2]]), None, now=time.monotonic())
+            with batcher.arrival() as arrival:
+                arrival.submit(request)
+            assert request.wait(timeout=5.0)
+            assert threads == [threading.current_thread()]
+            assert batcher._leader is None
+        finally:
+            assert batcher.close(timeout=5.0)
+
+    def test_leader_timing_out_in_the_companion_hold_leaves_the_queue_served(self):
+        threads = []
+
+        def scorer(rows):
+            threads.append((threading.current_thread(), len(rows)))
+            return identity_scorer(rows)
+
+        batcher = MicroBatcher(scorer, max_batch=8, max_wait=5.0)
+        try:
+            with batcher.arrival() as late:
+                first = ServeRequest(np.array([[0, 1]]), None, now=time.monotonic())
+                second = ServeRequest(np.array([[2, 3]]), None, now=time.monotonic())
+                batcher.submit(first)
+                batcher.submit(second)
+                # The first waiter leads and holds for `late`, but its
+                # own wait ends after 0.2 s, inside the 5 s hold.
+                leader, led = wait_in_thread(first, timeout=0.2)
+                wait_until(lambda: batcher._leader is leader)
+                follower, followed = wait_in_thread(second)
+                leader.join(timeout=5.0)
+                assert led == [False]
+                # The queue did not go leaderless: the second waiter
+                # took over and holds for `late` in turn.
+                wait_until(lambda: batcher._leader is follower)
+                assert threads == []
+                third = ServeRequest(np.array([[4, 5]]), None, now=time.monotonic())
+                late.submit(third)
+            follower.join(timeout=5.0)
+            assert followed == [True]
+            assert threads == [(follower, 3)]
+            for request, rows in ((first, [[0, 1]]), (second, [[2, 3]]), (third, [[4, 5]])):
+                np.testing.assert_array_equal(request.result, rows)
+            assert batcher.depth == 0 and batcher._leader is None
+        finally:
+            assert batcher.close(timeout=5.0)
+
+    def test_close_resolves_requests_nobody_waits_on(self):
+        threads = []
+        sheds = []
+
+        def scorer(rows):
+            threads.append(threading.current_thread())
+            return identity_scorer(rows)
+
+        batcher = MicroBatcher(
+            scorer, max_batch=2, on_shed=lambda request, reason: sheds.append(reason)
+        )
+        live = [
+            ServeRequest(np.array([[i, i]]), None, now=time.monotonic())
+            for i in range(3)
+        ]
+        expired = ServeRequest(
+            np.array([[9, 9]]), deadline=time.monotonic() - 0.01, now=time.monotonic()
+        )
+        for request in live + [expired]:
+            batcher.submit(request)
+        assert batcher.close(timeout=5.0)
+        for i, request in enumerate(live):
+            assert request.done
+            np.testing.assert_array_equal(request.result, [[i, i]])
+        assert expired.done and isinstance(expired.error, DeadlineExceeded)
+        assert sheds == [SHED_DEADLINE]
+        # Decoded on the closing thread, in max_batch-sized batches.
+        assert threads == [threading.current_thread()] * 2
+        assert batcher.depth == 0 and batcher._leader is None
+
+    def test_stress_every_request_resolves_once_and_the_scorer_never_overlaps(self):
+        threads, per_thread = 8, 40
+
+        class CountedRequest(ServeRequest):
+            __slots__ = ("outcomes",)
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.outcomes = 0
+
+            def resolve(self, result):
+                self.outcomes += 1
+                super().resolve(result)
+
+            def fail(self, error):
+                self.outcomes += 1
+                super().fail(error)
+
+        inside = threading.Lock()
+        overlaps = []
+
+        def scorer(rows):
+            if not inside.acquire(blocking=False):
+                overlaps.append(len(rows))
+                return identity_scorer(rows)
+            try:
+                time.sleep(0)
+                return identity_scorer(rows)
+            finally:
+                inside.release()
+
+        batcher = MicroBatcher(scorer, max_batch=4, max_queue=1024, max_wait=0.001)
+        requests = []
+        failures = []
+
+        def client(c):
+            try:
+                for i in range(per_thread):
+                    request = CountedRequest(
+                        np.array([[c, i]]), None, now=time.monotonic()
+                    )
+                    requests.append(request)
+                    with batcher.arrival() as arrival:
+                        arrival.submit(request)
+                    # Every 5th caller gives up at once and comes back, so
+                    # leaders time out and hand the queue on.
+                    if i % 5 == 0:
+                        request.wait(timeout=1e-5)
+                    if not request.wait(timeout=10.0):
+                        failures.append(("unresolved", c, i))
+                    elif not np.array_equal(request.result, [[c, i]]):
+                        failures.append(("wrong rows", c, i))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            pool = [threading.Thread(target=client, args=(c,)) for c in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in pool)
+            assert failures == [] and overlaps == []
+            assert len(requests) == threads * per_thread
+            assert all(request.outcomes == 1 for request in requests)
+            assert batcher.depth == 0
+            assert batcher._leader is None
+            assert batcher.arriving == 0
+            assert not any(
+                t.name == "repro-serve-batcher" for t in threading.enumerate()
+            )
+        finally:
+            assert batcher.close(timeout=5.0)
 
 # ----------------------------------------------------------------------
 # Snapshot store and decoder-only scoring
@@ -913,7 +1109,7 @@ class TestRunDrill:
     def test_failed_loadgen_still_drains_the_server(self, splits):
         train, valid, test = splits
         dataset = types.SimpleNamespace(test=test, num_entities=16, num_relations=3)
-        workers = ("repro-serve-batcher", "repro-serve-refresh")
+        workers = ("repro-serve-refresh",)  # queries decode on the callers
         before = set(threading.enumerate())
         # A plan naming a snapshot that does not exist fails inside the loadgen.
         broken = (np.zeros(1), [("ingest", 99)])
