@@ -439,7 +439,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import tracing
     from repro.resilience import GracefulInterrupt
     from repro.serve import STATE_CLOSED, LoadgenConfig, run_drill
-    from repro.serve.loadgen import build_plans_traced
 
     try:
         load = LoadgenConfig(
@@ -453,31 +452,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     dataset = bench_dataset(args.dataset)
     model = revealed_model(dataset, seed=args.seed, dtype=args.dtype)
-    trace_collector = trace_root = prebuilt = None
+    trace_collector = trace_root = None
     with ExitStack() as stack, GracefulInterrupt() as interrupt:
         if args.trace_out:
-            # One collector spans the whole drill; the forked planner
-            # and the server's request spans stitch into it so the
-            # Chrome trace shows every process.
+            # One collector spans the whole drill; the load plan and the
+            # sampled request chains are recorded under its serve span.
             trace_collector = tracing.SpanCollector()
             stack.enter_context(tracing.collect_spans(trace_collector))
             trace_root = stack.enter_context(
                 tracing.span("serve", dataset=args.dataset, chaos=args.chaos)
             )
-            arrivals, plans, tree = build_plans_traced(
-                dataset.num_entities,
-                dataset.num_relations,
-                len(dataset.test.timestamps),
-                load,
-            )
-            prebuilt = (arrivals, plans)
-            if tree is not None:
-                trace_collector.splice(tree)
-            else:
-                print(
-                    "warning: child planner unavailable; trace has one process only",
-                    file=sys.stderr,
-                )
         print(
             f"serving {args.dataset}: {args.requests} requests at "
             f"{args.qps:g} offered qps"
@@ -500,7 +484,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             telemetry_dir=args.telemetry_dir,
             trace_collector=trace_collector,
             trace_root=trace_root,
-            prebuilt=prebuilt,
             stop=interrupted,
         )
 
@@ -511,12 +494,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         meta = doc["metadata"]
-        trace_pids = {
-            e.get("pid") for e in doc["traceEvents"] if e.get("ph") == "X"
-        }
         print(
             f"trace: {args.trace_out}  spans: {meta['spans_recorded']}  "
-            f"dropped: {meta['spans_dropped']}  processes: {len(trace_pids)}"
+            f"dropped: {meta['spans_dropped']}"
         )
 
     summary, server = drill.summary, drill.server
@@ -810,9 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--trace-out",
-        help="write a Chrome trace (chrome://tracing) stitching the "
-        "server, loadgen planner child process and exemplar request "
-        "spans into one timeline",
+        help="write a Chrome trace (chrome://tracing) of the drill: the "
+        "load plan and the sampled request spans under one serve span",
     )
     serve.add_argument(
         "--telemetry-dir",

@@ -194,7 +194,7 @@ class SnapshotCache:
         cannot serve stale structure.  When ``keep`` is the snapshot
         being recorded, an entry whose content key matches it survives —
         re-recording identical facts (the common warm-cache case) keeps
-        the prebuilt artifacts instead of forcing a rebuild.  Returns
+        the already-built artifacts instead of forcing a rebuild.  Returns
         the number of entries dropped.
         """
         keep_key = self._key(keep) if keep is not None else None

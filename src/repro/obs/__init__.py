@@ -10,9 +10,9 @@ pays nothing (the hot-path contract the end-to-end benchmark,
 * :mod:`repro.obs.tracing` — hierarchical :func:`span` blocks that
   degrade to a no-op with nothing installed, record full parent/child
   trees with per-span metadata under :func:`collect_spans` (flattened
-  to per-name totals by ``SpanCollector.summary``), and stitch worker
-  trees across process boundaries (:class:`TraceContext`,
-  ``SpanCollector.serialize_tree``/``splice``).
+  to per-name totals by ``SpanCollector.summary``), plus the
+  thread-safe ``SpanCollector.record`` for spans written from other
+  threads (the serve drill's request chains and load plan).
 * :mod:`repro.obs.report` — a :class:`RunReporter` streaming one
   schema-validated JSONL event per epoch/eval/checkpoint/non-finite
   skip, and readers (:func:`read_events`, :func:`summarize_run`) used
@@ -68,7 +68,6 @@ from repro.obs.tracing import (
     ResourceSampler,
     Span,
     SpanCollector,
-    TraceContext,
     active,
     collect_spans,
     span,
@@ -107,7 +106,6 @@ __all__ = [
     "ResourceSampler",
     "Span",
     "SpanCollector",
-    "TraceContext",
     "active",
     "collect_spans",
     "span",

@@ -12,6 +12,11 @@ depends on what is installed on the current thread:
   :meth:`SpanCollector.summary` flattens it into per-name seconds and
   calls.
 
+Threads with nothing installed can still write into a collector with
+:meth:`SpanCollector.record`, the thread-safe out-of-band path for spans
+whose extent is known after the fact (the serve drill's request chains
+and load plan).
+
 Installation is per thread (``threading.local``), so concurrent runs do
 not contaminate each other.
 """
@@ -19,77 +24,27 @@ not contaminate each other.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 _state = threading.local()
-
-#: Process-local monotone counter behind deterministic trace ids — no
-#: randomness, so two runs of the same plan mint the same ids.
-_trace_counter = itertools.count(1)
-
-
-def _native_tid() -> int:
-    try:
-        return threading.get_native_id()
-    except AttributeError:  # pragma: no cover - py<3.8
-        return threading.get_ident()
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Serializable trace identity carried across a process boundary.
-
-    A parent hands one of these to a worker (picklable, tiny); the
-    worker's :class:`SpanCollector` stamps it into its serialized tree
-    so the parent can verify, on splice, that the tree belongs to the
-    trace it is stitching into.  ``parent_span_id`` names the span in
-    the *parent's* collector under which the worker tree should land.
-    """
-
-    trace_id: str
-    parent_span_id: Optional[int] = None
-    pid: int = 0
-    tid: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "parent_span_id": self.parent_span_id,
-            "pid": self.pid,
-            "tid": self.tid,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TraceContext":
-        return cls(
-            trace_id=str(d.get("trace_id", "")),
-            parent_span_id=d.get("parent_span_id"),
-            pid=int(d.get("pid", 0)),
-            tid=int(d.get("tid", 0)),
-        )
 
 
 class Span:
     """One completed (or open) traced block.
 
-    ``pid``/``tid`` stay ``None`` for spans recorded by the owning
-    thread (the collector's own identity applies); spans spliced in
-    from another process/thread carry their origin explicitly so the
-    Chrome export can keep per-pid tracks.
+    ``tid`` stays ``None`` for spans recorded by the installing thread
+    (the export's ``tid`` applies); spans recorded out-of-band from
+    another thread carry their origin so the Chrome export keeps one
+    track per thread.
     """
 
-    __slots__ = (
-        "name", "span_id", "parent_id", "depth", "start", "end", "meta", "pid", "tid",
-    )
+    __slots__ = ("name", "span_id", "parent_id", "depth", "start", "end", "meta", "tid")
 
     def __init__(self, name: str, span_id: int, parent_id: Optional[int], depth: int,
-                 start: float, meta: Optional[dict],
-                 pid: Optional[int] = None, tid: Optional[int] = None):
+                 start: float, meta: Optional[dict], tid: Optional[int] = None):
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
@@ -97,7 +52,6 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.meta = meta
-        self.pid = pid
         self.tid = tid
 
     @property
@@ -182,7 +136,6 @@ class SpanCollector:
         self,
         max_spans: int = 100_000,
         resource_sampler: Optional[ResourceSampler] = None,
-        context: Optional[TraceContext] = None,
     ):
         self.spans: List[Span] = []
         self.dropped = 0
@@ -191,14 +144,8 @@ class SpanCollector:
         self._stack: List[Optional[Span]] = []
         self._next_id = 0
         self._root_samples: Dict[int, Tuple[float, int, float]] = {}
-        self.pid = os.getpid()
-        self.tid = _native_tid()
-        self.context = context
-        self.trace_id = (
-            context.trace_id if context is not None else f"{self.pid}-{next(_trace_counter)}"
-        )
-        # Guards ``record``/``splice`` (out-of-band insertion from other
-        # threads); the begin/end stack stays single-thread as before.
+        # Guards ``record`` (out-of-band insertion from other threads);
+        # the begin/end stack stays single-thread.
         self._record_lock = threading.Lock()
 
     # -- recording (called by ``span``) --------------------------------
@@ -244,16 +191,15 @@ class SpanCollector:
         end: float,
         parent: Optional[Span] = None,
         meta: Optional[dict] = None,
-        pid: Optional[int] = None,
         tid: Optional[int] = None,
     ) -> Optional[Span]:
         """Insert one already-completed span, bypassing the begin/end stack.
 
         This is the path for events whose lifetime is reconstructed
-        after the fact from timestamps (per-request serve spans, worker
-        trees) and for callers on threads other than the installing one
-        — it takes the record lock, so concurrent request threads can
-        all write into the server's trace collector.  Returns ``None``
+        after the fact from timestamps (per-request serve spans, the
+        drill's load plan) and for callers on threads other than the
+        installing one — it takes the record lock, so concurrent request
+        threads can all write into the server's trace collector.  Returns ``None``
         when the ``max_spans`` bound drops the span.
         """
         with self._record_lock:
@@ -268,93 +214,12 @@ class SpanCollector:
                 depth,
                 start,
                 dict(meta) if meta else None,
-                pid=pid,
                 tid=tid,
             )
             self._next_id += 1
             span.end = end
             self.spans.append(span)
             return span
-
-    # -- cross-process stitching ---------------------------------------
-    def serialize_tree(self) -> dict:
-        """Picklable snapshot of every *completed* span plus trace identity.
-
-        The shape is plain dicts/lists (no :class:`Span` instances), so
-        it crosses a ``multiprocessing`` pipe cheaply and survives JSON
-        round-trips too.  Open spans are excluded — the serialized tree
-        is always well-formed.
-        """
-        with self._record_lock:
-            closed = [s for s in self.spans if s.end is not None]
-            return {
-                "trace": {"trace_id": self.trace_id, "pid": self.pid, "tid": self.tid},
-                "dropped": self.dropped,
-                "spans": [
-                    {
-                        "name": s.name,
-                        "id": s.span_id,
-                        "parent": s.parent_id,
-                        "depth": s.depth,
-                        "start": s.start,
-                        "end": s.end,
-                        "meta": dict(s.meta) if s.meta else None,
-                        "pid": s.pid if s.pid is not None else self.pid,
-                        "tid": s.tid if s.tid is not None else self.tid,
-                    }
-                    for s in closed
-                ],
-            }
-
-    def splice(self, tree: dict, under: Optional[Span] = None) -> List[Span]:
-        """Stitch a worker's serialized tree under a span of this collector.
-
-        Roots of ``tree`` (and any span whose original parent is
-        missing, e.g. dropped at the worker) attach to ``under`` — or,
-        when ``under`` is ``None``, the innermost span currently open on
-        the begin/end stack, or become roots here if nothing is open.
-        Span ids are remapped into this collector's id space; depths are
-        rebased under the attachment point; the worker's drop count
-        accumulates onto :attr:`dropped` so truncation stays visible
-        after stitching.  Timestamps are kept verbatim: on Linux both
-        ``time.perf_counter`` and ``time.monotonic`` read
-        ``CLOCK_MONOTONIC``, which is shared by parent and (forked or
-        spawned) child processes, so worker spans land on the same
-        timeline.  Returns the spliced-in :class:`Span` objects.
-        """
-        if under is None:
-            under = next((s for s in reversed(self._stack) if s is not None), None)
-        base_depth = 0 if under is None else under.depth + 1
-        spliced: List[Span] = []
-        with self._record_lock:
-            self.dropped += int(tree.get("dropped", 0))
-            id_map: Dict[int, Span] = {}
-            # Serialized order preserves the worker's recording order
-            # (parents before children), so one pass suffices.
-            for rec in tree.get("spans", ()):
-                if len(self.spans) >= self.max_spans:
-                    self.dropped += 1
-                    continue
-                orig_parent = rec.get("parent")
-                parent_span = id_map.get(orig_parent) if orig_parent is not None else None
-                if parent_span is None:
-                    parent_span = under
-                span = Span(
-                    rec["name"],
-                    self._next_id,
-                    None if parent_span is None else parent_span.span_id,
-                    base_depth if parent_span is under else parent_span.depth + 1,
-                    rec["start"],
-                    dict(rec["meta"]) if rec.get("meta") else None,
-                    pid=rec.get("pid"),
-                    tid=rec.get("tid"),
-                )
-                self._next_id += 1
-                span.end = rec["end"]
-                self.spans.append(span)
-                id_map[rec["id"]] = span
-                spliced.append(span)
-        return spliced
 
     # -- inspection ----------------------------------------------------
     @property
@@ -466,12 +331,12 @@ def to_chrome_trace(
     sorted by ``ts``, which Perfetto requires and the trace tests
     assert.
 
-    Spans spliced in from other processes keep their own ``pid``/``tid``
-    (falling back to ``pid``/``tid`` arguments for native spans), and
-    every distinct pid gets a ``process_name`` metadata event, so the
-    stitched flame view renders one track per process.  A top-level
-    ``metadata`` block carries ``spans_recorded``/``spans_dropped`` so a
-    truncated trace declares itself.
+    Every event carries ``pid``; spans recorded out-of-band from other
+    threads keep their own ``tid`` (the rest take the ``tid``
+    argument), so the flame view renders one track per thread.  A
+    top-level ``metadata`` block carries
+    ``spans_recorded``/``spans_dropped`` so a truncated trace declares
+    itself.
     """
     closed = [s for s in collector.spans if s.end is not None]
     sampler = collector.resource_sampler
@@ -489,22 +354,7 @@ def to_chrome_trace(
             "args": {"name": process_name},
         }
     ]
-    named_pids = {pid}
     for s in closed:
-        span_pid = s.pid if s.pid is not None else pid
-        span_tid = s.tid if s.tid is not None else tid
-        if span_pid not in named_pids:
-            named_pids.add(span_pid)
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "ts": 0.0,
-                    "pid": span_pid,
-                    "tid": span_tid,
-                    "args": {"name": f"{process_name}/pid {span_pid}"},
-                }
-            )
         args = {"id": s.span_id, "depth": s.depth}
         if s.parent_id is not None:
             args["parent"] = s.parent_id
@@ -517,8 +367,8 @@ def to_chrome_trace(
                 "ph": "X",
                 "ts": round((s.start - origin) * 1e6, 3),
                 "dur": round(max(0.0, s.seconds) * 1e6, 3),
-                "pid": span_pid,
-                "tid": span_tid,
+                "pid": pid,
+                "tid": tid if s.tid is None else s.tid,
                 "args": args,
             }
         )
@@ -540,7 +390,6 @@ def to_chrome_trace(
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "metadata": {
-            "trace_id": collector.trace_id,
             "spans_recorded": len(closed),
             "spans_dropped": collector.dropped,
         },

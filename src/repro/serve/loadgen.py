@@ -18,7 +18,7 @@ requests — the number the CI ``serve-chaos`` job gates at 99%).
 
 from __future__ import annotations
 
-import multiprocessing
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.core import TrainerConfig
 from repro.core.trainer import OnlineAdapter
-from repro.obs import RunReporter, TelemetrySink, tracing
-from repro.obs.tracing import Span, SpanCollector, TraceContext
+from repro.obs import RunReporter, TelemetrySink
+from repro.obs.tracing import Span, SpanCollector
 from repro.resilience import ServeFaultInjector
 from repro.serve.server import (
     STATUS_DEADLINE,
@@ -80,12 +80,10 @@ def build_plans(
     """Arrival offsets plus the per-request plan list, fully seeded.
 
     Ingest plans carry the *cursor index* into the caller's snapshot
-    list — ``("ingest", 3)`` — not the snapshot itself, so a plan is
-    small and picklable and can be built in another process
-    (:func:`build_plans_traced`).  The RNG draw order is part of the
-    contract: gaps first, then per-request query draws, identical to
-    what :func:`run_loadgen` historically produced, so schedules are
-    stable across this refactor for a fixed seed.
+    list — ``("ingest", 3)`` — not the snapshot itself; it resolves at
+    fire time.  The RNG draw order is part of the contract: gaps first,
+    then per-request query draws, so a fixed seed always yields the
+    same schedule.
     """
     rng = seeded_rng(config.seed)
     gaps = rng.exponential(1.0 / config.qps, size=config.requests)
@@ -118,115 +116,41 @@ def build_plans(
     return arrivals, plans
 
 
-def _plan_in_child(conn, num_entities, num_relations, ingest_count, config, ctx):
-    """Child-process planner: build the plans under a stitched trace.
-
-    Runs in a forked/spawned process; installs a collector continuing
-    the parent's trace (``ctx``), builds the plans inside nested spans,
-    and ships ``(arrivals, plans, serialized span tree)`` back through
-    the pipe.  ``time.perf_counter`` is CLOCK_MONOTONIC on Linux and
-    shared across processes, so the child's timestamps land on the
-    parent's timeline directly.
-    """
-    try:
-        collector = tracing.SpanCollector(context=TraceContext.from_dict(ctx))
-        with tracing.collect_spans(collector):
-            with tracing.span(
-                "plan_load", requests=config.requests, seed=config.seed
-            ):
-                with tracing.span("draw_plans"):
-                    arrivals, plans = build_plans(
-                        num_entities, num_relations, ingest_count, config
-                    )
-        conn.send((arrivals, plans, collector.serialize_tree()))
-    except BaseException as exc:  # the parent falls back in-process
-        conn.send(exc)
-    finally:
-        conn.close()
-
-
-def build_plans_traced(
-    num_entities: int,
-    num_relations: int,
-    ingest_count: int,
-    config: LoadgenConfig = LoadgenConfig(),
-    context: Optional[TraceContext] = None,
-    timeout_s: float = 30.0,
-) -> Tuple[np.ndarray, List[tuple], Optional[dict]]:
-    """:func:`build_plans` in a child process, returning its span tree.
-
-    Exists so a ``--trace-out`` drill has spans from a genuinely
-    distinct pid to stitch.  Fork is preferred (cheap, inherits the
-    import state); if the child fails or misses ``timeout_s`` the plans
-    are rebuilt in-process (identical by seed) and the tree is ``None``.
-    """
-    if context is None:
-        active = tracing.active()
-        if active is not None:
-            context = TraceContext(
-                trace_id=active.trace_id, pid=active.pid, tid=active.tid
-            )
-    try:
-        methods = multiprocessing.get_all_start_methods()
-        mp = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        parent_conn, child_conn = mp.Pipe(duplex=False)
-        ctx_dict = context.to_dict() if context is not None else None
-        proc = mp.Process(
-            target=_plan_in_child,
-            args=(
-                child_conn,
-                num_entities,
-                num_relations,
-                ingest_count,
-                config,
-                ctx_dict or TraceContext(trace_id="untraced").to_dict(),
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        payload = None
-        if parent_conn.poll(timeout_s):
-            payload = parent_conn.recv()
-        parent_conn.close()
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-        if isinstance(payload, tuple):
-            arrivals, plans, tree = payload
-            return arrivals, plans, tree if context is not None else None
-    except (OSError, EOFError, multiprocessing.ProcessError):
-        pass
-    arrivals, plans = build_plans(num_entities, num_relations, ingest_count, config)
-    return arrivals, plans, None
-
-
 def run_loadgen(
     server: ModelServer,
     num_entities: int,
     num_relations: int,
     ingest_snapshots: Sequence = (),
     config: LoadgenConfig = LoadgenConfig(),
-    prebuilt: Optional[Tuple[np.ndarray, List[tuple]]] = None,
 ) -> List[ServeResponse]:
     """Fire the open-loop workload; returns every response, arrival order.
 
     Arrival offsets are a Poisson process (exponential inter-arrival
     gaps) from a seeded RNG — the schedule, the query ids and the
-    query/ingest/topk mix are all deterministic in ``config.seed``.
-    ``prebuilt`` short-circuits planning with an ``(arrivals, plans)``
-    pair from :func:`build_plans` / :func:`build_plans_traced`; ingest
-    plan indices resolve against ``ingest_snapshots`` at fire time.
+    query/ingest/topk mix are all deterministic in ``config.seed``
+    (:func:`build_plans`); ingest plan indices resolve against
+    ``ingest_snapshots`` at fire time.  With a trace collector on the
+    server, planning is recorded as ``plan_load`` → ``draw_plans``
+    under its ``trace_root``.
     """
-    if prebuilt is not None:
-        arrivals, plans = prebuilt
-    else:
-        arrivals, plans = build_plans(
-            num_entities, num_relations, len(ingest_snapshots), config
+    start = time.perf_counter()
+    arrivals, plans = build_plans(
+        num_entities, num_relations, len(ingest_snapshots), config
+    )
+    end = time.perf_counter()
+    collector = server.trace_collector
+    if collector is not None:
+        tid = threading.get_native_id()
+        plan_load = collector.record(
+            "plan_load",
+            start,
+            end,
+            parent=server.trace_root,
+            meta={"requests": config.requests, "seed": config.seed},
+            tid=tid,
         )
+        if plan_load is not None:
+            collector.record("draw_plans", start, end, parent=plan_load, tid=tid)
 
     def fire(plan) -> ServeResponse:
         kind, payload = plan
@@ -334,7 +258,6 @@ def run_drill(
     telemetry_dir: Optional[str] = None,
     trace_collector: Optional[SpanCollector] = None,
     trace_root: Optional[Span] = None,
-    prebuilt: Optional[Tuple[np.ndarray, List[tuple]]] = None,
     stop: Optional[Callable[[], bool]] = None,
 ) -> DrillResult:
     """Serve ``dataset``'s test split from ``model`` under the ``load`` drill.
@@ -342,10 +265,10 @@ def run_drill(
     The server runs the drill's one :class:`ServeConfig` (deadline and
     seed from ``load``) with an :class:`OnlineAdapter` taking one online
     step per ingest, starts at the first test timestamp and takes the
-    open-loop loadgen (``prebuilt`` plans when given; ingests reveal the
-    test snapshots in order).  ``chaos`` arms :func:`default_chaos_plan`
-    in place of ``fault_injector``, then probes the breaker's half-open
-    recovery and waits for firing alerts to resolve.  ``stop`` is polled
+    open-loop loadgen (ingests reveal the test snapshots in order).
+    ``chaos`` arms :func:`default_chaos_plan` in place of
+    ``fault_injector``, then probes the breaker's half-open recovery and
+    waits for firing alerts to resolve.  ``stop`` is polled
     while the loadgen runs; once it returns True the server drains at
     once (new requests are shed as ``draining``; queued ones are still
     decoded).  The drain, the telemetry sink's final write and the run
@@ -409,7 +332,6 @@ def run_drill(
                 dataset.num_relations,
                 snapshots,
                 load,
-                prebuilt,
             )
             while wait([loadgen], timeout=0.05).not_done:
                 if clean is None and stop is not None and stop():

@@ -77,6 +77,22 @@ LATENCY_BUCKETS = (
 )
 
 
+#: Refresh retry backoff: each further attempt multiplies the wait by
+#: the factor, up to the cap, then stretches it by up to the jitter share.
+REFRESH_BACKOFF_FACTOR = 2.0
+REFRESH_BACKOFF_MAX_MS = 2000.0
+REFRESH_JITTER = 0.1
+#: Trial ingests the breaker admits while half-open.
+BREAKER_HALF_OPEN_PROBES = 1
+#: SLO objectives: the share of good events each SLO promises, with the
+#: latency and staleness bounds that make an answered request good.
+SLO_AVAILABILITY = 0.99
+SLO_LATENCY_OBJECTIVE = 0.95
+SLO_LATENCY_MS = 250.0
+SLO_STALENESS_OBJECTIVE = 0.95
+SLO_STALENESS_LIMIT = 8
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Knobs for :class:`ModelServer` (all times in milliseconds).
@@ -90,24 +106,18 @@ class ServeConfig:
     max_queue: int = 256
     batch_wait_ms: float = 2.0
     default_deadline_ms: float = 1000.0
-    #: refresh supervision: attempts per cycle, then degrade-to-stale.
+    #: refresh supervision: attempts per cycle, then degrade-to-stale;
+    #: the first retry waits ``refresh_backoff_ms`` (see
+    #: ``REFRESH_BACKOFF_FACTOR``).
     refresh_attempts: int = 3
     refresh_backoff_ms: float = 50.0
-    refresh_backoff_factor: float = 2.0
-    refresh_backoff_max_ms: float = 2000.0
-    refresh_jitter: float = 0.1
     #: ingest circuit breaker.
     breaker_failure_threshold: int = 3
     breaker_recovery_ms: float = 500.0
-    breaker_half_open_probes: int = 1
     seed: int = 0
-    #: SLO burn-rate alerting (repro.obs.slo): objectives plus the
-    #: shared window/threshold geometry.  Windows are in seconds.
-    slo_availability: float = 0.99
-    slo_latency_objective: float = 0.95
-    slo_latency_ms: float = 250.0
-    slo_staleness_objective: float = 0.95
-    slo_staleness_limit: int = 8
+    #: SLO burn-rate alerting (repro.obs.slo): the shared window and
+    #: threshold geometry (objectives are the ``SLO_*`` constants).
+    #: Windows are in seconds.
     slo_fast_window_s: float = 60.0
     slo_slow_window_s: float = 300.0
     slo_fast_burn: float = 14.0
@@ -126,6 +136,8 @@ class ServeConfig:
             raise ValueError("batch_wait_ms must be finite and >= 0")
         if self.refresh_attempts < 1:
             raise ValueError("refresh_attempts must be >= 1")
+        if not (math.isfinite(self.refresh_backoff_ms) and self.refresh_backoff_ms >= 0):
+            raise ValueError("refresh_backoff_ms must be finite and >= 0")
         if self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be > 0")
         if self.exemplar_every < 1:
@@ -220,7 +232,7 @@ class ModelServer:
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_failure_threshold,
             recovery_seconds=config.breaker_recovery_ms / 1000.0,
-            half_open_probes=config.breaker_half_open_probes,
+            half_open_probes=BREAKER_HALF_OPEN_PROBES,
             clock=clock,
             on_transition=self._on_breaker_transition,
         )
@@ -236,7 +248,7 @@ class ModelServer:
             [
                 SLODef(
                     "availability",
-                    config.slo_availability,
+                    SLO_AVAILABILITY,
                     description="non-client-error requests answered OK",
                     fast_window_s=config.slo_fast_window_s,
                     slow_window_s=config.slo_slow_window_s,
@@ -245,8 +257,8 @@ class ModelServer:
                 ),
                 SLODef(
                     "latency",
-                    config.slo_latency_objective,
-                    description=f"OK latency <= {config.slo_latency_ms:g} ms",
+                    SLO_LATENCY_OBJECTIVE,
+                    description=f"OK latency <= {SLO_LATENCY_MS:g} ms",
                     fast_window_s=config.slo_fast_window_s,
                     slow_window_s=config.slo_slow_window_s,
                     fast_burn=config.slo_fast_burn,
@@ -254,8 +266,8 @@ class ModelServer:
                 ),
                 SLODef(
                     "staleness",
-                    config.slo_staleness_objective,
-                    description=f"served staleness <= {config.slo_staleness_limit}",
+                    SLO_STALENESS_OBJECTIVE,
+                    description=f"served staleness <= {SLO_STALENESS_LIMIT}",
                     fast_window_s=config.slo_fast_window_s,
                     slow_window_s=config.slo_slow_window_s,
                     fast_burn=config.slo_fast_burn,
@@ -270,9 +282,10 @@ class ModelServer:
         #: → respond), deterministic 1-in-``exemplar_every`` by request
         #: index, bounded by the ring buffer.
         self._exemplars: deque = deque(maxlen=config.exemplar_capacity)
-        #: Optional stitched-trace sink (``repro.cli serve --trace-out``):
-        #: sampled request chains are recorded out-of-band into this
-        #: collector under ``trace_root`` via the thread-safe ``record``.
+        #: Optional trace sink (``repro.cli serve --trace-out``): the
+        #: loadgen's plan and sampled request chains are recorded
+        #: out-of-band into this collector under ``trace_root`` via the
+        #: thread-safe ``record``.
         self.trace_collector: Optional[SpanCollector] = None
         self.trace_root: Optional[Span] = None
         self.registry.gauge(
@@ -316,10 +329,8 @@ class ModelServer:
             bad = status in (STATUS_DEADLINE, STATUS_ERROR, STATUS_UNAVAILABLE)
             self.slo.record("availability", bad)
         if status == STATUS_OK:
-            self.slo.record("latency", response.latency_ms > self.config.slo_latency_ms)
-            self.slo.record(
-                "staleness", response.staleness > self.config.slo_staleness_limit
-            )
+            self.slo.record("latency", response.latency_ms > SLO_LATENCY_MS)
+            self.slo.record("staleness", response.staleness > SLO_STALENESS_LIMIT)
 
     def _emit_request(self, kind: str, status: int, response: ServeResponse) -> None:
         """One ``request`` event; staleness is read under the report lock
@@ -816,10 +827,10 @@ class ModelServer:
                 giving_up = attempt >= cfg.refresh_attempts
                 sleep_s = 0.0
                 if not giving_up:
-                    jitter = float(self._rng.uniform(0.0, cfg.refresh_jitter))
+                    jitter = float(self._rng.uniform(0.0, REFRESH_JITTER))
                     sleep_s = min(
-                        backoff_s * (cfg.refresh_backoff_factor ** (attempt - 1)),
-                        cfg.refresh_backoff_max_ms / 1000.0,
+                        backoff_s * (REFRESH_BACKOFF_FACTOR ** (attempt - 1)),
+                        REFRESH_BACKOFF_MAX_MS / 1000.0,
                     ) * (1.0 + jitter)
                 self.registry.counter(
                     "serve_refresh_attempts_total", help="refresh attempts by outcome"

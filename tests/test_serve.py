@@ -11,6 +11,7 @@ covered against both real servers and hand-built event streams.
 """
 
 import importlib.util
+import json
 import sys
 import threading
 import time
@@ -49,6 +50,7 @@ from repro.serve import (
     SnapshotStore,
     SnapshotUnavailable,
     capture,
+    loadgen,
     run_drill,
     score_entities,
     select_topk,
@@ -764,6 +766,11 @@ class TestServeConfig:
             dict(batch_wait_ms=-5.0),
             dict(batch_wait_ms=float("nan")),
             dict(batch_wait_ms=float("inf")),
+            # A negative or NaN backoff would reach ``time.sleep`` on the
+            # first failed refresh and kill the refresh worker.
+            dict(refresh_backoff_ms=-5.0),
+            dict(refresh_backoff_ms=float("nan")),
+            dict(refresh_backoff_ms=float("inf")),
         ],
     )
     def test_invalid_batching_knobs_are_refused(self, knobs):
@@ -1106,26 +1113,48 @@ class TestChaosLadder:
 # The one serve drill (repro.serve.run_drill, behind repro.cli serve)
 # ----------------------------------------------------------------------
 class TestRunDrill:
-    def test_failed_loadgen_still_drains_the_server(self, splits):
+    def test_failed_loadgen_still_drains_the_server(self, splits, monkeypatch):
         train, valid, test = splits
         dataset = types.SimpleNamespace(test=test, num_entities=16, num_relations=3)
         workers = ("repro-serve-refresh",)  # queries decode on the callers
         before = set(threading.enumerate())
         # A plan naming a snapshot that does not exist fails inside the loadgen.
         broken = (np.zeros(1), [("ingest", 99)])
+        monkeypatch.setattr(loadgen, "build_plans", lambda *args: broken)
         with pytest.raises(IndexError):
-            run_drill(
-                revealed_model(train, valid),
-                dataset,
-                LoadgenConfig(requests=1),
-                prebuilt=broken,
-            )
+            run_drill(revealed_model(train, valid), dataset, LoadgenConfig(requests=1))
         leaked = [
             t.name
             for t in threading.enumerate()
             if t not in before and t.name in workers and t.is_alive()
         ]
         assert leaked == []
+
+    def test_trace_out_nests_one_process_under_the_serve_root(self, tmp_path, capsys):
+        path = tmp_path / "serve_trace.json"
+        argv = ["serve", "--dataset", "ICEWS14", "--requests", "24", "--qps", "300"]
+        assert main(argv + ["--trace-out", str(path)]) == 0
+        assert "dropped: 0" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert doc["metadata"]["spans_dropped"] == 0
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert len({e["pid"] for e in spans}) == 1
+        by_id = {e["args"]["id"]: e for e in spans}
+        (root,) = [e for e in spans if "parent" not in e["args"]]
+        assert root["name"] == "serve"
+
+        def parent(e):
+            return by_id[e["args"]["parent"]]
+
+        (draw,) = [e for e in spans if e["name"] == "draw_plans"]
+        assert parent(draw)["name"] == "plan_load"
+        assert parent(parent(draw)) is root
+        chains = [
+            [e["name"] for e in spans if e["args"].get("parent") == req["args"]["id"]]
+            for req in spans
+            if req["name"] == "request" and parent(req) is root
+        ]
+        assert ["admit", "queue_wait", "decode", "respond"] in chains
 
     def test_chaos_drill_exits_0_and_drains_a_healthy_report(self, tmp_path, capsys):
         # The alert pair depends on timing; CI's --require-alert step

@@ -2,10 +2,9 @@
 
 Three pillars under test:
 
-* **trace stitching** — ``TraceContext`` pickles across processes,
-  serialized span trees splice under the caller's span, evaluation
-  records its ``eval_block``/``score_ts`` spans in place, and the serve
-  path's exemplar span chains partition each request's latency exactly;
+* **trace recording** — evaluation records its ``eval_block``/
+  ``score_ts`` spans under the caller's span, and the serve path's
+  exemplar span chains partition each request's latency exactly;
 * **metrics exposition** — Prometheus text rendering, quantile
   recovery from histogram buckets, and the :class:`TelemetrySink`'s
   atomic snapshot files;
@@ -16,7 +15,6 @@ Three pillars under test:
 
 import importlib.util
 import json
-import pickle
 from pathlib import Path
 
 import pytest
@@ -35,7 +33,7 @@ from repro.obs import (
     to_prometheus,
     tracing,
 )
-from repro.obs.tracing import SpanCollector, TraceContext
+from repro.obs.tracing import SpanCollector
 from repro.serve import ModelServer, ServeConfig, loadgen
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -107,39 +105,9 @@ def make_server(splits, reporter=None, **overrides):
 
 
 # ----------------------------------------------------------------------
-# Trace context propagation
+# Trace recording
 # ----------------------------------------------------------------------
-class TestTraceContext:
-    def test_pickle_and_dict_round_trip(self):
-        ctx = TraceContext(trace_id="t-1", parent_span_id=7, pid=123, tid=456)
-        assert pickle.loads(pickle.dumps(ctx)) == ctx
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
-
-    def test_serialized_tree_pickles_and_splices(self):
-        worker = SpanCollector(context=TraceContext(trace_id="t-2", pid=99))
-        with tracing.collect_spans(worker):
-            with tracing.span("eval_block", block=0):
-                with tracing.span("score_ts", ts=3):
-                    pass
-        tree = pickle.loads(pickle.dumps(worker.serialize_tree()))
-        assert tree["trace"]["trace_id"] == "t-2"
-
-        parent = SpanCollector()
-        with tracing.collect_spans(parent):
-            with tracing.span("coordinator"):
-                spliced = parent.splice(tree)
-        assert [s.name for s in spliced] == ["eval_block", "score_ts"]
-        root = next(s for s in parent.spans if s.name == "coordinator")
-        block = next(s for s in parent.spans if s.name == "eval_block")
-        score = next(s for s in parent.spans if s.name == "score_ts")
-        assert block.parent_id == root.span_id
-        assert score.parent_id == block.span_id
-        assert block.depth == root.depth + 1
-        assert score.depth == block.depth + 1
-        # Spliced spans keep their origin process identity.
-        assert block.pid == worker.pid
-        assert score.pid == worker.pid
-
+class TestTraceRecording:
     def test_eval_records_its_spans_under_the_callers_span(self, splits):
         train, valid, test = splits
         collector = SpanCollector()
@@ -223,7 +191,7 @@ class TestServeExemplars:
 
 
 # ----------------------------------------------------------------------
-# Loadgen planning (refactor must keep schedules stable)
+# Loadgen planning
 # ----------------------------------------------------------------------
 class TestBuildPlans:
     def test_ingest_plans_are_indices_in_cursor_order(self):
@@ -231,21 +199,6 @@ class TestBuildPlans:
         _, plans = loadgen.build_plans(10, 4, 3, config)
         ingests = [payload for kind, payload in plans if kind == "ingest"]
         assert ingests == [0, 1, 2]
-
-    def test_traced_builder_matches_plain_builder(self):
-        config = loadgen.LoadgenConfig(requests=16, seed=5)
-        arrivals, plans = loadgen.build_plans(10, 4, 2, config)
-        traced_arrivals, traced_plans, _ = loadgen.build_plans_traced(
-            10, 4, 2, config
-        )
-        assert list(arrivals) == list(traced_arrivals)
-        assert len(plans) == len(traced_plans)
-        for (kind_a, pay_a), (kind_b, pay_b) in zip(plans, traced_plans):
-            assert kind_a == kind_b
-            if kind_a == "score":
-                assert (pay_a == pay_b).all()
-            else:
-                assert pay_a == pay_b
 
 
 # ----------------------------------------------------------------------
