@@ -25,7 +25,12 @@ checks that the run is *reconstructible and healthy*:
   NaN gradient in telemetry fails CI;
 * diagnostic events decompose losslessly: per-relation and
   per-timestamp query counts sum to the aggregate count and the
-  frequency-weighted per-relation MRR reproduces the aggregate MRR.
+  frequency-weighted per-relation MRR reproduces the aggregate MRR;
+* serve reports (``repro.cli serve --run-report``) replay legal breaker
+  transitions, explain every shed, keep staleness monotone between
+  publishes and end with ``drain`` then ``run_end``; with
+  ``--min-availability`` the OK share of non-shed ``request`` events
+  must meet the gate.
 
 Exit code 0 when every check passes, 1 otherwise (one line per
 violation).  Run this against a corrupted/truncated log and it fails —
@@ -33,7 +38,8 @@ that failure mode is itself exercised in CI.
 
 Usage:
     PYTHONPATH=src python scripts/check_run_health.py run.jsonl \
-        [--max-encoder-share 0.85] [--allow-status interrupted]
+        [--max-encoder-share 0.85] [--allow-status interrupted] \
+        [--min-availability 0.99]
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ import math
 import sys
 
 from repro.obs import (
-    ALERT_STATES,
     REFRESH_OUTCOMES,
     RUN_END_STATUSES,
     SHED_REASONS,
@@ -289,84 +294,6 @@ def check_serve(events: list, min_availability=None) -> list:
     return problems
 
 
-#: Statuses that count against the availability SLO (mirrors
-#: repro.serve.server._record_slos; literal so the gate cannot drift).
-BAD_AVAILABILITY_STATUSES = {408, 500, 503}
-
-
-def check_alerts(events: list, require_alert=None) -> list:
-    """SLO alert-stream invariants (DESIGN.md §10).
-
-    * every ``alert`` has a legal state and finite, non-negative burn
-      rates;
-    * per SLO the states strictly alternate starting with ``firing``
-      (no double-fire, no resolve-before-fire);
-    * a stream that fired must end resolved — either naturally (burn
-      decayed) or by the drain's force-resolve, but never dangling;
-    * an availability ``firing`` is *explained*: at least one earlier
-      request event carries a bad status (408/500/503) — an alert with
-      no bad traffic behind it is a false positive and fails CI;
-    * ``--require-alert SLO`` additionally demands a complete
-      firing -> resolved pair for that SLO (the chaos job uses this to
-      prove the alerting path end to end).
-    """
-    problems = []
-    alerts = [e for e in events if e["event"] == "alert"]
-    bad_request_seqs = [
-        e["seq"]
-        for e in events
-        if e["event"] == "request" and e["status"] in BAD_AVAILABILITY_STATUSES
-    ]
-    by_slo = {}
-    for a in alerts:
-        where = f"alert at seq {a['seq']}"
-        if a["state"] not in ALERT_STATES:
-            problems.append(f"{where}: unknown state {a['state']!r}")
-            continue
-        for key in ("burn_fast", "burn_slow"):
-            value = a.get(key)
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not math.isfinite(value)
-                or value < 0
-            ):
-                problems.append(f"{where}: invalid {key} {value!r}")
-        if a["slo"] == "availability" and a["state"] == "firing":
-            if not any(seq < a["seq"] for seq in bad_request_seqs):
-                problems.append(
-                    f"{where}: availability fired with no preceding "
-                    "bad-status request event (unexplained alert)"
-                )
-        by_slo.setdefault(a["slo"], []).append(a)
-    for slo, stream in sorted(by_slo.items()):
-        expected = "firing"
-        for a in stream:
-            if a["state"] != expected:
-                problems.append(
-                    f"alert at seq {a['seq']}: slo {slo!r} is {a['state']!r} "
-                    f"but the paired stream expects {expected!r} "
-                    "(alerts must strictly alternate firing -> resolved)"
-                )
-                break
-            expected = "resolved" if expected == "firing" else "firing"
-        if stream and stream[-1]["state"] != "resolved":
-            problems.append(
-                f"slo {slo!r} ends still firing (alert at seq "
-                f"{stream[-1]['seq']} never resolved)"
-            )
-    if require_alert is not None:
-        stream = by_slo.get(require_alert, [])
-        fired = sum(1 for a in stream if a["state"] == "firing")
-        resolved = sum(1 for a in stream if a["state"] == "resolved")
-        if not fired or not resolved:
-            problems.append(
-                f"required a firing -> resolved pair for slo {require_alert!r} "
-                f"but saw {fired} firing / {resolved} resolved alert(s)"
-            )
-    return problems
-
-
 def _phase_seconds(epoch_event: dict) -> dict:
     out = {}
     for name, stats in (epoch_event.get("phase_seconds") or {}).items():
@@ -379,7 +306,6 @@ def check_events(
     max_encoder_share: float,
     allowed_statuses,
     min_availability=None,
-    require_alert=None,
 ) -> list:
     """All invariant violations found (empty means healthy)."""
     problems = []
@@ -496,7 +422,6 @@ def check_events(
     problems.extend(check_probes(events))
     problems.extend(check_diagnostics(events))
     problems.extend(check_serve(events, min_availability=min_availability))
-    problems.extend(check_alerts(events, require_alert=require_alert))
     return problems
 
 
@@ -522,13 +447,6 @@ def main() -> int:
         help="serve gate: minimum OK fraction of non-shed requests "
         "(e.g. 0.99; default: no availability gate)",
     )
-    parser.add_argument(
-        "--require-alert",
-        default=None,
-        metavar="SLO",
-        help="fail unless this SLO emitted a complete firing -> resolved "
-        "alert pair (chaos drills use 'availability')",
-    )
     args = parser.parse_args()
     allowed = set(args.allow_status or ["completed"])
 
@@ -546,12 +464,10 @@ def main() -> int:
         args.max_encoder_share,
         allowed,
         min_availability=args.min_availability,
-        require_alert=args.require_alert,
     )
     epochs = sum(1 for e in events if e["event"] == "epoch")
     probes = sum(1 for e in events if e["event"] == "probe")
     requests = sum(1 for e in events if e["event"] == "request")
-    alerts = sum(1 for e in events if e["event"] == "alert")
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}")
@@ -559,8 +475,8 @@ def main() -> int:
     print(
         f"OK: {args.report} is healthy "
         f"({len(events)} events, {epochs} epoch(s), {probes} probe(s), "
-        f"{requests} serve request(s), {alerts} alert(s), seq monotone, "
-        f"spans balanced, all non-finite skips, sheds and alerts explained)"
+        f"{requests} serve request(s), seq monotone, spans balanced, "
+        f"all non-finite skips and sheds explained)"
     )
     return 0
 

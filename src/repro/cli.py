@@ -481,7 +481,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             load,
             chaos=args.chaos,
             run_report=args.run_report,
-            telemetry_dir=args.telemetry_dir,
             trace_collector=trace_collector,
             trace_root=trace_root,
             stop=interrupted,
@@ -539,109 +538,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         failed = failed or not met
     return 1 if failed else 0
-
-
-def cmd_watch(args: argparse.Namespace) -> int:
-    """Tail a ``--telemetry-dir`` into a terminal dashboard.
-
-    Reads the ``telemetry.json`` snapshot a :class:`TelemetrySink`
-    publishes atomically, derives QPS from ``serve_requests_total``
-    deltas between ticks and p50/p99 from the latency histogram
-    buckets, and prints one line per refresh plus the SLO burn rates.
-    Ctrl-C exits cleanly; ``--once`` prints a single snapshot (what the
-    CI scrape check uses).
-    """
-    import time
-
-    from repro.obs import JSON_FILENAME, histogram_quantile
-
-    path = os.path.join(args.directory, JSON_FILENAME)
-
-    def load():
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
-
-    def family(doc, name):
-        for fam in (doc.get("metrics") or {}).get("metrics", []):
-            if fam["name"] == name:
-                return fam
-        return None
-
-    def counter_total(doc, name, **want):
-        fam = family(doc, name)
-        if fam is None:
-            return 0.0
-        total = 0.0
-        for series in fam["series"]:
-            labels = series.get("labels") or {}
-            if all(labels.get(k) == v for k, v in want.items()):
-                total += series["value"]
-        return total
-
-    def gauge_value(doc, name):
-        fam = family(doc, name)
-        if fam is None or not fam["series"]:
-            return None
-        return fam["series"][0]["value"]
-
-    def latency_quantile(doc, q):
-        fam = family(doc, "serve_latency_seconds")
-        if fam is None or not fam["series"]:
-            return float("nan")
-        edges = [b["le"] for b in fam["series"][0]["buckets"]]
-        totals = [0] * len(edges)
-        for series in fam["series"]:
-            for i, bucket in enumerate(series["buckets"]):
-                totals[i] += bucket["count"]
-        return histogram_quantile(q, list(zip(edges, totals)))
-
-    breaker_names = {0.0: "closed", 1.0: "open", 2.0: "half_open"}
-    prev = None  # (written_at, requests_total)
-    try:
-        while True:
-            doc = load()
-            if doc is None:
-                print(f"waiting for {path} ...", file=sys.stderr)
-            else:
-                requests = counter_total(doc, "serve_requests_total")
-                written_at = doc.get("written_at", 0.0)
-                if prev is not None and written_at > prev[0]:
-                    qps = (requests - prev[1]) / (written_at - prev[0])
-                else:
-                    qps = float("nan")
-                prev = (written_at, requests)
-                shed = counter_total(doc, "serve_shed_total")
-                shed_rate = shed / requests if requests else 0.0
-                staleness = gauge_value(doc, "serve_staleness")
-                breaker = breaker_names.get(
-                    gauge_value(doc, "serve_breaker_state"), "unknown"
-                )
-                p50 = latency_quantile(doc, 0.50)
-                p99 = latency_quantile(doc, 0.99)
-                print(
-                    f"[seq {doc.get('sequence', '?')}] "
-                    f"qps {qps:7.1f}  "
-                    f"p50 {p50 * 1000:7.2f}ms  p99 {p99 * 1000:7.2f}ms  "
-                    f"staleness {staleness if staleness is not None else '-'}  "
-                    f"breaker {breaker}  shed {shed_rate * 100:.1f}%"
-                )
-                for name, state in sorted((doc.get("slo") or {}).items()):
-                    flag = "FIRING" if state.get("firing") else "ok"
-                    print(
-                        f"  slo {name:<12} {flag:<6} "
-                        f"burn fast {state.get('burn_fast', 0.0):6.2f} "
-                        f"slow {state.get('burn_slow', 0.0):6.2f}  "
-                        f"bad {state.get('window_bad', 0)}/"
-                        f"{state.get('window_bad', 0) + state.get('window_good', 0)}"
-                    )
-            if args.once:
-                return 0 if doc is not None else 1
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -793,24 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome trace (chrome://tracing) of the drill: the "
         "load plan and the sampled request spans under one serve span",
     )
-    serve.add_argument(
-        "--telemetry-dir",
-        help="publish telemetry.prom / telemetry.json snapshots here on "
-        "a cadence (scrape targets; `repro.cli watch` tails them)",
-    )
     serve.set_defaults(handler=cmd_serve)
-
-    watch = commands.add_parser(
-        "watch", help="tail a --telemetry-dir into a terminal dashboard"
-    )
-    watch.add_argument("directory", help="directory holding telemetry.json")
-    watch.add_argument(
-        "--interval", type=float, default=1.0, help="refresh cadence in seconds"
-    )
-    watch.add_argument(
-        "--once", action="store_true", help="print one snapshot and exit"
-    )
-    watch.set_defaults(handler=cmd_watch)
 
     drill = commands.add_parser("drill", help="run a fault-injection recovery drill")
     _add_dataset_argument(drill)

@@ -18,21 +18,8 @@ pays nothing (the hot-path contract the end-to-end benchmark,
   skip, and readers (:func:`read_events`, :func:`summarize_run`) used
   by ``repro.cli report`` and the CI telemetry gate
   (``scripts/check_run_health.py``).
-* :mod:`repro.obs.exposition` — Prometheus text rendering of a
-  registry plus the :class:`TelemetrySink` thread that snapshots live
-  telemetry to disk atomically for ``repro.cli watch`` and CI scrapes.
-* :mod:`repro.obs.slo` — declarative :class:`SLODef` objectives with
-  ring-buffer windows and multi-window burn-rate alerting
-  (:class:`SLOEngine`), emitting paired ``alert`` events.
 """
 
-from repro.obs.exposition import (
-    JSON_FILENAME,
-    PROM_FILENAME,
-    TelemetrySink,
-    histogram_quantile,
-    to_prometheus,
-)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -57,12 +44,6 @@ from repro.obs.report import (
     RunReporter,
     read_events,
     summarize_run,
-)
-from repro.obs.slo import (
-    ALERT_STATES,
-    BurnWindow,
-    SLODef,
-    SLOEngine,
 )
 from repro.obs.tracing import (
     ResourceSampler,
@@ -94,15 +75,6 @@ __all__ = [
     "RunReporter",
     "read_events",
     "summarize_run",
-    "ALERT_STATES",
-    "BurnWindow",
-    "SLODef",
-    "SLOEngine",
-    "JSON_FILENAME",
-    "PROM_FILENAME",
-    "TelemetrySink",
-    "histogram_quantile",
-    "to_prometheus",
     "ResourceSampler",
     "Span",
     "SpanCollector",

@@ -2,9 +2,7 @@
 
 A :class:`MetricsRegistry` owns named metrics; each metric owns labeled
 series (a Prometheus-style data model without the wire format).  The
-registry serialises to a stable JSON structure consumed by the
-telemetry sink (:mod:`repro.obs.exposition`) and the CI artifact
-uploads:
+registry serialises to one stable JSON structure:
 
     registry = MetricsRegistry()
     batches = registry.counter("batches_total", help="optimizer steps")
@@ -193,7 +191,7 @@ class _HistogramSeries:
     def observe(self, value: float) -> None:
         value = float(value)
         # One NaN would make _sum (and every quantile derived from the
-        # exposition) NaN forever; divert non-finite observations to the
+        # buckets) NaN forever; divert non-finite observations to the
         # side counter instead of folding them in.
         if not math.isfinite(value):
             self.nonfinite += 1

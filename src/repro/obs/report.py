@@ -73,9 +73,6 @@ EVENT_SCHEMAS: Dict[str, tuple] = {
     "breaker_transition": ("from_state", "to_state", "reason"),
     "degraded": ("ts", "staleness", "reason"),
     "drain": ("requests", "shed", "errors", "deadline_exceeded", "clean"),
-    # SLO burn-rate alerting (repro.obs.slo): states strictly alternate
-    # firing -> resolved per SLO and a terminated stream ends resolved.
-    "alert": ("slo", "state", "burn_fast", "burn_slow", "reason"),
 }
 
 #: Legal ``refresh_retry`` outcomes.

@@ -18,7 +18,7 @@ See DESIGN.md §8 for the serve robustness contract and the README
   (closed→open→half-open, legal transitions enforced);
 * :mod:`repro.serve.server` — :class:`ModelServer` composing the above
   with a supervised refresh worker, probes and drain;
-* :mod:`repro.serve.loadgen` — open-loop Poisson traffic, its SLO
+* :mod:`repro.serve.loadgen` — open-loop Poisson traffic, its latency
   summary and :func:`run_drill`, the one serve drill, which
   ``repro.cli serve`` runs.
 """

