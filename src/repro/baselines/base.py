@@ -77,41 +77,6 @@ class TripleScorer(Module):
         """Static models do not learn online; revealed facts are ignored."""
 
 
-class SequentialForecaster(Module):
-    """Shared machinery for history-driven (extrapolation) baselines.
-
-    Subclasses implement ``loss_on_snapshot`` plus the two prediction
-    methods; this base provides the history buffer, the last-k window,
-    the ExtrapolationModel ``observe`` hook and cache invalidation — the
-    same contract :class:`repro.core.model.RETIA` exposes, so
-    :class:`repro.core.trainer.Trainer` drives these models too.
-    """
-
-    def __init__(self, history_length: int = 3):
-        super().__init__()
-        self.history_length = history_length
-        self._history = {}
-        self._version = 0
-
-    def set_history(self, graph: TemporalKG) -> None:
-        self._history = {int(t): graph.snapshot(int(t)) for t in graph.timestamps}
-        self.mark_updated()
-
-    def record_snapshot(self, snapshot: Snapshot) -> None:
-        self._history[snapshot.time] = snapshot
-        self.mark_updated()
-
-    def history_before(self, ts: int):
-        times = sorted(t for t in self._history if t < ts)
-        return [self._history[t] for t in times[-self.history_length :]]
-
-    def mark_updated(self) -> None:
-        self._version += 1
-
-    def observe(self, snapshot: Snapshot) -> None:
-        self.record_snapshot(snapshot)
-
-
 @dataclass(frozen=True)
 class StaticTrainerConfig:
     """Knobs for :class:`StaticTrainer`."""

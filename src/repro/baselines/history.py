@@ -10,8 +10,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
-from repro.baselines.base import SequentialForecaster
 from repro.autograd import functional as F
+from repro.core.forecaster import SequentialForecaster
 from repro.graph import Snapshot, TemporalKG
 from repro.nn import Embedding, Linear, Parameter
 from repro.utils import seeded_rng
@@ -52,6 +52,24 @@ class _HistoryVocabulary:
         for r, c in self.relation_counts.get((subject, obj), {}).items():
             vec[r] = c
         return vec
+
+    def entity_distribution(self, queries: np.ndarray) -> np.ndarray:
+        """``(B, N)`` repetition counts of each ``(s, r)`` query, normalised
+        per row (uniform for a query never seen)."""
+        return self._distribution(self.entity_vector, queries, self.num_entities)
+
+    def relation_distribution(self, pairs: np.ndarray) -> np.ndarray:
+        """``(B, M)`` counterpart of :meth:`entity_distribution` for ``(s, o)``."""
+        return self._distribution(self.relation_vector, pairs, self.num_relations)
+
+    @staticmethod
+    def _distribution(vector, rows: np.ndarray, width: int) -> np.ndarray:
+        out = []
+        for a, b in np.asarray(rows, dtype=np.int64):
+            vec = vector(int(a), int(b))
+            total = vec.sum()
+            out.append(vec / total if total > 0 else np.full(width, 1.0 / width))
+        return np.stack(out)
 
     def popularity_vector(self) -> np.ndarray:
         vec = np.zeros(self.num_entities)
@@ -112,10 +130,8 @@ class CyGNet(SequentialForecaster):
         history_length: int = 3,
         seed: int = 0,
     ):
-        super().__init__(history_length)
+        super().__init__(num_entities, num_relations, history_length)
         rng = seeded_rng(seed)
-        self.num_entities = num_entities
-        self.num_relations = num_relations
         self.entities = Embedding(num_entities, dim, rng=rng)
         self.relations = Embedding(2 * num_relations, dim, rng=rng)
         self.gen_head = Linear(2 * dim, dim, rng=rng)
@@ -140,18 +156,10 @@ class CyGNet(SequentialForecaster):
         logits = self.gen_head(fused).relu() @ self.entities.weight.T
         return F.softmax(logits, axis=-1)
 
-    def _copy_probs(self, queries: np.ndarray) -> np.ndarray:
-        rows = []
-        for s, r in np.asarray(queries, dtype=np.int64):
-            vec = self.vocab.entity_vector(int(s), int(r))
-            total = vec.sum()
-            rows.append(vec / total if total > 0 else np.full(self.num_entities, 1.0 / self.num_entities))
-        return np.stack(rows)
-
     def _combined_entity_probs(self, queries: np.ndarray) -> Tensor:
         alpha = self.copy_gate.sigmoid()  # scalar in (0, 1)
         gen = self._generation_probs(queries)
-        copy = Tensor(self._copy_probs(queries))
+        copy = Tensor(self.vocab.entity_distribution(queries))
         return copy * alpha + gen * (1.0 - alpha)
 
     def _relation_probs(self, pairs: np.ndarray) -> Tensor:

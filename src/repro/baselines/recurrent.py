@@ -7,6 +7,14 @@ entities + GRU ("w. MP+LSTM" level in Fig. 6/7 — the level that suffers
 from message islands).  RGCRN drops the relation evolution; CEN adds the
 time-variability probability ensemble; TiRGN adds a gated global-history
 copy distribution on top of RE-GCN's local scores.
+
+The RE-GCN family runs on RETIA's own machinery: its entity step is
+RETIA's :class:`~repro.core.eam.EntityAggregationModule` (Eq. 4-6 *is*
+the RE-GCN entity step), fed the snapshot's message plan from the shared
+:class:`~repro.graph.SnapshotCache`, and the history buffer, stacked
+decode, ranking and loss are
+:class:`~repro.core.forecaster.EvolutionalForecaster`'s.  Each model
+supplies only its parameters and its relation step.
 """
 
 from __future__ import annotations
@@ -15,22 +23,23 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor, default_dtype, no_grad
 from repro.autograd import functional as F
-from repro.baselines.base import SequentialForecaster
 from repro.baselines.history import _HistoryVocabulary
 from repro.core.decoder import ConvTransE
-from repro.core.rgcn import RGCNStack
-from repro.graph import Snapshot, TemporalKG
-from repro.nn import Embedding, GRUCell, Linear, Parameter, losses
+from repro.core.eam import EntityAggregationModule
+from repro.core.forecaster import EvolutionalForecaster, SequentialForecaster
+from repro.graph import Snapshot, SnapshotArtifacts, TemporalKG
+from repro.nn import Embedding, GRUCell, Linear, Parameter, init, losses
 from repro.utils import l2_normalize_rows, seeded_rng
 
 
-class RecurrentEncoderBaseline(SequentialForecaster):
-    """Shared RE-GCN-style encoder/decoder skeleton.
+class RecurrentEncoderBaseline(EvolutionalForecaster):
+    """Shared RE-GCN-style encoder: EAM entity step, GRU relation step.
 
     Subclasses override :meth:`_relation_step` to choose how relation
-    embeddings evolve, and may override the probability combination.
+    embeddings evolve.  Parameters keep the dtype that is the default
+    when the model is built.
     """
 
     #: Sum decoder probabilities over the evolved history (CEN) or use
@@ -49,129 +58,44 @@ class RecurrentEncoderBaseline(SequentialForecaster):
         lambda_entity: float = 0.7,
         seed: int = 0,
     ):
-        super().__init__(history_length)
+        super().__init__(
+            num_entities, num_relations, history_length, lambda_entity, default_dtype()
+        )
         rng = seeded_rng(seed)
-        self.num_entities = num_entities
-        self.num_relations = num_relations
         self.dim = dim
-        self.lambda_entity = lambda_entity
         self.entity_embedding = Parameter(np.zeros((num_entities, dim)))
         self.relation_embedding = Parameter(np.zeros((2 * num_relations, dim)))
-        from repro.nn import init
-
         init.xavier_uniform_(self.entity_embedding, rng=rng)
         init.xavier_uniform_(self.relation_embedding, rng=rng)
-        self.entity_gcn = RGCNStack(2 * num_relations, dim, num_layers, dropout, rng=rng)
-        self.entity_gru = GRUCell(dim, dim, rng=rng)
+        self.eam = EntityAggregationModule(num_relations, dim, num_layers, dropout, rng=rng)
         self.relation_gru = GRUCell(2 * dim, dim, rng=rng)
         self.entity_decoder = ConvTransE(dim, num_kernels, dropout=dropout, rng=rng)
         self.relation_decoder = ConvTransE(dim, num_kernels, dropout=dropout, rng=rng)
 
-    # ------------------------------------------------------------------
-    # Encoder
-    # ------------------------------------------------------------------
-    def _relation_step(self, entity_prev: Tensor, relation_prev: Tensor, snapshot: Snapshot) -> Tensor:
+    def _relation_step(
+        self, artifacts: SnapshotArtifacts, entity_prev: Tensor, relation_prev: Tensor
+    ) -> Tensor:
         """RE-GCN relation evolution: GRU([R_0 ; MP(E_{t-1})], R_{t-1})."""
-        entities, relations = snapshot.relation_entity_pairs
+        entities, relations = artifacts.relation_entity_pairs
         pooled = F.segment_mean(
             entity_prev.gather_rows(entities), relations, 2 * self.num_relations
         )
         fused = F.concat([self.relation_embedding, pooled], axis=1)
         return self.relation_gru(fused, relation_prev)
 
-    def evolve(self, history: List[Snapshot]) -> Tuple[List[Tensor], List[Tensor]]:
+    def _evolve(self, history: List[Snapshot]) -> Tuple[List[Tensor], List[Tensor]]:
         entity = l2_normalize_rows(self.entity_embedding)
         relation = self.relation_embedding
         if not history:
             return [entity], [relation]
         entity_list, relation_list = [], []
         for snapshot in history:
-            relation = self._relation_step(entity, relation, snapshot)
-            aggregated = self.entity_gcn(
-                entity, relation, snapshot.edges_with_inverse, snapshot.edge_norm
-            )
-            entity = self.entity_gru(aggregated, entity)
+            artifacts = self.snapshot_cache.artifacts(snapshot)
+            relation = self._relation_step(artifacts, entity, relation)
+            entity = self.eam(entity, relation, snapshot, plan=artifacts.entity_plan)
             entity_list.append(entity)
             relation_list.append(relation)
         return entity_list, relation_list
-
-    # ------------------------------------------------------------------
-    # Decoding
-    # ------------------------------------------------------------------
-    def _entity_probs(self, entity_list, relation_list, queries) -> List[Tensor]:
-        if not self.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
-        queries = np.asarray(queries, dtype=np.int64)
-        probs = []
-        for entity, relation in zip(entity_list, relation_list):
-            probs.append(
-                self.entity_decoder.probabilities(
-                    entity.gather_rows(queries[:, 0]),
-                    relation.gather_rows(queries[:, 1]),
-                    entity,
-                )
-            )
-        return probs
-
-    def _relation_probs(self, entity_list, relation_list, pairs) -> List[Tensor]:
-        if not self.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
-        pairs = np.asarray(pairs, dtype=np.int64)
-        m = self.num_relations
-        probs = []
-        for entity, relation in zip(entity_list, relation_list):
-            probs.append(
-                self.relation_decoder.probabilities(
-                    entity.gather_rows(pairs[:, 0]),
-                    entity.gather_rows(pairs[:, 1]),
-                    relation[:m],
-                )
-            )
-        return probs
-
-    # ------------------------------------------------------------------
-    # Trainer contract (same shape as RETIA.loss_on_snapshot)
-    # ------------------------------------------------------------------
-    def loss_on_snapshot(self, target: Snapshot):
-        history = self.history_before(target.time)
-        entity_list, relation_list = self.evolve(history)
-        triples = target.triples
-        s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
-        queries = np.concatenate(
-            [np.stack([s, r], axis=1), np.stack([o, r + self.num_relations], axis=1)]
-        )
-        targets = np.concatenate([o, s])
-        loss_entity = losses.nll_of_summed_probs(
-            self._entity_probs(entity_list, relation_list, queries), targets
-        )
-        loss_relation = losses.nll_of_summed_probs(
-            self._relation_probs(entity_list, relation_list, np.stack([s, o], axis=1)), r
-        )
-        joint = loss_entity * self.lambda_entity + loss_relation * (1 - self.lambda_entity)
-        return joint, loss_entity, loss_relation
-
-    # ------------------------------------------------------------------
-    # ExtrapolationModel contract
-    # ------------------------------------------------------------------
-    def _predict(self, fn, rows, ts):
-        history = self.history_before(ts)
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            entity_list, relation_list = self.evolve(history)
-            probs = fn(entity_list, relation_list, rows)
-        if was_training:
-            self.train()
-        total = probs[0].data.copy()
-        for p in probs[1:]:
-            total += p.data
-        return total
-
-    def predict_entities(self, queries: np.ndarray, ts: int) -> np.ndarray:
-        return self._predict(self._entity_probs, queries, ts)
-
-    def predict_relations(self, pairs: np.ndarray, ts: int) -> np.ndarray:
-        return self._predict(self._relation_probs, pairs, ts)
 
 
 class REGCN(RecurrentEncoderBaseline):
@@ -182,7 +106,7 @@ class RGCRN(RecurrentEncoderBaseline):
     """RGCRN (Seo et al. 2018 adapted): entity evolution only — relation
     embeddings stay at their initial values."""
 
-    def _relation_step(self, entity_prev, relation_prev, snapshot) -> Tensor:
+    def _relation_step(self, artifacts, entity_prev, relation_prev) -> Tensor:
         return self.relation_embedding
 
 
@@ -212,10 +136,8 @@ class RENet(SequentialForecaster):
         lambda_entity: float = 0.7,
         seed: int = 0,
     ):
-        super().__init__(history_length)
+        super().__init__(num_entities, num_relations, history_length)
         rng = seeded_rng(seed)
-        self.num_entities = num_entities
-        self.num_relations = num_relations
         self.lambda_entity = lambda_entity
         self.entities = Embedding(num_entities, dim, rng=rng)
         self.relations = Embedding(2 * num_relations, dim, rng=rng)
@@ -297,7 +219,13 @@ class RENet(SequentialForecaster):
 
 class TiRGN(RecurrentEncoderBaseline):
     """TiRGN (Li et al. 2022): RE-GCN local scores gated against a global
-    history-repetition distribution."""
+    history-repetition distribution.
+
+    The blend ``phi * p_local + (1 - phi) * p_global`` is applied to
+    every decode the shared forecaster runs: the training probabilities,
+    the no-grad sums and each streamed ranking block.  TiRGN decodes the
+    last snapshot only, so blending a sum is blending its one term.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -313,34 +241,31 @@ class TiRGN(RecurrentEncoderBaseline):
         super().record_snapshot(snapshot)
         self.vocab.add_snapshot(snapshot)
 
-    def _global_entity_probs(self, queries: np.ndarray) -> np.ndarray:
-        rows = []
-        for s, r in np.asarray(queries, dtype=np.int64):
-            vec = self.vocab.entity_vector(int(s), int(r))
-            total = vec.sum()
-            rows.append(
-                vec / total if total > 0 else np.full(self.num_entities, 1.0 / self.num_entities)
-            )
-        return np.stack(rows)
-
-    def _global_relation_probs(self, pairs: np.ndarray) -> np.ndarray:
-        rows = []
-        for s, o in np.asarray(pairs, dtype=np.int64):
-            vec = self.vocab.relation_vector(int(s), int(o))
-            total = vec.sum()
-            rows.append(
-                vec / total if total > 0 else np.full(self.num_relations, 1.0 / self.num_relations)
-            )
-        return np.stack(rows)
-
-    def _entity_probs(self, entity_list, relation_list, queries) -> List[Tensor]:
-        local = super()._entity_probs(entity_list, relation_list, queries)
+    def _blend(self, local: Tensor, glob: np.ndarray) -> Tensor:
         phi = self.history_gate.sigmoid()
-        glob = Tensor(self._global_entity_probs(queries))
-        return [p * phi + glob * (1.0 - phi) for p in local]
+        return local * phi + Tensor(glob) * (1.0 - phi)
 
-    def _relation_probs(self, entity_list, relation_list, pairs) -> List[Tensor]:
-        local = super()._relation_probs(entity_list, relation_list, pairs)
-        phi = self.history_gate.sigmoid()
-        glob = Tensor(self._global_relation_probs(pairs))
-        return [p * phi + glob * (1.0 - phi) for p in local]
+    def _entity_probabilities(self, entity_list, relation_list, queries) -> Tensor:
+        local = super()._entity_probabilities(entity_list, relation_list, queries)
+        return self._blend(local, self.vocab.entity_distribution(queries))
+
+    def _relation_probabilities(self, entity_list, relation_list, pairs) -> Tensor:
+        local = super()._relation_probabilities(entity_list, relation_list, pairs)
+        return self._blend(local, self.vocab.relation_distribution(pairs))
+
+    def _summed_entity_probabilities(self, entity_list, relation_list, queries, visit=None):
+        glob = self.vocab.entity_distribution(queries)
+        if visit is None:
+            local = super()._summed_entity_probabilities(entity_list, relation_list, queries)
+            return self._blend(Tensor(local), glob).data
+
+        def blended(start: int, sums: np.ndarray) -> None:
+            visit(start, self._blend(Tensor(sums), glob[start : start + len(sums)]).data)
+
+        return super()._summed_entity_probabilities(
+            entity_list, relation_list, queries, visit=blended
+        )
+
+    def _summed_relation_probabilities(self, entity_list, relation_list, pairs):
+        local = super()._summed_relation_probabilities(entity_list, relation_list, pairs)
+        return self._blend(Tensor(local), self.vocab.relation_distribution(pairs)).data

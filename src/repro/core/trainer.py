@@ -27,7 +27,7 @@ import numpy as np
 
 import time
 
-from repro.core.model import RETIA, validate_snapshot_ids
+from repro.core.forecaster import SequentialForecaster, validate_snapshot_ids
 from repro.eval import evaluate_extrapolation
 from repro.graph import Snapshot, TemporalKG
 from repro.nn import Adam
@@ -84,11 +84,13 @@ class EpochLog:
 
 
 class Trainer:
-    """General training driver for :class:`~repro.core.model.RETIA`."""
+    """General training driver for any
+    :class:`~repro.core.forecaster.SequentialForecaster` (RETIA and the
+    extrapolation baselines)."""
 
     def __init__(
         self,
-        model: RETIA,
+        model: SequentialForecaster,
         config: TrainerConfig = TrainerConfig(),
         resilience: Optional[ResilienceConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -553,7 +555,7 @@ class OnlineAdapter:
 
     def __init__(
         self,
-        model: RETIA,
+        model: SequentialForecaster,
         config: TrainerConfig,
         resilience: Optional[ResilienceConfig] = None,
         reporter: Optional[RunReporter] = None,
@@ -583,9 +585,7 @@ class OnlineAdapter:
         # Out-of-vocab facts must fail loudly here (ValueError naming the
         # ids and bounds), not as an IndexError inside an embedding
         # gather three frames down — the serve ingest path depends on it.
-        cfg = getattr(self.model, "config", None)
-        if cfg is not None and hasattr(cfg, "num_entities"):
-            validate_snapshot_ids(snapshot, cfg.num_entities, cfg.num_relations)
+        validate_snapshot_ids(snapshot, self.model.num_entities, self.model.num_relations)
         observe_index = self.observed
         self.observed += 1
         # Drop accounting rides along when a collector is installed

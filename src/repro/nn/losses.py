@@ -9,8 +9,6 @@ version used by the baselines.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
-
 import numpy as np
 
 from repro.autograd import Tensor
@@ -26,35 +24,22 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def nll_of_summed_probs(
-    prob_snapshots: Union[Tensor, Sequence[Tensor]],
-    targets: np.ndarray,
-    eps: float = 1e-12,
-) -> Tensor:
+def nll_of_summed_probs(probs: Tensor, targets: np.ndarray, eps: float = 1e-12) -> Tensor:
     """Time-variability loss: ``-mean(log(sum_t p_t[target]))``.
 
     Parameters
     ----------
-    prob_snapshots:
-        Either one ``(B, num_classes)`` probability tensor per historical
-        snapshot (already softmax-normalised, Eq. 11–12; the recurrent
-        baselines' per-snapshot decoders), or a single stacked
-        ``(T, B, num_classes)`` tensor from RETIA's batched decoder — the
-        per-snapshot sum then collapses to one ``sum(axis=0)``.
+    probs:
+        The stacked ``(T, B, num_classes)`` per-snapshot probabilities
+        (already softmax-normalised, Eq. 11–12) of the batched decoder,
+        with at least one snapshot.
     targets:
         Ground-truth class index per row.
     """
+    if probs.data.ndim != 3 or probs.shape[0] == 0:
+        raise ValueError("stacked probabilities must be (T, B, num_classes) with T >= 1")
     targets = np.asarray(targets, dtype=np.int64)
-    if isinstance(prob_snapshots, Tensor):
-        if prob_snapshots.data.ndim != 3:
-            raise ValueError("stacked probabilities must be (T, B, num_classes)")
-        total = prob_snapshots.sum(axis=0)
-    else:
-        if not prob_snapshots:
-            raise ValueError("need at least one probability snapshot")
-        total = prob_snapshots[0]
-        for p in prob_snapshots[1:]:
-            total = total + p
+    total = probs.sum(axis=0)
     rows = np.arange(len(targets))
     picked = total[(rows, targets)] + eps
     return -picked.log().mean()

@@ -8,9 +8,10 @@ they replaced live here, test-only, as bit-exactness oracles:
 * :func:`reference_gru_step` / :func:`reference_lstm_step` — the
   ~12-node per-step tape built from elementwise autograd ops;
 * :func:`reference_entity_probabilities` /
-  :func:`reference_relation_probabilities` — one decoder call per
-  historical snapshot, returning a list, summed by
-  :func:`reference_sum_probs`;
+  :func:`reference_relation_probabilities` — one
+  :func:`reference_probabilities` decoder call per historical snapshot,
+  returning a list, summed by :func:`reference_sum_probs` and scored by
+  :func:`reference_nll_of_summed_probs`;
 * :func:`reference_softmax` — the shift / exp / normalise composition
   with a fresh buffer per step, which ``F.softmax`` runs in one;
 * :func:`reference_ranks` — the gathered, float64-widened, whole-row
@@ -30,7 +31,15 @@ they replaced live here, test-only, as bit-exactness oracles:
   with one protocol loop at every worker count;
 * :func:`reference_build_hyperrelation_graph` — Algorithm 1 with the
   o-o/s-s diagonals zeroed through a LIL round trip, which
-  ``build_hyperrelation_graph`` replaced with a sorted-CSR mask.
+  ``build_hyperrelation_graph`` replaced with a sorted-CSR mask;
+* :class:`ReferenceREGCN` / :class:`ReferenceRGCRN` /
+  :class:`ReferenceCEN` / :class:`ReferenceTiRGN` — the RE-GCN family
+  with its own R-GCN + GRU entity step (a message plan rebuilt per
+  snapshot per step), the per-snapshot decode loop and its own loss and
+  predict paths, which ``repro.baselines.recurrent`` replaced with
+  RETIA's EAM, snapshot cache and stacked decoder.  Their ``state_dict``
+  keys are ``entity_gcn.*`` / ``entity_gru.*`` where the production
+  models have ``eam.gcn.*`` / ``eam.gru.*`` (:func:`renamed_state`).
 
 :func:`use_reference_cells` and :func:`use_reference_decoder` rebind a
 ``RETIA`` instance onto them, so model-level parity tests compare a
@@ -47,12 +56,19 @@ from typing import List
 import numpy as np
 from scipy import sparse
 
-from repro.autograd import Tensor
+from repro.autograd import DtypePolicy, Tensor, default_dtype, no_grad
+from repro.autograd import functional as F
+from repro.baselines.history import _HistoryVocabulary
+from repro.core.decoder import ConvTransE
+from repro.core.forecaster import SequentialForecaster
+from repro.core.rgcn import RGCNStack
 from repro.eval.diagnostics import DiagnosticsAccumulators, DiagnosticsReport
 from repro.eval.metrics import RankAccumulator
 from repro.eval.protocol import EvaluationResult, score_timestamp
 from repro.graph.hypergraph import NUM_HYPERRELATIONS
+from repro.nn import Parameter, init
 from repro.nn.rnn import GRUCell, LSTMCell
+from repro.utils import l2_normalize_rows, seeded_rng
 
 
 def forbidden(*args, **kwargs):
@@ -124,30 +140,50 @@ def reference_rrelu_slope(
 # ----------------------------------------------------------------------
 # Time-variability decode
 # ----------------------------------------------------------------------
+def reference_probabilities(
+    decoder: ConvTransE, first: Tensor, second: Tensor, candidates: Tensor
+) -> Tensor:
+    """One snapshot's ``(B, C)`` softmax scores, the ``p_t`` of Eq. 11-12."""
+    return F.softmax(decoder(first, second, candidates), axis=-1)
+
+
+def reference_nll_of_summed_probs(probs: List[Tensor], targets, eps: float = 1e-12) -> Tensor:
+    """``-mean(log(sum_t p_t[target]))`` over a list of ``(B, C)`` tensors,
+    summed one snapshot at a time."""
+    if not probs:
+        raise ValueError("need at least one probability snapshot")
+    targets = np.asarray(targets, dtype=np.int64)
+    total = probs[0]
+    for p in probs[1:]:
+        total = total + p
+    picked = total[(np.arange(len(targets)), targets)] + eps
+    return -picked.log().mean()
+
+
 def reference_entity_probabilities(model, entity_list, relation_list, queries) -> List[Tensor]:
     """One ``(B, N)`` entity probability tensor per historical snapshot."""
-    if not model.config.time_variability:
+    if not model.time_variability:
         entity_list, relation_list = entity_list[-1:], relation_list[-1:]
     queries = np.asarray(queries, dtype=np.int64)
     probs = []
     for entity, relation in zip(entity_list, relation_list):
         subj = entity.gather_rows(queries[:, 0])
         rel = relation.gather_rows(queries[:, 1])
-        probs.append(model.entity_decoder.probabilities(subj, rel, entity))
+        probs.append(reference_probabilities(model.entity_decoder, subj, rel, entity))
     return probs
 
 
 def reference_relation_probabilities(model, entity_list, relation_list, pairs) -> List[Tensor]:
     """One ``(B, M)`` relation probability tensor per historical snapshot."""
-    if not model.config.time_variability:
+    if not model.time_variability:
         entity_list, relation_list = entity_list[-1:], relation_list[-1:]
     pairs = np.asarray(pairs, dtype=np.int64)
-    m = model.config.num_relations
+    m = model.num_relations
     probs = []
     for entity, relation in zip(entity_list, relation_list):
         subj = entity.gather_rows(pairs[:, 0])
         obj = entity.gather_rows(pairs[:, 1])
-        probs.append(model.relation_decoder.probabilities(subj, obj, relation[:m]))
+        probs.append(reference_probabilities(model.relation_decoder, subj, obj, relation[:m]))
     return probs
 
 
@@ -159,11 +195,34 @@ def reference_sum_probs(probs: List[Tensor]) -> np.ndarray:
     return total
 
 
+def reference_loss_on_snapshot(model, target):
+    """Eq. 13-14 from the per-snapshot probability lists of
+    ``model._entity_probabilities`` / ``model._relation_probabilities``,
+    summed one snapshot at a time."""
+    with model._dtype_policy:
+        entity_list, relation_list = model.evolve(model.history_before(target.time))
+        triples = target.triples
+        s, r, o = triples[:, 0], triples[:, 1], triples[:, 2]
+        queries = np.concatenate(
+            [np.stack([s, r], axis=1), np.stack([o, r + model.num_relations], axis=1)]
+        )
+        targets = np.concatenate([o, s])
+        loss_entity = reference_nll_of_summed_probs(
+            model._entity_probabilities(entity_list, relation_list, queries), targets
+        )
+        loss_relation = reference_nll_of_summed_probs(
+            model._relation_probabilities(entity_list, relation_list, np.stack([s, o], axis=1)),
+            r,
+        )
+        joint = loss_entity * model.lambda_entity + loss_relation * (1.0 - model.lambda_entity)
+    return joint, loss_entity, loss_relation
+
+
 def use_reference_decoder(model):
     """Route ``model``'s decode through the per-snapshot loop.
 
-    Both the training decode (per-snapshot probability tensors) and the
-    no-grad summed decode behind ``predict_entities`` /
+    The training loss (per-snapshot probability lists, summed in turn)
+    and the no-grad summed decode behind ``predict_entities`` /
     ``rank_entities`` / ``predict_relations`` / serving are rebound; a
     block visitor sees the whole sum as one block.
     """
@@ -178,6 +237,7 @@ def use_reference_decoder(model):
 
     object.__setattr__(model, "_entity_probabilities", entity)
     object.__setattr__(model, "_relation_probabilities", relation)
+    object.__setattr__(model, "loss_on_snapshot", partial(reference_loss_on_snapshot, model))
     object.__setattr__(model, "_summed_entity_probabilities", summed_entities)
     object.__setattr__(
         model,
@@ -408,3 +468,174 @@ def reference_build_hyperrelation_graph(snapshot) -> np.ndarray:
         blocks.append(np.stack([src, types, dst], axis=1))
         blocks.append(np.stack([dst, types + NUM_HYPERRELATIONS, src], axis=1))
     return np.concatenate(blocks, axis=0)
+
+
+# ----------------------------------------------------------------------
+# The RE-GCN family, hand-copied
+# ----------------------------------------------------------------------
+def renamed_state(state: dict, reverse: bool = False) -> dict:
+    """A reference model's ``state_dict`` under the production key names
+    (``reverse``: a production ``state_dict`` under the reference names)."""
+    prefixes = (("entity_gcn.", "eam.gcn."), ("entity_gru.", "eam.gru."))
+    renamed = {}
+    for key, value in state.items():
+        for old, new in prefixes:
+            if reverse:
+                old, new = new, old
+            if key.startswith(old):
+                key = new + key[len(old) :]
+        renamed[key] = value
+    return renamed
+
+
+class ReferenceRecurrentBaseline(SequentialForecaster):
+    """The RE-GCN-style encoder/decoder skeleton as it was hand-written:
+    R-GCN + GRU entity step over the raw snapshot edges, one decoder call
+    per snapshot, list-summed loss and predictions."""
+
+    time_variability = False
+
+    def __init__(
+        self,
+        num_entities: int,
+        num_relations: int,
+        dim: int = 32,
+        history_length: int = 3,
+        num_layers: int = 2,
+        dropout: float = 0.2,
+        num_kernels: int = 16,
+        lambda_entity: float = 0.7,
+        seed: int = 0,
+    ):
+        super().__init__(num_entities, num_relations, history_length)
+        rng = seeded_rng(seed)
+        self.dim = dim
+        self.lambda_entity = lambda_entity
+        self._dtype_policy = DtypePolicy(default_dtype())
+        self.entity_embedding = Parameter(np.zeros((num_entities, dim)))
+        self.relation_embedding = Parameter(np.zeros((2 * num_relations, dim)))
+        init.xavier_uniform_(self.entity_embedding, rng=rng)
+        init.xavier_uniform_(self.relation_embedding, rng=rng)
+        self.entity_gcn = RGCNStack(2 * num_relations, dim, num_layers, dropout, rng=rng)
+        self.entity_gru = GRUCell(dim, dim, rng=rng)
+        self.relation_gru = GRUCell(2 * dim, dim, rng=rng)
+        self.entity_decoder = ConvTransE(dim, num_kernels, dropout=dropout, rng=rng)
+        self.relation_decoder = ConvTransE(dim, num_kernels, dropout=dropout, rng=rng)
+
+    def _relation_step(self, entity_prev, relation_prev, snapshot) -> Tensor:
+        entities, relations = snapshot.relation_entity_pairs
+        pooled = F.segment_mean(
+            entity_prev.gather_rows(entities), relations, 2 * self.num_relations
+        )
+        fused = F.concat([self.relation_embedding, pooled], axis=1)
+        return self.relation_gru(fused, relation_prev)
+
+    def evolve(self, history):
+        entity = l2_normalize_rows(self.entity_embedding)
+        relation = self.relation_embedding
+        if not history:
+            return [entity], [relation]
+        entity_list, relation_list = [], []
+        for snapshot in history:
+            relation = self._relation_step(entity, relation, snapshot)
+            aggregated = self.entity_gcn(
+                entity, relation, snapshot.edges_with_inverse, snapshot.edge_norm
+            )
+            entity = self.entity_gru(aggregated, entity)
+            entity_list.append(entity)
+            relation_list.append(relation)
+        return entity_list, relation_list
+
+    def _entity_probabilities(self, entity_list, relation_list, queries) -> List[Tensor]:
+        return reference_entity_probabilities(self, entity_list, relation_list, queries)
+
+    def _relation_probabilities(self, entity_list, relation_list, pairs) -> List[Tensor]:
+        return reference_relation_probabilities(self, entity_list, relation_list, pairs)
+
+    def loss_on_snapshot(self, target):
+        return reference_loss_on_snapshot(self, target)
+
+    def _predict(self, fn, rows, ts):
+        history = self.history_before(ts)
+        was_training = self.training
+        self.eval()
+        with no_grad():
+            entity_list, relation_list = self.evolve(history)
+            probs = fn(entity_list, relation_list, rows)
+        if was_training:
+            self.train()
+        return reference_sum_probs(probs)
+
+    def predict_entities(self, queries, ts):
+        return self._predict(self._entity_probabilities, queries, ts)
+
+    def predict_relations(self, pairs, ts):
+        return self._predict(self._relation_probabilities, pairs, ts)
+
+
+class ReferenceREGCN(ReferenceRecurrentBaseline):
+    """RE-GCN: the skeleton as-is."""
+
+
+class ReferenceRGCRN(ReferenceRecurrentBaseline):
+    """RGCRN: relation embeddings stay at their initial values."""
+
+    def _relation_step(self, entity_prev, relation_prev, snapshot) -> Tensor:
+        return self.relation_embedding
+
+
+class ReferenceCEN(ReferenceRecurrentBaseline):
+    """CEN: the probability ensemble over the evolved history."""
+
+    time_variability = True
+
+
+class ReferenceTiRGN(ReferenceRecurrentBaseline):
+    """TiRGN: each snapshot's local scores gated against the global
+    history-repetition distribution."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.history_gate = Parameter(np.zeros(1))
+        self.vocab = _HistoryVocabulary(self.num_entities, self.num_relations)
+
+    def set_history(self, graph) -> None:
+        super().set_history(graph)
+        self.vocab = _HistoryVocabulary(self.num_entities, self.num_relations)
+        self.vocab.add_graph(graph)
+
+    def record_snapshot(self, snapshot) -> None:
+        super().record_snapshot(snapshot)
+        self.vocab.add_snapshot(snapshot)
+
+    def _global_entity_probs(self, queries: np.ndarray) -> np.ndarray:
+        rows = []
+        for s, r in np.asarray(queries, dtype=np.int64):
+            vec = self.vocab.entity_vector(int(s), int(r))
+            total = vec.sum()
+            rows.append(
+                vec / total if total > 0 else np.full(self.num_entities, 1.0 / self.num_entities)
+            )
+        return np.stack(rows)
+
+    def _global_relation_probs(self, pairs: np.ndarray) -> np.ndarray:
+        rows = []
+        for s, o in np.asarray(pairs, dtype=np.int64):
+            vec = self.vocab.relation_vector(int(s), int(o))
+            total = vec.sum()
+            rows.append(
+                vec / total if total > 0 else np.full(self.num_relations, 1.0 / self.num_relations)
+            )
+        return np.stack(rows)
+
+    def _entity_probabilities(self, entity_list, relation_list, queries) -> List[Tensor]:
+        local = super()._entity_probabilities(entity_list, relation_list, queries)
+        phi = self.history_gate.sigmoid()
+        glob = Tensor(self._global_entity_probs(queries))
+        return [p * phi + glob * (1.0 - phi) for p in local]
+
+    def _relation_probabilities(self, entity_list, relation_list, pairs) -> List[Tensor]:
+        local = super()._relation_probabilities(entity_list, relation_list, pairs)
+        phi = self.history_gate.sigmoid()
+        glob = Tensor(self._global_relation_probs(pairs))
+        return [p * phi + glob * (1.0 - phi) for p in local]

