@@ -28,7 +28,8 @@ result file's name) and paired, base run i with head run i.  The claim
 holds when head is better in at least nine of every ten pairs (a tie
 counts for neither side) and head's median beats base's by more than
 base's own quartile distance.  It needs at least ten pairs and as many
-runs on each side (exit 2 otherwise); a claim that does not hold exits 1.
+runs on each side (exit 2 otherwise); a claim that does not hold exits 1
+and names the rule, or both rules, it missed.
 """
 
 from __future__ import annotations
@@ -90,15 +91,22 @@ def row_verdict(base, head, bound: float, sign: int) -> str:
 
 
 def claim_verdict(base, head, sign: int) -> tuple:
-    """``(holds, summary)`` of a claimed gain over run-ordered pairs."""
+    """``(missed, summary)`` of a claimed gain over run-ordered pairs.
+
+    ``missed`` names each rule the claim fails; it is empty when the claim holds.
+    """
     wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
     (b1, b2, b3), (_, h2, _) = quartiles(base), quartiles(head)
-    holds = wins >= CLAIM_WIN_SHARE * len(base) and sign * (b2 - h2) > b3 - b1
+    missed = []
+    if wins < CLAIM_WIN_SHARE * len(base):
+        missed.append(f"head won fewer than {CLAIM_WIN_SHARE:.0%} of the pairs")
+    if not sign * (b2 - h2) > b3 - b1:
+        missed.append(f"median gain {sign * (b2 - h2):.4g} is not above base IQR {b3 - b1:.4g}")
     summary = (
         f"head won {wins}/{len(base)} pairs, median {b2:.4g} -> {h2:.4g}, "
         f"base IQR {b3 - b1:.4g}"
     )
-    return holds, summary
+    return missed, summary
 
 
 def main(argv=None) -> int:
@@ -183,10 +191,11 @@ def main(argv=None) -> int:
             [run["metrics"][metric["name"]]["value"] for run in side[workload]]
             for side in (base_runs, head_runs)
         ]
-        holds, summary = claim_verdict(*values, 1 if metric["better"] == "lower" else -1)
-        print(f"claim {claim}: {summary} {metric['unit']}: {'met' if holds else 'not met'}")
-        if not holds:
-            problems.append(f"claim {claim} not met")
+        missed, summary = claim_verdict(*values, 1 if metric["better"] == "lower" else -1)
+        verdict = f"not met ({'; '.join(missed)})" if missed else "met"
+        print(f"claim {claim}: {summary} {metric['unit']}: {verdict}")
+        if missed:
+            problems.append(f"claim {claim} {verdict}")
 
     if args.history:
         with open(args.history, "a", encoding="utf-8") as fh:

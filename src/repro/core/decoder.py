@@ -21,22 +21,25 @@ from repro.autograd import functional as F
 from repro.nn import Conv2d, Dropout, Linear, Module
 from repro.utils import seeded_rng
 
-#: Logit bytes one softmax-and-sum block of :meth:`ConvTransE.summed_probabilities`
-#: covers (all T snapshots of its rows): about 1 MB, so the in-place passes
-#: over a block run in cache.
+#: Logit bytes of one softmax-and-sum block of :meth:`ConvTransE.summed_probabilities`:
+#: about 1 MB, so the in-place passes over a block run in cache.  A decode
+#: whose ``T·B·C`` logits fit in one block runs as one batched pass; a
+#: larger one goes snapshot by snapshot, in row blocks whose scratch and
+#: running-sum rows together take this many bytes.
 SUM_BLOCK_BYTES = 1 << 20
 
 
 class LogitWorkspace:
-    """Grow-only scratch for the no-grad decode's ``(T, B, C)`` logits.
+    """Grow-only scratch for the no-grad decode's logits.
 
-    One flat buffer per dtype, grown to the largest request seen and
-    never shrunk, so a pass over many timestamps reuses one allocation
-    (and its already-faulted pages) instead of paying for a fresh
-    ``T·B·C`` array at every timestamp.  A buffer is removed from the
-    free map while :meth:`hold` lends it out, so a second thread
-    decoding at the same time gets a fresh array and no two callers ever
-    share memory.
+    A one-block decode borrows its ``(T, B, C)`` logits here, a larger
+    one its one or two ``(B, C)`` slabs.  One flat buffer per dtype,
+    grown to the largest request seen and never shrunk, so a pass over
+    many timestamps reuses one allocation (and its already-faulted
+    pages) instead of paying for fresh slabs at every timestamp.  A
+    buffer is removed from the free map while :meth:`hold` lends it out,
+    so a second thread decoding at the same time gets a fresh array and
+    no two callers ever share memory.
     """
 
     def __init__(self):
@@ -180,38 +183,57 @@ class ConvTransE(Module):
     ) -> Optional[np.ndarray]:
         """No-grad decode: ``probabilities_multi(...).data.sum(0)``, ``(B, C)``.
 
-        The queries and the single batched matmul are those of
-        :meth:`probabilities_multi`, so the logits are bitwise the same
-        (a row-blocked matmul would not be: BLAS reduction order follows
-        the block shape).  The matmul writes into the reused
-        :data:`logit_workspace` buffer rather than a fresh ``(T, B, C)``
-        array; it is the same GEMM call either way.  Softmax and the sum
-        over the T snapshots then run in place on row blocks of that
-        buffer, sized by :data:`SUM_BLOCK_BYTES` so each block stays
-        cache-resident, writing into a single ``(B, C)`` result — no
-        further full-size temporaries.
+        The queries are those of :meth:`probabilities_multi`, and so are
+        the logits: the batched matmul issues one ``(B, d) x (d, C)`` GEMM
+        per snapshot, and the same GEMM called on its own rounds the same
+        (a row-blocked GEMM would not: BLAS reduction order follows the
+        block shape).  ``sum(0)`` adds the snapshots in order, and so does
+        the running sum below.
 
-        With ``visit``, no ``(B, C)`` result is built: each block's sums
-        go to one ``(rows, C)`` scratch and ``visit(start, sums)`` is
-        called with rows ``start:start + len(sums)`` while they are still
-        in cache; the next block overwrites them, and ``None`` is
-        returned.
+        When all ``T·B·C`` logits fit in one :data:`SUM_BLOCK_BYTES`
+        block (served reads, small test splits), they are written by one
+        batched matmul into the reused :data:`logit_workspace` buffer,
+        softmaxed in place and summed into a fresh ``(B, C)`` result.
+        Larger decodes go one snapshot at a time and never hold more than
+        two ``(B, C)`` slabs, whatever T is: snapshot 0's GEMM writes
+        straight into the running sum and is softmaxed there; each later
+        snapshot's GEMM writes into one scratch slab lent by the
+        workspace, whose row blocks are softmaxed in place and added to
+        the running sum while they are still in cache.
+
+        With ``visit``, no result is returned: ``visit(start, sums)`` is
+        called with the summed rows ``start:start + len(sums)``, in row
+        order, as soon as they are final; ``sums`` is scratch that the
+        next block may overwrite, and ``None`` is returned.  A
+        per-snapshot decode then takes its running sum from the workspace
+        too, so a pass over many timestamps allocates it once.
         """
         queries = self.queries_stacked(firsts, seconds).data  # (T, B, d)
         table = candidates.data.transpose(0, 2, 1)  # (T, d, C)
         snaps, batch, width = queries.shape[0], queries.shape[1], table.shape[2]
         dtype = np.result_type(queries, table)
-        rows = max(1, SUM_BLOCK_BYTES // (snaps * width * dtype.itemsize))
-        out = np.empty((batch if visit is None else min(rows, batch), width), dtype)
-        with logit_workspace.hold((snaps, batch, width), dtype) as logits:
-            np.matmul(queries, table, out=logits)
-            for start in range(0, batch, rows):
-                block = logits[:, start : start + rows]
-                F.softmax_array(block, axis=-1, out=block)
-                if visit is None:
-                    block.sum(axis=0, out=out[start : start + rows])
-                else:
-                    sums = out[: block.shape[1]]
-                    block.sum(axis=0, out=sums)
-                    visit(start, sums)
-        return out if visit is None else None
+        if snaps * batch * width * dtype.itemsize <= SUM_BLOCK_BYTES:
+            out = np.empty((batch, width), dtype)
+            with logit_workspace.hold((snaps, batch, width), dtype) as logits:
+                np.matmul(queries, table, out=logits)
+                F.softmax_array(logits, axis=-1, out=logits)
+                logits.sum(axis=0, out=out)
+            if visit is None:
+                return out
+            visit(0, out)
+            return None
+        rows = max(1, SUM_BLOCK_BYTES // (2 * width * dtype.itemsize))
+        with logit_workspace.hold((1 if visit is None else 2, batch, width), dtype) as slabs:
+            sums = np.empty((batch, width), dtype) if visit is None else slabs[1]
+            for t in range(snaps):
+                slab = slabs[0] if t else sums
+                np.matmul(queries[t], table[t], out=slab)
+                for start in range(0, batch, rows):
+                    block = slab[start : start + rows]
+                    F.softmax_array(block, axis=-1, out=block)
+                    total = sums[start : start + rows]
+                    if t:
+                        total += block
+                    if visit is not None and t == snaps - 1:
+                        visit(start, total)
+        return sums if visit is None else None

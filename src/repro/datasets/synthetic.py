@@ -108,6 +108,14 @@ class SyntheticTKGConfig:
             raise ValueError("object_jitter must be in [0, 1]")
         if not 0.0 <= self.object_drift <= 1.0:
             raise ValueError("object_drift must be in [0, 1]")
+        if self.num_communities < 1:
+            raise ValueError("num_communities must be >= 1")
+        if not self.mean_period >= 0.0:
+            raise ValueError("mean_period must be >= 0")
+        if not 0.0 <= self.chain_probability <= 1.0:
+            raise ValueError("chain_probability must be in [0, 1]")
+        if not 0.0 <= self.chain_relation_fraction <= 1.0:
+            raise ValueError("chain_relation_fraction must be in [0, 1]")
 
 
 def _assign_communities(config: SyntheticTKGConfig, rng: np.random.Generator) -> np.ndarray:
@@ -161,18 +169,34 @@ def _chain_rules(config: SyntheticTKGConfig, rng: np.random.Generator, patterns:
     return rules
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalised cumulative sum :meth:`numpy.random.Generator.choice` draws by."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(cdf), p=probs)`` for ``cdf = _cdf(probs)``: the same
+    one uniform draw and search, without re-validating ``probs``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _sample_entity(members: np.ndarray, num_entities: int, rng: np.random.Generator) -> int:
-    """A uniform draw from one community (any entity if it is empty)."""
+    """A uniform draw from one community (any entity if it is empty).
+
+    ``rng.choice(members)`` draws exactly this one integer.
+    """
     if not len(members):
         return int(rng.integers(0, num_entities))
-    return int(rng.choice(members))
+    return int(members[rng.integers(0, len(members))])
 
 
 class _BaseFact:
     """A recurring event template: subject, relation, an object pool with
     drifting preferences, and a firing period."""
 
-    __slots__ = ("subject", "relation", "objects", "logits", "hot", "probs", "period")
+    __slots__ = ("subject", "relation", "objects", "logits", "hot", "cdf", "period")
 
     def __init__(self, subject, relation, objects, period):
         self.subject = int(subject)
@@ -181,9 +205,9 @@ class _BaseFact:
         self.logits = np.zeros(len(self.objects))
         #: ``self.logits.any()``, set whenever ``drift`` replaces the logits.
         self.hot = False
-        #: The object distribution of the current logits, computed by the
-        #: first draw after ``drift`` replaces them.
-        self.probs = None
+        #: The object distribution of the current logits as a :func:`_cdf`,
+        #: computed by the first draw after ``drift`` replaces them.
+        self.cdf = None
         self.period = float(period)
 
     def drift(self, switch_probability: float, rng: np.random.Generator) -> None:
@@ -196,17 +220,17 @@ class _BaseFact:
             if rng.random() < switch_probability or not self.hot:
                 self.logits = rng.normal(0.0, 3.0, size=self.logits.shape)
                 self.hot = bool(self.logits.any())
-                self.probs = None
+                self.cdf = None
 
     def sample_object(self, rng: np.random.Generator) -> int:
         if len(self.objects) == 1:
             return int(self.objects[0])
-        if self.probs is None:
+        if self.cdf is None:
             shifted = self.logits - self.logits.max()
             probs = np.exp(shifted)
             probs /= probs.sum()
-            self.probs = probs
-        return int(rng.choice(self.objects, p=self.probs))
+            self.cdf = _cdf(probs)
+        return int(self.objects[_draw(self.cdf, rng)])
 
 
 def _build_base_pool(
@@ -214,12 +238,12 @@ def _build_base_pool(
     rng: np.random.Generator,
     members: List[np.ndarray],
     patterns: np.ndarray,
-    usage: np.ndarray,
+    usage_cdf: np.ndarray,
 ) -> List[_BaseFact]:
     """Recurring base facts consistent with the community patterns."""
     pool = []
     for _ in range(config.base_pool_size):
-        rel = int(rng.choice(config.num_relations, p=usage))
+        rel = _draw(usage_cdf, rng)
         subj = _sample_entity(members[patterns[rel, 0]], config.num_entities, rng)
         pool_size = int(rng.integers(1, config.objects_per_fact + 1))
         objects = []
@@ -241,13 +265,13 @@ def generate_tkg(config: SyntheticTKGConfig, granularity: str = "1 step") -> Tem
     rng = np.random.default_rng(config.seed)
     communities = _assign_communities(config, rng)
     patterns = _relation_patterns(config, rng)
-    usage = _relation_usage(config, rng)
+    usage_cdf = _cdf(_relation_usage(config, rng))
     rules = _chain_rules(config, rng, patterns)
     # Each community's members, ascending, built once: every draw then
-    # calls ``rng.choice`` on the array a per-draw scan of the labels
-    # would give, so the stream is consumed exactly as by that scan.
+    # picks from the array a per-draw scan of the labels would give, so
+    # the stream is consumed exactly as by that scan.
     members = [np.flatnonzero(communities == c) for c in range(config.num_communities)]
-    pool = _build_base_pool(config, rng, members, patterns, usage)
+    pool = _build_base_pool(config, rng, members, patterns, usage_cdf)
 
     # Phase offsets stagger base facts so snapshots differ.
     offsets = rng.uniform(0, config.mean_period, size=len(pool))
@@ -288,7 +312,7 @@ def generate_tkg(config: SyntheticTKGConfig, granularity: str = "1 step") -> Tem
         #    distribution but *consistent with its family pattern*, so
         #    rare relations remain family-typical rather than pure noise.
         for _ in range(noise_per_step):
-            rel = int(rng.choice(config.num_relations, p=usage))
+            rel = _draw(usage_cdf, rng)
             subj = _sample_entity(members[patterns[rel, 0]], config.num_entities, rng)
             obj = int(rng.integers(0, config.num_entities))
             if subj == obj:

@@ -239,16 +239,28 @@ def test_claim_needs_nine_wins_in_ten(tmp_path, capsys, head_values):
     assert claim(base, head) == 1
     out = capsys.readouterr().out
     assert "head won 8/10 pairs" in out
-    assert "FAIL: claim eval-wide/op_p10_ms not met" in out
+    # The median gain (1000 -> 700) clears base's zero IQR: one rule missed.
+    assert "FAIL: claim eval-wide/op_p10_ms not met (head won fewer than 90% of the pairs)\n" in out
 
 
 def test_claim_gap_must_exceed_the_base_iqr(tmp_path, capsys):
     base_values = [800.0, 1200.0] * 5  # IQR 400
     base, head = claim_dirs(tmp_path, base_values, [v - 100.0 for v in base_values])
     assert claim(base, head) == 1
-    assert "head won 10/10 pairs, median 1000 -> 900, base IQR 400 ms: not met" in (
-        capsys.readouterr().out
-    )
+    out = capsys.readouterr().out
+    assert "head won 10/10 pairs, median 1000 -> 900, base IQR 400 ms: not met" in out
+    assert "not met (median gain 100 is not above base IQR 400)\n" in out
+
+
+def test_claim_missing_both_rules_names_both(tmp_path, capsys):
+    base_values = [800.0, 1200.0] * 5  # IQR 400
+    head_values = [v - 100.0 for v in base_values[:8]] + [v + 100.0 for v in base_values[8:]]
+    base, head = claim_dirs(tmp_path, base_values, head_values)
+    assert claim(base, head) == 1
+    assert (
+        "FAIL: claim eval-wide/op_p10_ms not met (head won fewer than 90% of the pairs; "
+        "median gain 0 is not above base IQR 400)\n"
+    ) in capsys.readouterr().out
 
 
 def test_claim_pairs_runs_in_run_order_not_name_order(tmp_path, capsys):

@@ -31,6 +31,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SyntheticTKGConfig(recurrence=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_communities", 0),
+            ("num_communities", -2),
+            ("mean_period", -1.0),
+            ("mean_period", float("nan")),
+            ("chain_probability", 1.5),
+            ("chain_probability", float("nan")),
+            ("chain_relation_fraction", -0.5),
+            ("chain_relation_fraction", 1.01),
+        ],
+    )
+    def test_out_of_range_field_is_refused_by_name(self, field, value):
+        # Each used to pass construction and then fail inside numpy
+        # (num_communities, mean_period) or be used as given (the chain fields).
+        with pytest.raises(ValueError, match=field):
+            SyntheticTKGConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mean_period", 0.0), ("chain_probability", 0.0), ("chain_probability", 1.0),
+         ("chain_relation_fraction", 0.0), ("chain_relation_fraction", 1.0)],
+    )
+    def test_range_ends_are_accepted(self, field, value):
+        config = SyntheticTKGConfig(num_timestamps=5, **{field: value})
+        assert len(generate_tkg(config).facts)
+
 
 class TestGenerator:
     def test_deterministic_given_seed(self):

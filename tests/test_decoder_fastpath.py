@@ -189,6 +189,8 @@ BATCHES = {
     "at": lambda block: block,
     "ragged": lambda block: 2 * block + 3,
 }
+# The same, plus the first batch past the decoder's one-block threshold.
+SUM_BATCHES = {**BATCHES, "above": lambda block: block + 1}
 
 
 class TestSoftmaxKernel:
@@ -221,6 +223,19 @@ class TestSoftmaxKernel:
         np.testing.assert_array_equal(buffer, expected)
 
 
+def visited_sums(decoder, *args):
+    """The rows ``summed_probabilities`` shows ``visit``, checked to come once each, in order."""
+    seen, starts = [], []
+
+    def visit(start, sums):
+        starts.append(start)
+        seen.append(sums.copy())
+
+    assert decoder.summed_probabilities(*args, visit=visit) is None
+    assert starts == list(np.cumsum([0] + [len(rows) for rows in seen[:-1]]))
+    return np.concatenate(seen)
+
+
 class TestSummedProbabilities:
     def _case(self, dtype, batch, snaps=3, dim=8):
         rng = np.random.default_rng(batch)
@@ -246,6 +261,25 @@ class TestSummedProbabilities:
         assert got.dtype == dtype and got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(got[:, 100:200], got[:, :100])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("batch_of", SUM_BATCHES.values(), ids=SUM_BATCHES.keys())
+    @pytest.mark.parametrize("snaps", [1, 3, 5])
+    @pytest.mark.parametrize("visit", [False, True], ids=["result", "visit"])
+    def test_one_block_and_per_snapshot_decodes_match(self, dtype, batch_of, snaps, visit):
+        # ``block`` is the largest batch whose T·B·C logits fit one sum
+        # block; larger batches decode snapshot by snapshot.
+        block = SUM_BLOCK_BYTES // (snaps * WIDE * np.dtype(dtype).itemsize)
+        assert block > 2
+        decoder, firsts, seconds, candidates = self._case(dtype, batch_of(block), snaps)
+        with no_grad(), DtypePolicy(dtype):
+            expected = decoder.probabilities_multi(firsts, seconds, candidates).data.sum(0)
+            if visit:
+                got = visited_sums(decoder, firsts, seconds, candidates)
+            else:
+                got = decoder.summed_probabilities(firsts, seconds, candidates)
+        assert got.dtype == dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestBlockedRanks:
@@ -274,7 +308,7 @@ class TestBlockedRanks:
 
 
 class TestLogitWorkspace:
-    def _decode(self, dtype, batch, snaps=2, width=301, dim=8):
+    def _decode(self, dtype, batch, snaps=2, width=301, dim=8, visit=False):
         rng = np.random.default_rng(batch)
         with DtypePolicy(dtype):
             decoder = ConvTransE(dim, num_kernels=4).eval()
@@ -282,7 +316,7 @@ class TestLogitWorkspace:
                 (snaps, batch, dim), (snaps, batch, dim), (snaps, width, dim)
             )]
         with no_grad(), DtypePolicy(dtype):
-            got = decoder.summed_probabilities(*args)
+            got = visited_sums(decoder, *args) if visit else decoder.summed_probabilities(*args)
             expected = decoder.probabilities_multi(*args).data.sum(0)
         np.testing.assert_array_equal(got, expected)  # no stale logits leak in
 
@@ -301,6 +335,21 @@ class TestLogitWorkspace:
             stats = logit_workspace.stats()
             assert (stats["taken"], stats["reused"]) == (taken, reused), (dtype, batch)
         assert logit_workspace.stats()["bytes"] == 2 * 301 * (16 * 8 + 8 * 4)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("visit", [False, True], ids=["result", "visit"])
+    def test_per_snapshot_decode_keeps_at_most_two_slabs(self, dtype, visit):
+        snaps, batch, width = 5, 37, WIDE
+        slab = batch * width * np.dtype(dtype).itemsize
+        assert snaps * slab > SUM_BLOCK_BYTES  # past the one-block threshold
+        logit_workspace.clear()
+        for _ in range(2):  # the second decode reuses what the first kept
+            self._decode(dtype, batch, snaps=snaps, width=width, visit=visit)
+        stats = logit_workspace.stats()
+        assert stats["bytes"] <= 2 * slab  # whatever T is; the one-GEMM decode kept 5
+        # The scratch slab, and with ``visit`` the running sum as well.
+        assert stats["bytes"] == (2 if visit else 1) * slab
+        assert (stats["taken"], stats["reused"]) == (2, 1)
 
     def test_held_buffer_is_never_shared(self):
         logit_workspace.clear()
@@ -336,7 +385,8 @@ class TestFusedRanks:
 
     @staticmethod
     def small_blocks(monkeypatch, model, snaps=3, width=20):
-        # Two decoder rows per sum block and three ranked rows per count.
+        # At most two decoder rows fit one sum block, so a larger batch
+        # decodes snapshot by snapshot; three ranked rows per count.
         itemsize = np.dtype(model.config.dtype).itemsize
         monkeypatch.setattr(decoder_module, "SUM_BLOCK_BYTES", 2 * snaps * width * itemsize)
         monkeypatch.setattr(metrics_module, "RANK_BLOCK_BYTES", 3 * width * itemsize)
@@ -380,8 +430,8 @@ class TestFusedRanks:
         with pytest.raises(ValueError):
             model.rank_entities(queries, targets[:-1], ts)
 
-    def test_wide_vocabulary_builds_no_score_matrix(self):
-        entities, batch = 20_000, 64
+    @staticmethod
+    def wide_vocabulary(entities=20_000, batch=64):
         rng = np.random.default_rng(0)
         pairs = rng.integers(0, entities, (3, 50, 2))
         facts = [(int(s), 0, int(o), t) for t in range(3) for s, o in pairs[t]]
@@ -390,6 +440,27 @@ class TestFusedRanks:
         model.set_history(graph)
         queries = np.stack([np.arange(batch), np.arange(batch) % 4], axis=1)
         targets = rng.integers(0, entities, batch)
+        return model, queries, targets
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
+    def test_per_snapshot_decode_equals_ranks_of_predicted_scores(self, filtered):
+        model, queries, targets = self.wide_vocabulary()
+        itemsize = np.dtype(model.config.dtype).itemsize
+        # Unpatched block size: the two snapshots' logits are far past one
+        # sum block, so the decoder goes snapshot by snapshot.
+        snaps = model.config.history_length
+        assert snaps * len(queries) * model.num_entities * itemsize > SUM_BLOCK_BYTES
+        mask = None
+        if filtered:
+            mask = np.random.default_rng(1).random((len(queries), model.num_entities)) < 0.3
+            mask[np.arange(len(queries)), targets] = False
+        expected = ranks_from_scores(model.predict_entities(queries, 3), targets, mask)
+        got = model.rank_entities(queries, targets, 3, mask=mask, dedup=False)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_wide_vocabulary_builds_no_score_matrix(self):
+        model, queries, targets = self.wide_vocabulary()
+        entities, batch = model.num_entities, len(queries)
         model.rank_entities(queries, targets, 3)  # evolve once, grow the workspace
         score_bytes = model.predict_entities(queries, 3).nbytes
         assert score_bytes == batch * entities * np.dtype(model.config.dtype).itemsize
