@@ -28,7 +28,8 @@ checks that the run is *reconstructible and healthy*:
   frequency-weighted per-relation MRR reproduces the aggregate MRR;
 * serve reports (``repro.cli serve --run-report``) replay legal breaker
   transitions, explain every shed, keep staleness monotone between
-  publishes and end with ``drain`` then ``run_end``; with
+  publishes and end with ``drain`` then ``run_end``, whose totals
+  match the ``request`` and ``shed`` events; with
   ``--min-availability`` the OK share of non-shed ``request`` events
   must meet the gate.
 
@@ -165,7 +166,8 @@ def check_serve(events: list, min_availability=None) -> list:
 
     * breaker transitions replay legally from ``closed``;
     * every shed is explained by a known reason, and the ``drain``
-      totals reconcile with the per-event stream;
+      totals (requests, sheds, 408s, ingests and the per-status counts)
+      reconcile with the per-event stream;
     * ``staleness`` is monotone non-decreasing between snapshot
       publishes (``refresh_retry`` with outcome ``ok``) and resets only
       at a publish;
@@ -277,6 +279,20 @@ def check_serve(events: list, min_availability=None) -> list:
             problems.append(
                 f"drain claims {drain['deadline_exceeded']} deadline rejection(s) "
                 f"but {deadline} request(s) have status 408"
+            )
+        by_status = {}
+        for e in requests:
+            by_status[str(e["status"])] = by_status.get(str(e["status"]), 0) + 1
+        if drain.get("by_status") != by_status:
+            problems.append(
+                f"drain claims statuses {drain.get('by_status')} but the "
+                f"request events have {by_status}"
+            )
+        ingests = sum(1 for e in requests if e["kind"] == "ingest")
+        if drain.get("ingests") != ingests:
+            problems.append(
+                f"drain claims {drain.get('ingests')} ingest(s) but {ingests} "
+                f"request event(s) have kind ingest"
             )
         if not drain.get("clean", False):
             problems.append("drain reports an unclean stop (worker failed to join)")

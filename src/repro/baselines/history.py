@@ -64,12 +64,13 @@ class _HistoryVocabulary:
 
     @staticmethod
     def _distribution(vector, rows: np.ndarray, width: int) -> np.ndarray:
-        out = []
-        for a, b in np.asarray(rows, dtype=np.int64):
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.empty((len(rows), width))
+        for i, (a, b) in enumerate(rows):
             vec = vector(int(a), int(b))
             total = vec.sum()
-            out.append(vec / total if total > 0 else np.full(width, 1.0 / width))
-        return np.stack(out)
+            out[i] = vec / total if total > 0 else 1.0 / width
+        return out
 
     def popularity_vector(self) -> np.ndarray:
         vec = np.zeros(self.num_entities)

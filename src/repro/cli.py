@@ -455,8 +455,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     trace_collector = trace_root = None
     with ExitStack() as stack, GracefulInterrupt() as interrupt:
         if args.trace_out:
-            # One collector spans the whole drill; the load plan and the
-            # sampled request chains are recorded under its serve span.
+            # One collector spans the whole drill; the load plan and
+            # every query's request chain are recorded under its serve span.
             trace_collector = tracing.SpanCollector()
             stack.enter_context(tracing.collect_spans(trace_collector))
             trace_root = stack.enter_context(
@@ -519,8 +519,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"staleness max: {summary['max_staleness']}  "
         f"breaker: {server.breaker.state}  "
-        f"store: v{server.store.describe()['version']}  "
-        f"exemplars: {len(server.exemplars())}"
+        f"store: v{server.store.describe()['version']}"
     )
     if args.chaos:
         faults = ", ".join(
@@ -687,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--trace-out",
         help="write a Chrome trace (chrome://tracing) of the drill: the "
-        "load plan and the sampled request spans under one serve span",
+        "load plan and every query's request spans under one serve span",
     )
     serve.set_defaults(handler=cmd_serve)
 

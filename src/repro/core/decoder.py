@@ -130,7 +130,7 @@ class ConvTransE(Module):
         stacked = F.stack([first, second], axis=1)  # (B, 2, d)
         image = stacked.reshape(batch, 1, 2, self.dim)
         hidden = self.conv(image).relu()  # (B, K, 1, d)
-        flat = hidden.reshape(batch, -1)
+        flat = hidden.reshape(batch, self.project.in_features)
         return self.drop(self.project(flat).relu())
 
     def forward(self, first: Tensor, second: Tensor, candidates: Tensor) -> Tensor:
@@ -158,7 +158,8 @@ class ConvTransE(Module):
         stacked = F.stack([firsts, seconds], axis=2)  # (T, B, 2, d)
         image = stacked.reshape(snaps * batch, 1, 2, self.dim)
         hidden = self.conv(image).relu()  # (T·B, K, 1, d)
-        flat = hidden.reshape(snaps * batch, -1)
+        # K·d spelled out: ``-1`` cannot be inferred for zero queries.
+        flat = hidden.reshape(snaps * batch, self.project.in_features)
         queries = self.drop(self.project(flat).relu())
         return queries.reshape(snaps, batch, self.dim)
 

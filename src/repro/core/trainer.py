@@ -95,7 +95,7 @@ class Trainer:
         resilience: Optional[ResilienceConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         reporter: Optional[RunReporter] = None,
-        probes: Union[None, ProbeConfig, ProbeSuite] = None,
+        probes: Optional[ProbeConfig] = None,
     ):
         self.model = model
         self.config = config
@@ -105,12 +105,12 @@ class Trainer:
         self.optimizer = Adam(
             model.parameters(), lr=config.lr, weight_decay=config.weight_decay
         )
-        # Introspection probes (repro.obs.probes): a ProbeConfig builds a
-        # suite against this trainer's optimizer; a ready-made ProbeSuite
-        # is used as-is (tests inject one with their own registry).
-        if isinstance(probes, ProbeConfig):
-            probes = ProbeSuite(model, self.optimizer, probes, reporter=reporter)
-        self.probes: Optional[ProbeSuite] = probes
+        # Introspection probes (repro.obs.probes), built against this
+        # trainer's optimizer.
+        self.probes: Optional[ProbeSuite] = (
+            None if probes is None
+            else ProbeSuite(model, self.optimizer, probes, reporter=reporter)
+        )
         self.guard = NonFiniteGuard(self.optimizer, self.resilience.sentinel_config())
         if reporter is not None:
             self.guard.on_skip = self._report_skip
@@ -290,8 +290,6 @@ class Trainer:
             if valid is not None:
                 # Validation history reuses these every epoch.
                 cache.warm(valid.snapshots())
-            if self.probes is not None and self.probes.registry is not None:
-                cache.publish(self.probes.registry)
 
         state = self._resolve_resume(resume)
         if self.reporter is not None:

@@ -73,9 +73,9 @@ class SnapshotCache:
     """Bounded LRU cache of :class:`SnapshotArtifacts` per snapshot.
 
     Thread-safe: all LRU-dict mutation (lookups move entries, inserts
-    evict) happens under one internal lock, matching
-    :class:`~repro.obs.MetricsRegistry`'s discipline, so threads
-    sharing one model cannot corrupt the ``OrderedDict``.  **One cache
+    evict) and the cumulative :attr:`hits`/:attr:`misses` counts happen
+    under one internal lock, so threads sharing one model cannot corrupt
+    the ``OrderedDict`` or lose a count.  **One cache
     per process**: the lock does not (and cannot) span processes, so a
     model copied into another process brings its own cache.
     Pickling/deepcopy drops the lock and recreates a fresh one in the
@@ -168,24 +168,6 @@ class SnapshotCache:
             if self.misses > before:
                 built += 1
         return built
-
-    def publish(self, registry) -> None:
-        """Export hit/miss/size counters to a ``MetricsRegistry``.
-
-        Gauges (not counters) so repeated publishes reflect the cache's
-        cumulative totals without double counting.
-        """
-        with self._lock:
-            hits, misses, size = self.hits, self.misses, len(self._entries)
-        registry.gauge(
-            "snapshot_cache_hits", help="Cumulative snapshot cache hits."
-        ).set(float(hits))
-        registry.gauge(
-            "snapshot_cache_misses", help="Cumulative snapshot cache misses."
-        ).set(float(misses))
-        registry.gauge(
-            "snapshot_cache_entries", help="Snapshots currently cached."
-        ).set(float(size))
 
     def invalidate_time(self, ts: int, keep: "Snapshot" = None) -> int:
         """Drop every entry recorded for timestamp ``ts``.

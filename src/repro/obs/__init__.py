@@ -1,12 +1,9 @@
-"""Run-wide observability: metrics, span tracing and JSONL run reports.
+"""Run-wide observability: span tracing, JSONL run reports and probes.
 
 Dependency-free layers, designed so that *uninstrumented* code
 pays nothing (the hot-path contract the end-to-end benchmark,
 ``benchmarks/e2e``, measures):
 
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and fixed-bucket histograms with labeled series and one JSON
-  export format.
 * :mod:`repro.obs.tracing` — hierarchical :func:`span` blocks that
   degrade to a no-op with nothing installed, record full parent/child
   trees with per-span metadata under :func:`collect_spans` (flattened
@@ -18,22 +15,11 @@ pays nothing (the hot-path contract the end-to-end benchmark,
   skip, and readers (:func:`read_events`, :func:`summarize_run`) used
   by ``repro.cli report`` and the CI telemetry gate
   (``scripts/check_run_health.py``).
+* :mod:`repro.obs.probes` — a :class:`ProbeSuite` of training
+  introspection probes whose measurements ride in ``probe`` events.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-)
-from repro.obs.probes import (
-    GATE_BUCKETS,
-    PROBE_BUCKETS,
-    ProbeConfig,
-    ProbeSuite,
-)
+from repro.obs.probes import ProbeConfig, ProbeSuite
 from repro.obs.report import (
     EVENT_SCHEMAS,
     REFRESH_OUTCOMES,
@@ -46,7 +32,6 @@ from repro.obs.report import (
     summarize_run,
 )
 from repro.obs.tracing import (
-    ResourceSampler,
     Span,
     SpanCollector,
     active,
@@ -56,14 +41,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "GATE_BUCKETS",
-    "PROBE_BUCKETS",
     "ProbeConfig",
     "ProbeSuite",
     "EVENT_SCHEMAS",
@@ -75,7 +52,6 @@ __all__ = [
     "RunReporter",
     "read_events",
     "summarize_run",
-    "ResourceSampler",
     "Span",
     "SpanCollector",
     "active",

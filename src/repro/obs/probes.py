@@ -20,9 +20,9 @@ cadence of global batches, measures
   gradient flow through the recurrence).
 
 Each firing emits one schema-validated ``probe`` event through an
-attached :class:`~repro.obs.report.RunReporter` and feeds labeled
-:class:`~repro.obs.metrics.MetricsRegistry` histograms.  The no-probe
-path costs ``Trainer.fit`` a single ``is None`` check per batch, and
+attached :class:`~repro.obs.report.RunReporter` (``check_run_health.py``
+checks its cadence and finiteness) and keeps the record on
+:attr:`ProbeSuite.last_probe`.  The no-probe path costs ``Trainer.fit`` a single ``is None`` check per batch, and
 off-cadence batches cost one modulo — the encoder budget gate keeps
 both honest.
 """
@@ -34,13 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-#: Log-spaced bucket edges for gradient-norm / update-ratio histograms
-#: (gradients legitimately span many decades).
-PROBE_BUCKETS: Tuple[float, ...] = tuple(float(f"{10.0**e:g}") for e in range(-8, 4))
-
-#: Bucket edges for gate-saturation fractions (values live in [0, 1]).
-GATE_BUCKETS: Tuple[float, ...] = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class ProbeSuite:
        probe cadence, never on the common path);
     3. :meth:`after_step` — reads gradients (still present after the
        guarded step), computes all probe measurements, emits the
-       ``probe`` event and registry samples, and disarms collection.
+       ``probe`` event, and disarms collection.
     """
 
     def __init__(
@@ -93,13 +86,11 @@ class ProbeSuite:
         optimizer,
         config: ProbeConfig = ProbeConfig(),
         reporter=None,
-        registry=None,
     ):
         self.model = model
         self.optimizer = optimizer
         self.config = config
         self.reporter = reporter
-        self.registry = registry
         self.fired = 0
         self.last_probe: Optional[dict] = None
         self._groups = self._group_parameters(model)
@@ -208,8 +199,6 @@ class ProbeSuite:
         self._armed = False
         if self.reporter is not None:
             self.reporter.emit("probe", **record)
-        if self.registry is not None:
-            self._record_metrics(record)
         return record
 
     def disarm(self) -> None:
@@ -218,43 +207,3 @@ class ProbeSuite:
             cell.pop_gate_stats()
         self._snapshots = None
         self._armed = False
-
-    # ------------------------------------------------------------------
-    # MetricsRegistry emission
-    # ------------------------------------------------------------------
-    def _record_metrics(self, record: dict) -> None:
-        registry = self.registry
-        grad_hist = registry.histogram(
-            "probe_grad_norm",
-            buckets=PROBE_BUCKETS,
-            help="per-module gradient L2 norm at probe firings",
-        )
-        ratio_hist = registry.histogram(
-            "probe_update_ratio",
-            buckets=PROBE_BUCKETS,
-            help="per-module update-to-weight ratio at probe firings",
-        )
-        for module, stats in record["modules"].items():
-            if math.isfinite(stats["grad_norm"]):
-                grad_hist.observe(stats["grad_norm"], module=module)
-            if math.isfinite(stats["update_ratio"]):
-                ratio_hist.observe(stats["update_ratio"], module=module)
-        norm_gauge = registry.gauge(
-            "probe_embedding_mean_norm", help="mean row L2 norm per embedding matrix"
-        )
-        drift_gauge = registry.gauge(
-            "probe_embedding_total_drift",
-            help="embedding mean-norm change since initialisation",
-        )
-        for name, stats in record["embeddings"].items():
-            norm_gauge.set(stats["mean_norm"], embedding=name)
-            drift_gauge.set(stats["total_drift"], embedding=name)
-        gate_hist = registry.histogram(
-            "probe_gate_saturation",
-            buckets=GATE_BUCKETS,
-            help="saturated fraction per TIM LSTM gate at probe firings",
-        )
-        for cell, stats in record["gates"].items():
-            for gate in ("input", "forget", "output"):
-                gate_hist.observe(stats[gate], cell=cell, gate=gate)
-        registry.counter("probe_firings_total", help="probe measurements taken").inc()

@@ -24,10 +24,9 @@ not contaminate each other.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 _state = threading.local()
 
@@ -75,75 +74,19 @@ class Span:
         return f"Span({self.name!r}, {self.seconds * 1000:.2f}ms, depth={self.depth})"
 
 
-class ResourceSampler:
-    """Cheap process resource sampling (RSS bytes, CPU seconds).
-
-    One ``sample()`` is two syscalls (a ``/proc/self/statm`` read and a
-    ``process_time`` call) — light enough to attach to every top-level
-    span of a run via ``SpanCollector(resource_sampler=...)``.  Samples
-    are kept (bounded by ``max_samples``) so :func:`to_chrome_trace` can
-    export them as Chrome counter tracks.
-    """
-
-    def __init__(self, max_samples: int = 100_000):
-        self.samples: List[Tuple[float, int, float]] = []  # (t, rss, cpu)
-        self.max_samples = max_samples
-        self.dropped = 0
-
-    def sample(self, t: Optional[float] = None) -> Tuple[float, int, float]:
-        """Take one ``(t, rss_bytes, cpu_seconds)`` sample."""
-        record = (
-            time.perf_counter() if t is None else t,
-            rss_bytes(),
-            time.process_time(),
-        )
-        if len(self.samples) < self.max_samples:
-            self.samples.append(record)
-        else:
-            self.dropped += 1
-        return record
-
-
-def rss_bytes() -> int:
-    """Resident set size of this process in bytes (0 when unknowable)."""
-    try:
-        with open("/proc/self/statm", "rb") as fh:
-            return int(fh.read().split()[1]) * (os.sysconf("SC_PAGE_SIZE") or 4096)
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-
-        # ru_maxrss is KiB on Linux (peak, not current — best effort).
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:
-        return 0
-
-
 class SpanCollector:
     """Records a bounded tree of spans for the installing thread.
 
     ``max_spans`` bounds memory on long runs: past it, new spans are
     counted on :attr:`dropped` instead of stored.
-
-    With a :class:`ResourceSampler` attached, every *root* span gets a
-    resource sample at its boundaries and carries ``rss_bytes`` /
-    ``cpu_seconds`` metadata — deep spans stay sample-free so the hot
-    encoder path is not taxed per message-passing call.
     """
 
-    def __init__(
-        self,
-        max_spans: int = 100_000,
-        resource_sampler: Optional[ResourceSampler] = None,
-    ):
+    def __init__(self, max_spans: int = 100_000):
         self.spans: List[Span] = []
         self.dropped = 0
         self.max_spans = max_spans
-        self.resource_sampler = resource_sampler
         self._stack: List[Optional[Span]] = []
         self._next_id = 0
-        self._root_samples: Dict[int, Tuple[float, int, float]] = {}
         # Guards ``record`` (out-of-band insertion from other threads);
         # the begin/end stack stays single-thread.
         self._record_lock = threading.Lock()
@@ -166,22 +109,12 @@ class SpanCollector:
         self._next_id += 1
         self.spans.append(span)
         self._stack.append(span)
-        if span.depth == 0 and self.resource_sampler is not None:
-            self._root_samples[span.span_id] = self.resource_sampler.sample(start)
         return span
 
     def end(self, span: Optional[Span], end: float) -> None:
         self._stack.pop()
         if span is not None:
             span.end = end
-            if span.depth == 0 and self.resource_sampler is not None:
-                _, rss, cpu = self.resource_sampler.sample(end)
-                started = self._root_samples.pop(span.span_id, None)
-                meta = dict(span.meta or {})
-                meta["rss_bytes"] = rss
-                if started is not None:
-                    meta["cpu_seconds"] = round(cpu - started[2], 9)
-                span.meta = meta
 
     # -- out-of-band recording (thread-safe) ---------------------------
     def record(
@@ -325,10 +258,8 @@ def to_chrome_trace(
     Every *completed* span becomes one complete ``"X"`` duration event
     (microsecond ``ts``/``dur`` relative to the earliest span, so the
     timeline starts at 0); span metadata rides in ``args``.  Open spans
-    are omitted — the exported stream is always well-formed.  Resource
-    samples from an attached :class:`ResourceSampler` become ``"C"``
-    counter events (``rss_mb`` / ``cpu_seconds`` tracks).  Events are
-    sorted by ``ts``, which Perfetto requires and the trace tests
+    are omitted — the exported stream is always well-formed.  Events
+    are sorted by ``ts``, which Perfetto requires and the trace tests
     assert.
 
     Every event carries ``pid``; spans recorded out-of-band from other
@@ -339,10 +270,7 @@ def to_chrome_trace(
     itself.
     """
     closed = [s for s in collector.spans if s.end is not None]
-    sampler = collector.resource_sampler
-    samples = list(sampler.samples) if sampler is not None else []
-    origin_candidates = [s.start for s in closed] + [t for t, _, _ in samples]
-    origin = min(origin_candidates) if origin_candidates else 0.0
+    origin = min((s.start for s in closed), default=0.0)
 
     events: List[dict] = [
         {
@@ -370,18 +298,6 @@ def to_chrome_trace(
                 "pid": pid,
                 "tid": tid if s.tid is None else s.tid,
                 "args": args,
-            }
-        )
-    for t, rss, cpu in samples:
-        events.append(
-            {
-                "name": "resources",
-                "cat": "resource",
-                "ph": "C",
-                "ts": round((t - origin) * 1e6, 3),
-                "pid": pid,
-                "tid": tid,
-                "args": {"rss_mb": round(rss / 2**20, 3), "cpu_seconds": round(cpu, 6)},
             }
         )
     # Metadata events first, then strictly by timestamp (stable for ties).

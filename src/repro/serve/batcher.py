@@ -45,9 +45,8 @@ The degradation ladder lives here:
   decodes what is still queued on the closing thread — the
   graceful-drain half of the server's SIGTERM handling.
 
-``on_shed(request, reason)`` and ``on_batch(size, seconds)`` hooks feed
-the server's telemetry; the batcher itself knows nothing about run
-reports.
+An ``on_shed(request, reason)`` hook feeds the server's telemetry; the
+batcher itself knows nothing about run reports.
 """
 
 from __future__ import annotations
@@ -183,7 +182,6 @@ class MicroBatcher:
         max_wait: float = 0.002,
         clock: Callable[[], float] = time.monotonic,
         on_shed: Optional[Callable[[ServeRequest, str], None]] = None,
-        on_batch: Optional[Callable[[int, float], None]] = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -197,7 +195,6 @@ class MicroBatcher:
         self.max_wait = max_wait
         self.clock = clock
         self.on_shed = on_shed
-        self.on_batch = on_batch
         self._queue: deque = deque()
         self._lock = threading.Lock()
         #: wakes a leader holding for companions, and close() waiting
@@ -387,8 +384,6 @@ class MicroBatcher:
                 raise
             return
         seconds = self.clock() - start
-        if self.on_batch is not None:
-            self.on_batch(len(live), seconds)
         offset = 0
         for request in live:
             n = len(request.queries)

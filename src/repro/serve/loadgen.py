@@ -134,8 +134,8 @@ def run_loadgen(
     query/ingest/topk mix are all deterministic in ``config.seed``
     (:func:`build_plans`); ingest plan indices resolve against
     ``ingest_snapshots`` at fire time.  With a trace collector on the
-    server, planning is recorded as ``plan_load`` → ``draw_plans``
-    under its ``trace_root``.
+    server, planning is recorded as one ``plan_load`` span under its
+    ``trace_root``.
     """
     start = time.perf_counter()
     arrivals, plans = build_plans(
@@ -144,17 +144,14 @@ def run_loadgen(
     end = time.perf_counter()
     collector = server.trace_collector
     if collector is not None:
-        tid = threading.get_native_id()
-        plan_load = collector.record(
+        collector.record(
             "plan_load",
             start,
             end,
             parent=server.trace_root,
             meta={"requests": config.requests, "seed": config.seed},
-            tid=tid,
+            tid=threading.get_native_id(),
         )
-        if plan_load is not None:
-            collector.record("draw_plans", start, end, parent=plan_load, tid=tid)
 
     def fire(plan) -> ServeResponse:
         kind, payload = plan

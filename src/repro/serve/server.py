@@ -30,10 +30,11 @@ Conv-TransE decode.  The explicit degradation ladder (DESIGN.md §8):
 
 Every serve event (``request``, ``shed``, ``refresh_retry``,
 ``breaker_transition``, ``degraded``, ``drain``) streams through the
-schema-validated :class:`~repro.obs.RunReporter` and a
-:class:`~repro.obs.MetricsRegistry`; ``scripts/check_run_health.py``
-replays their invariants (legal breaker transitions, every shed
-explained, staleness monotone between refreshes).
+schema-validated :class:`~repro.obs.RunReporter`;
+``scripts/check_run_health.py`` replays their invariants (legal breaker
+transitions, every shed explained, staleness monotone between
+refreshes, drain totals that match the stream).  With a trace collector
+installed, every query also records its span chain (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ import itertools
 import math
 import threading
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from repro.graph import Snapshot
-from repro.obs import SCHEMA_VERSION, MetricsRegistry, RunReporter
+from repro.obs import SCHEMA_VERSION, RunReporter
 from repro.obs.tracing import Span, SpanCollector
 from repro.serve.batcher import (
     DeadlineExceeded,
@@ -71,12 +71,6 @@ STATUS_INVALID = 400
 STATUS_DEADLINE = 408
 STATUS_ERROR = 500
 STATUS_UNAVAILABLE = 503
-
-#: Latency histogram edges tuned for micro-batched CPU decode (seconds).
-LATENCY_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
-
 
 #: Refresh retry backoff: each further attempt multiplies the wait by
 #: the factor, up to the cap, then stretches it by up to the jitter share.
@@ -109,10 +103,6 @@ class ServeConfig:
     breaker_failure_threshold: int = 3
     breaker_recovery_ms: float = 500.0
     seed: int = 0
-    #: per-request trace exemplars: deterministically keep every Nth
-    #: request's span chain in a bounded ring buffer.
-    exemplar_every: int = 8
-    exemplar_capacity: int = 64
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -129,10 +119,6 @@ class ServeConfig:
             raise ValueError("default_deadline_ms must be finite and > 0")
         if not (math.isfinite(self.breaker_recovery_ms) and self.breaker_recovery_ms >= 0):
             raise ValueError("breaker_recovery_ms must be finite and >= 0")
-        if self.exemplar_every < 1:
-            raise ValueError("exemplar_every must be >= 1")
-        if self.exemplar_capacity < 1:
-            raise ValueError("exemplar_capacity must be >= 1")
 
 
 @dataclass
@@ -169,14 +155,13 @@ class ServeResponse:
 
 @dataclass
 class _Counters:
+    """The totals ``drain`` and :meth:`ModelServer.health` report."""
+
     requests: int = 0
-    ok: int = 0
     shed: int = 0
     deadline_exceeded: int = 0
     errors: int = 0
-    invalid: int = 0
     ingests: int = 0
-    ingests_refused: int = 0
     by_status: dict = field(default_factory=dict)
 
 
@@ -189,7 +174,6 @@ class ModelServer:
         adapter=None,
         config: ServeConfig = ServeConfig(),
         reporter: Optional[RunReporter] = None,
-        registry: Optional[MetricsRegistry] = None,
         clock=time.monotonic,
         fault_injector=None,
     ):
@@ -197,7 +181,6 @@ class ModelServer:
         self.adapter = adapter
         self.config = config
         self.reporter = reporter
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.clock = clock
         self.fault_injector = fault_injector
         self.store = SnapshotStore()
@@ -211,7 +194,7 @@ class ModelServer:
         self._rng = np.random.default_rng(config.seed)
         self._version = 0
         self._batch_index = 0
-        #: request indices (exemplar sampling, chaos deadline skews);
+        #: request indices (chaos deadline skews, request span metadata);
         #: ``next`` on a count is atomic, so concurrent callers never share one.
         self._request_counter = itertools.count()
         self._ingest_index = 0
@@ -230,19 +213,12 @@ class ModelServer:
         self._refresh_target: Optional[int] = None
         self._refresh_stop = False
         self._refresh_thread: Optional[threading.Thread] = None
-        #: Sampled per-request span chains (admit → queue_wait → decode
-        #: → respond), deterministic 1-in-``exemplar_every`` by request
-        #: index, bounded by the ring buffer.
-        self._exemplars: deque = deque(maxlen=config.exemplar_capacity)
         #: Optional trace sink (``repro.cli serve --trace-out``): the
-        #: loadgen's plan and sampled request chains are recorded
+        #: loadgen's plan and every query's span chain are recorded
         #: out-of-band into this collector under ``trace_root`` via the
         #: thread-safe ``record``.
         self.trace_collector: Optional[SpanCollector] = None
         self.trace_root: Optional[Span] = None
-        self.registry.gauge(
-            "serve_breaker_state", help="ingest breaker: 0 closed, 1 open, 2 half_open"
-        ).set(0.0)
 
     # ------------------------------------------------------------------
     # Telemetry plumbing
@@ -269,29 +245,15 @@ class ModelServer:
         with self._report_lock:
             if self._report_closed:
                 return
-            self.counters.requests += 1
-            self.counters.by_status[status] = (
-                self.counters.by_status.get(status, 0) + 1
-            )
-            if status == STATUS_OK:
-                self.counters.ok += 1
-            elif status == STATUS_DEADLINE:
-                self.counters.deadline_exceeded += 1
+            counters = self.counters
+            counters.requests += 1
+            counters.by_status[status] = counters.by_status.get(status, 0) + 1
+            if kind == "ingest":
+                counters.ingests += 1
+            if status == STATUS_DEADLINE:
+                counters.deadline_exceeded += 1
             elif status == STATUS_ERROR:
-                self.counters.errors += 1
-            elif status == STATUS_INVALID:
-                self.counters.invalid += 1
-            self.registry.counter(
-                "serve_requests_total", help="requests by kind and status"
-            ).inc(1, kind=kind, status=str(status))
-            self.registry.histogram(
-                "serve_latency_seconds",
-                buckets=LATENCY_BUCKETS,
-                help="end-to-end request latency",
-            ).observe(response.latency_ms / 1000.0, kind=kind)
-            self.registry.gauge("serve_staleness", help="refreshes behind").set(
-                response.staleness
-            )
+                counters.errors += 1
             if self.reporter is not None:
                 response.staleness = self.store.staleness
                 self.reporter.emit(
@@ -310,19 +272,10 @@ class ModelServer:
             if self._report_closed:
                 return
             self.counters.shed += 1
-            self.registry.counter("serve_shed_total", help="sheds by reason").inc(
-                1, reason=reason
-            )
             if self.reporter is not None:
                 self.reporter.emit("shed", kind=kind, reason=reason)
 
     def _on_breaker_transition(self, old: str, new: str, reason: str) -> None:
-        self.registry.counter(
-            "serve_breaker_transitions_total", help="breaker transitions"
-        ).inc(1, to_state=new)
-        self.registry.gauge(
-            "serve_breaker_state", help="ingest breaker: 0 closed, 1 open, 2 half_open"
-        ).set({"closed": 0.0, "open": 1.0, "half_open": 2.0}.get(new, -1.0))
         self._emit("breaker_transition", from_state=old, to_state=new, reason=reason)
 
     # ------------------------------------------------------------------
@@ -356,7 +309,6 @@ class ModelServer:
             max_wait=self.config.batch_wait_ms / 1000.0,
             clock=self.clock,
             on_shed=self._on_batcher_shed,
-            on_batch=self._on_batch_done,
         )
         self._refresh_thread = threading.Thread(
             target=self._refresh_loop, name="repro-serve-refresh", daemon=True
@@ -369,16 +321,6 @@ class ModelServer:
 
     def _on_batcher_shed(self, request: ServeRequest, reason: str) -> None:
         self._emit_shed("score", reason)
-
-    def _on_batch_done(self, size: int, seconds: float) -> None:
-        self.registry.histogram(
-            "serve_batch_size", buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            help="requests coalesced per decoder pass",
-        ).observe(size)
-        self.registry.histogram(
-            "serve_batch_seconds", buckets=LATENCY_BUCKETS,
-            help="decoder pass wall-clock",
-        ).observe(seconds)
 
     # ------------------------------------------------------------------
     # Query path (decoder-only)
@@ -515,77 +457,54 @@ class ModelServer:
                 **base,
             )
             response.staleness = staleness
-        if request_index % self.config.exemplar_every == 0:
-            self._record_exemplar(
-                kind, request_index, request, response, started, submitted, now
+        if self.trace_collector is not None:
+            self._record_request_spans(
+                kind, request_index, request, response.status, started, submitted, now
             )
         self._emit_request(kind, response.status, response)
         return response
 
-    def _record_exemplar(
+    def _record_request_spans(
         self,
         kind: str,
         request_index: int,
         request: ServeRequest,
-        response: ServeResponse,
+        status: int,
         started: float,
         submitted: float,
         now: float,
     ) -> None:
-        """Keep this request's span chain (and trace it, when wired).
+        """Record this query's ``request`` span and its phase chain.
 
         The chain is contiguous — admit → queue_wait → decode → respond
-        partition exactly ``[started, now]`` — so the segment seconds
-        sum to the reported latency by construction (the e2e test's
-        invariant).  Phases that never happened (a request failed in
-        the queue) collapse to zero-length segments.
+        partition exactly ``[started, now]`` — so the phase seconds sum
+        to the request's by construction (the trace checks' invariant).
+        Phases that never happened (a request failed in the queue)
+        collapse to zero-length spans.
         """
+        collector = self.trace_collector
+        tid = threading.get_native_id()
+        parent = collector.record(
+            "request",
+            started,
+            now,
+            parent=self.trace_root,
+            meta={"kind": kind, "status": status, "index": request_index},
+            tid=tid,
+        )
+        if parent is None:
+            return
         t_compute = request.started_at if request.started_at is not None else now
         t_compute = min(max(t_compute, submitted), now)
         t_decoded = t_compute + (request.decode_seconds or 0.0)
         t_decoded = min(max(t_decoded, t_compute), now)
-        segments = (
+        for name, a, b in (
             ("admit", started, submitted),
             ("queue_wait", submitted, t_compute),
             ("decode", t_compute, t_decoded),
             ("respond", t_decoded, now),
-        )
-        self._exemplars.append(
-            {
-                "request_index": request_index,
-                "kind": kind,
-                "status": response.status,
-                "latency_ms": round(response.latency_ms, 3),
-                "batch": response.batch,
-                "spans": [
-                    {
-                        "name": name,
-                        "start": a,
-                        "end": b,
-                        "seconds": round(b - a, 9),
-                    }
-                    for name, a, b in segments
-                ],
-            }
-        )
-        collector = self.trace_collector
-        if collector is not None:
-            tid = threading.get_native_id()
-            parent = collector.record(
-                "request",
-                started,
-                now,
-                parent=self.trace_root,
-                meta={"kind": kind, "status": response.status, "index": request_index},
-                tid=tid,
-            )
-            if parent is not None:
-                for name, a, b in segments:
-                    collector.record(name, a, b, parent=parent, tid=tid)
-
-    def exemplars(self) -> List[dict]:
-        """The retained sampled request span chains (newest last)."""
-        return list(self._exemplars)
+        ):
+            collector.record(name, a, b, parent=parent, tid=tid)
 
     # ------------------------------------------------------------------
     # Ingest path (circuit-broken online continual training)
@@ -601,9 +520,7 @@ class ModelServer:
         started = self.clock()
         index = self._ingest_index
         self._ingest_index += 1
-        self.counters.ingests += 1
         if self._draining or self.batcher is None:
-            self.counters.ingests_refused += 1
             self._emit_shed("ingest", "draining")
             return self._refusal(
                 "ingest", STATUS_UNAVAILABLE, "server is draining",
@@ -622,7 +539,6 @@ class ModelServer:
             # trip the breaker, and an interleaved success could reset
             # the consecutive-failure count mid-poison-run.
             if not self.breaker.allow():
-                self.counters.ingests_refused += 1
                 self._emit_shed("ingest", "breaker_open")
                 return self._refusal(
                     "ingest", STATUS_UNAVAILABLE,
@@ -701,15 +617,12 @@ class ModelServer:
 
         Runs *outside* the model lock so hypergraph construction and
         edge sorting for a cold history window never extend the lock
-        hold (and never land inside the first timed request).  The
-        cache's cumulative hit/miss counters are published so the
-        telemetry plane can see cold-start spikes.
+        hold (and never land inside the first timed request).
         """
         cache = getattr(self.model, "snapshot_cache", None)
         if cache is None or not cache.max_entries:
             return
         cache.warm(self.model.history_before(ts))
-        cache.publish(self.registry)
 
     def _refresh_once(self, ts: int) -> bool:
         """One supervised refresh cycle: retry, back off, or degrade."""
@@ -735,9 +648,6 @@ class ModelServer:
                         backoff_s * (REFRESH_BACKOFF_FACTOR ** (attempt - 1)),
                         REFRESH_BACKOFF_MAX_MS / 1000.0,
                     ) * (1.0 + jitter)
-                self.registry.counter(
-                    "serve_refresh_attempts_total", help="refresh attempts by outcome"
-                ).inc(1, outcome="failed")
                 self._emit(
                     "refresh_retry",
                     ts=ts,
@@ -759,9 +669,6 @@ class ModelServer:
                                     "serving the stale snapshot"
                                 ),
                             )
-                    self.registry.counter(
-                        "serve_degraded_total", help="refresh cycles given up"
-                    ).inc()
                     return False
                 time.sleep(sleep_s)
                 continue
@@ -775,9 +682,6 @@ class ModelServer:
                         outcome="ok",
                         backoff_ms=0.0,
                     )
-            self.registry.counter(
-                "serve_refresh_attempts_total", help="refresh attempts by outcome"
-            ).inc(1, outcome="ok")
             return True
         return False
 
@@ -795,7 +699,6 @@ class ModelServer:
             "queue_depth": self.batcher.depth if self.batcher is not None else 0,
             "requests": self.counters.requests,
             "shed": self.counters.shed,
-            "exemplars": len(self._exemplars),
         }
 
     def ready(self) -> bool:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.autograd import DtypePolicy, Tensor, default_dtype, no_grad
 from repro.autograd import functional as F
+from repro.baselines import TiRGN
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.core import decoder as decoder_module
 from repro.core.decoder import SUM_BLOCK_BYTES, ConvTransE, logit_workspace
@@ -476,6 +477,27 @@ class TestFusedRanks:
             finally:
                 tracemalloc.stop()
         assert peaks["rank"] < score_bytes <= peaks["predict"]
+
+
+class TestZeroQueries:
+    """No query rows decode to an empty matrix and rank to nothing."""
+
+    @pytest.mark.parametrize("kind", ["retia", "tirgn"])
+    def test_empty_batches(self, kind):
+        train, _, _ = small_dataset()
+        if kind == "retia":
+            model = make_model(num_entities=20, num_relations=4)
+        else:
+            model = TiRGN(20, 4, dim=8, history_length=2, num_kernels=4)
+        model.set_history(train)
+        ts = int(train.timestamps[-1])
+        none = np.empty((0, 2), dtype=np.int64)
+        assert model.predict_entities(none, ts).shape == (0, 20)
+        assert model.predict_relations(none, ts).shape == (0, 4)
+        no_targets = np.empty(0, dtype=np.int64)
+        for mask in (None, np.zeros((0, 20), dtype=bool)):
+            ranks = model.rank_entities(none, no_targets, ts, mask=mask)
+            assert ranks.shape == (0,) and ranks.dtype == np.float64
 
 
 # ----------------------------------------------------------------------

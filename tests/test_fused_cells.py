@@ -24,7 +24,6 @@ from repro.autograd.functional import cell_workspace_stats, clear_cell_workspace
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.nn.rnn import GRUCell, LSTMCell
-from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, ResilienceConfig, SimulatedCrash
 from tests.oracles import (
     forbidden,
@@ -400,20 +399,6 @@ class TestCacheWarmup:
         assert built == len(train.snapshots())
         assert cache.warm(train.snapshots()) == 0
         assert cache.hits >= built
-
-    def test_publish_exports_gauges(self):
-        train, _, _ = small_dataset()
-        model = make_model()
-        model.set_history(train)
-        model.snapshot_cache.warm(train.snapshots())
-        registry = MetricsRegistry()
-        model.snapshot_cache.publish(registry)
-        flat = registry.to_dict()
-        names = {m["name"] for m in flat["metrics"]} if "metrics" in flat else set(flat)
-        text = str(flat)
-        assert "snapshot_cache_hits" in text
-        assert "snapshot_cache_misses" in text
-        assert "snapshot_cache_entries" in text
 
     def test_trainer_fit_warms_cache_before_first_step(self):
         train, valid, _ = small_dataset()

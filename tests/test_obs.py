@@ -1,4 +1,4 @@
-"""Tests for the observability layer: metrics, tracing, run reports."""
+"""Tests for the observability layer: tracing and run reports."""
 
 import io
 import json
@@ -8,8 +8,6 @@ import pytest
 
 from repro.obs import (
     EVENT_SCHEMAS,
-    MetricError,
-    MetricsRegistry,
     ReportError,
     RunReporter,
     SpanCollector,
@@ -19,149 +17,6 @@ from repro.obs import (
     summarize_run,
     tracing,
 )
-
-
-# ----------------------------------------------------------------------
-# MetricsRegistry
-# ----------------------------------------------------------------------
-class TestRegistryLabels:
-    def test_label_order_addresses_same_series(self):
-        registry = MetricsRegistry()
-        c = registry.counter("batches_total")
-        c.inc(2, dataset="YAGO", split="train")
-        c.inc(3, split="train", dataset="YAGO")
-        assert c.value(dataset="YAGO", split="train") == 5
-
-    def test_distinct_label_values_are_distinct_series(self):
-        registry = MetricsRegistry()
-        c = registry.counter("hits")
-        c.inc(dataset="YAGO")
-        c.inc(dataset="ICEWS14")
-        c.inc(dataset="ICEWS14")
-        assert c.value(dataset="YAGO") == 1
-        assert c.value(dataset="ICEWS14") == 2
-
-    def test_label_names_fixed_by_first_use(self):
-        registry = MetricsRegistry()
-        c = registry.counter("hits")
-        c.inc(dataset="YAGO")
-        with pytest.raises(MetricError):
-            c.inc(phase="ram")
-
-    def test_unlabeled_series_is_the_empty_label_set(self):
-        registry = MetricsRegistry()
-        g = registry.gauge("lr")
-        g.set(0.01)
-        assert g.value() == 0.01
-        exported = g.to_dict()["series"]
-        assert exported == [{"labels": {}, "value": 0.01}]
-
-    def test_reregistration_returns_existing_metric(self):
-        registry = MetricsRegistry()
-        a = registry.counter("steps")
-        b = registry.counter("steps")
-        assert a is b
-
-    def test_reregistration_with_other_type_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("steps")
-        with pytest.raises(MetricError):
-            registry.gauge("steps")
-
-    def test_histogram_reregistration_with_other_buckets_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat", buckets=(0.1, 1.0))
-        assert registry.histogram("lat", buckets=(0.1, 1.0)) is registry.get("lat")
-        with pytest.raises(MetricError):
-            registry.histogram("lat", buckets=(0.5, 1.0))
-
-    def test_counter_rejects_negative_increments(self):
-        registry = MetricsRegistry()
-        with pytest.raises(MetricError):
-            registry.counter("steps").inc(-1)
-
-
-class TestHistogramBuckets:
-    def test_edges_are_inclusive_upper_bounds(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.1, 0.05, 1.0, 2.0):
-            h.observe(value)
-        series = h.labels()
-        # 0.05 and 0.1 land in le=0.1; 1.0 in le=1.0; 2.0 in +inf.
-        assert series.counts == [2, 1, 1]
-        assert series.count == 4
-        assert series.sum == pytest.approx(3.15)
-
-    def test_export_is_cumulative_with_inf_bucket(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            h.observe(value)
-        buckets = h.labels().to_dict()["buckets"]
-        assert buckets == [
-            {"le": 0.1, "count": 1},
-            {"le": 1.0, "count": 2},
-            {"le": "+inf", "count": 3},
-        ]
-
-    def test_unsorted_or_duplicate_edges_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(MetricError):
-            registry.histogram("bad", buckets=(1.0, 0.1))
-        with pytest.raises(MetricError):
-            registry.histogram("dup", buckets=(0.1, 0.1))
-        with pytest.raises(MetricError):
-            registry.histogram("empty", buckets=())
-
-    def test_registry_json_is_stable_and_parseable(self):
-        registry = MetricsRegistry()
-        registry.counter("b_total").inc(3, dataset="YAGO")
-        registry.gauge("a_share").set(0.5)
-        registry.histogram("lat", buckets=(1.0,)).observe(0.2)
-        payload = json.loads(registry.to_json())
-        assert [m["name"] for m in payload["metrics"]] == ["a_share", "b_total", "lat"]
-
-
-class TestNonFiniteGuards:
-    """NaN/Inf updates divert to a side counter instead of poisoning."""
-
-    def test_histogram_diverts_nonfinite_observations(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(float("nan"))
-        h.observe(float("inf"))
-        h.observe(float("-inf"))
-        series = h.labels()
-        assert series.count == 1
-        assert series.sum == pytest.approx(0.05)
-        assert series.nonfinite == 3
-        assert series.to_dict()["nonfinite"] == 3
-
-    def test_gauge_set_and_inc_keep_last_finite_value(self):
-        registry = MetricsRegistry()
-        g = registry.gauge("p99")
-        g.set(3.0)
-        g.set(float("nan"))
-        g.labels().inc(float("inf"))
-        assert g.value() == 3.0
-        assert g.labels().nonfinite == 2
-
-    def test_counter_diverts_nonfinite_before_sign_check(self):
-        registry = MetricsRegistry()
-        c = registry.counter("steps")
-        c.inc(2)
-        # NaN is not < 0, so without the guard it would slip past the
-        # monotonicity check and poison the value.
-        c.inc(float("nan"))
-        assert c.value() == 2
-        assert c.labels().nonfinite == 1
-
-    def test_finite_series_export_has_no_nonfinite_key(self):
-        registry = MetricsRegistry()
-        registry.counter("ok").inc()
-        assert "nonfinite" not in registry.get("ok").labels().to_dict()
 
 
 # ----------------------------------------------------------------------

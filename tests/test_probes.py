@@ -11,14 +11,13 @@ import pytest
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.obs import (
-    MetricsRegistry,
     ProbeConfig,
     ProbeSuite,
     RunReporter,
     read_events,
     tracing,
 )
-from repro.obs.tracing import ResourceSampler, SpanCollector, to_chrome_trace
+from repro.obs.tracing import SpanCollector, to_chrome_trace
 
 _HEALTH_PATH = Path(__file__).resolve().parent.parent / "scripts" / "check_run_health.py"
 _spec = importlib.util.spec_from_file_location("check_run_health", _HEALTH_PATH)
@@ -132,27 +131,6 @@ class TestProbeSuite:
         probed, _, _ = run_probed(tmp_path, every_batches=2)
         assert plain.model.fingerprint() == probed.fingerprint()
 
-    def test_registry_receives_labeled_series(self):
-        train, valid, _ = small_dataset()
-        model = make_model()
-        registry = MetricsRegistry()
-        trainer = Trainer(
-            model, TrainerConfig(epochs=1, patience=5, seed=0),
-            probes=ProbeSuite(
-                model, None, ProbeConfig(every_batches=2), registry=registry
-            ),
-        )
-        # ProbeSuite built standalone still measures against the trainer's
-        # optimizer state through the shared parameters.
-        trainer.fit(train, valid)
-        dump = {m["name"]: m for m in registry.to_dict()["metrics"]}
-        assert "probe_grad_norm" in dump
-        assert "probe_firings_total" in dump
-        modules = {
-            series["labels"]["module"] for series in dump["probe_grad_norm"]["series"]
-        }
-        assert "tim" in modules
-
     def test_disarm_cancels_armed_probe(self):
         model = make_model()
         suite = ProbeSuite(model, None, ProbeConfig(every_batches=1))
@@ -235,7 +213,7 @@ class TestHealthCheckProbeInvariants:
 
 class TestChromeTrace:
     def collector(self):
-        collector = SpanCollector(resource_sampler=ResourceSampler())
+        collector = SpanCollector()
         with tracing.collect_spans(collector):
             with tracing.span("epoch", edges=10):
                 with tracing.span("ram"):
@@ -274,31 +252,7 @@ class TestChromeTrace:
         metas = [e for e in trace["traceEvents"] if e["ph"] == "M"]
         assert metas and metas[0]["args"]["name"] == "bench"
 
-    def test_resource_samples_become_counter_events(self):
-        trace = to_chrome_trace(self.collector())
-        counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-        assert len(counters) == 2  # root span boundaries
-        for e in counters:
-            assert "rss_mb" in e["args"] and "cpu_seconds" in e["args"]
-
     def test_span_meta_rides_in_args(self):
         trace = to_chrome_trace(self.collector())
         epoch = next(e for e in trace["traceEvents"] if e["name"] == "epoch")
         assert epoch["args"]["edges"] == 10
-        assert "rss_bytes" in epoch["args"]
-        assert "cpu_seconds" in epoch["args"]
-
-
-class TestResourceSampler:
-    def test_sampling_is_bounded(self):
-        sampler = ResourceSampler(max_samples=3)
-        for _ in range(5):
-            sampler.sample()
-        assert len(sampler.samples) == 3
-        assert sampler.dropped == 2
-
-    def test_sample_shape_and_sanity(self):
-        t, rss, cpu = ResourceSampler().sample(1.25)
-        assert t == 1.25
-        assert rss >= 0
-        assert cpu >= 0.0

@@ -28,6 +28,7 @@ from repro.core.trainer import OnlineAdapter
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.graph import Snapshot
 from repro.obs import RunReporter, read_events
+from repro.obs.tracing import SpanCollector
 from repro.resilience import RefreshFault, ServeFaultInjector
 from repro.serve import (
     SHED_DEADLINE,
@@ -963,9 +964,8 @@ class TestModelServer:
     def test_concurrent_requests_get_unique_indices(self, splits):
         _, _, test = splits
         threads, per_thread = 8, 40
-        server = make_server(
-            splits, exemplar_every=1, exemplar_capacity=threads * per_thread
-        )
+        server = make_server(splits)
+        server.trace_collector = SpanCollector()
         interval = sys.getswitchinterval()
         try:
             server.start(ts=int(test.timestamps[0]))
@@ -986,8 +986,29 @@ class TestModelServer:
         finally:
             sys.setswitchinterval(interval)
             assert server.drain()
-        indices = sorted(e["request_index"] for e in server.exemplars())
+        requests = [
+            span for span in server.trace_collector.spans if span.name == "request"
+        ]
+        indices = sorted(span.meta["index"] for span in requests)
         assert indices == list(range(threads * per_thread))
+
+    def test_zero_queries_answer_an_empty_matrix(self, splits, tmp_path):
+        _, _, test = splits
+        report = tmp_path / "serve.jsonl"
+        reporter = RunReporter(str(report))
+        server = make_server(splits, reporter=reporter)
+        try:
+            server.start(ts=int(test.timestamps[0]))
+            response = server.score(np.empty((0, 2), dtype=np.int64))
+            assert response.status == STATUS_OK, response.error
+            assert response.scores.shape == (0, server.model.num_entities)
+            assert server.score(np.array([[0, 1]])).scores.shape == (
+                1, server.model.num_entities
+            )
+        finally:
+            assert server.drain()
+            reporter.close()
+        assert check_events(read_events(str(report))) == []
 
     def test_event_stream_passes_health_check(self, splits, tmp_path):
         _, _, test = splits
@@ -1175,15 +1196,15 @@ class TestRunDrill:
         def parent(e):
             return by_id[e["args"]["parent"]]
 
-        (draw,) = [e for e in spans if e["name"] == "draw_plans"]
-        assert parent(draw)["name"] == "plan_load"
-        assert parent(parent(draw)) is root
-        chains = [
-            [e["name"] for e in spans if e["args"].get("parent") == req["args"]["id"]]
-            for req in spans
-            if req["name"] == "request" and parent(req) is root
-        ]
-        assert ["admit", "queue_wait", "decode", "respond"] in chains
+        (plan,) = [e for e in spans if e["name"] == "plan_load"]
+        assert parent(plan) is root
+        assert not [e for e in spans if e["args"].get("parent") == plan["args"]["id"]]
+        requests = [e for e in spans if e["name"] == "request"]
+        assert requests
+        for req in requests:
+            assert parent(req) is root
+            chain = [e["name"] for e in spans if e["args"].get("parent") == req["args"]["id"]]
+            assert chain == ["admit", "queue_wait", "decode", "respond"]
 
     def test_chaos_drill_exits_0_and_drains_a_healthy_report(self, tmp_path, capsys):
         report = tmp_path / "serve_chaos.jsonl"
@@ -1274,7 +1295,13 @@ def _stream(*events):
     return out
 
 
-def _drain(requests=0, shed=0, deadline_exceeded=0, clean=True):
+def _drain(
+    requests=0, shed=0, deadline_exceeded=0, clean=True, ingests=0, by_status=None
+):
+    """A drain event; ``by_status`` defaults to every request 200 but the 408s."""
+    if by_status is None:
+        by_status = {"200": requests - deadline_exceeded, "408": deadline_exceeded}
+        by_status = {status: n for status, n in by_status.items() if n}
     return (
         "drain",
         {
@@ -1282,13 +1309,15 @@ def _drain(requests=0, shed=0, deadline_exceeded=0, clean=True):
             "shed": shed,
             "errors": 0,
             "deadline_exceeded": deadline_exceeded,
+            "ingests": ingests,
+            "by_status": by_status,
             "clean": clean,
         },
     )
 
 
-def _request(status=200, staleness=0):
-    return ("request", {"status": status, "staleness": staleness})
+def _request(status=200, staleness=0, kind="score"):
+    return ("request", {"kind": kind, "status": status, "staleness": staleness})
 
 
 class TestServeHealthInvariants:
@@ -1357,6 +1386,27 @@ class TestServeHealthInvariants:
         events = _stream(_request(), _drain(requests=5))
         problems = check_run_health.check_serve(events)
         assert any("drain claims 5" in p for p in problems)
+
+    def test_drain_status_counts_must_reconcile(self):
+        events = _stream(
+            _request(),
+            _request(status=408),
+            _drain(requests=2, deadline_exceeded=1, by_status={"200": 2}),
+        )
+        problems = check_run_health.check_serve(events)
+        assert problems == [
+            "drain claims statuses {'200': 2} but the request events have "
+            "{'200': 1, '408': 1}"
+        ]
+
+    def test_drain_ingests_must_reconcile(self):
+        events = _stream(
+            _request(), _request(kind="ingest"), _drain(requests=2, ingests=2)
+        )
+        problems = check_run_health.check_serve(events)
+        assert problems == [
+            "drain claims 2 ingest(s) but 1 request event(s) have kind ingest"
+        ]
 
     def test_availability_gate(self):
         events = _stream(

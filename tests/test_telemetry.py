@@ -1,11 +1,12 @@
 """Tests for serve and evaluation telemetry.
 
 * **trace recording** — evaluation records its ``eval_block``/
-  ``score_ts`` spans under the caller's span, and the serve path's
-  exemplar span chains partition each request's latency exactly;
+  ``score_ts`` spans under the caller's span, and each served query's
+  span chain partitions its latency exactly;
 * **loadgen planning** — ingest plans are cursor indices in order.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import RETIA, RETIAConfig, TrainerConfig
@@ -98,63 +99,32 @@ class TestTraceRecording:
 
 
 # ----------------------------------------------------------------------
-# Serve exemplars
+# Serve request chains
 # ----------------------------------------------------------------------
-class TestServeExemplars:
+class TestServeRequestChains:
     def test_span_chain_partitions_latency(self, splits):
-        server = make_server(splits, exemplar_every=1, exemplar_capacity=64)
+        server = make_server(splits)
+        collector = server.trace_collector = SpanCollector()
         _, _, test = splits
-        ts = int(test.timestamps[0])
-        server.start(ts=ts)
+        server.start(ts=int(test.timestamps[0]))
         try:
-            import numpy as np
-
             queries = np.array([[0, 0], [1, 1]], dtype=np.int64)
-            for _ in range(6):
-                server.score(queries)
+            responses = [server.score(queries) for _ in range(6)]
         finally:
             server.drain()
-        exemplars = server.exemplars()
-        assert len(exemplars) == 6  # every request sampled at 1-in-1
-        for ex in exemplars:
-            names = [s["name"] for s in ex["spans"]]
-            assert names == ["admit", "queue_wait", "decode", "respond"]
-            total = sum(s["seconds"] for s in ex["spans"])
-            # latency_ms is rounded to 3 decimals (0.5us quantization).
-            assert total == pytest.approx(ex["latency_ms"] / 1000.0, abs=5.1e-7)
-            # Contiguous: each span starts where the previous ended.
-            for left, right in zip(ex["spans"], ex["spans"][1:]):
-                assert right["start"] == pytest.approx(left["end"])
-
-    def test_sampling_is_deterministic_one_in_n(self, splits):
-        server = make_server(splits, exemplar_every=4, exemplar_capacity=64)
-        _, _, test = splits
-        server.start(ts=int(test.timestamps[0]))
-        try:
-            import numpy as np
-
-            queries = np.array([[0, 0]], dtype=np.int64)
-            for _ in range(9):
-                server.score(queries)
-        finally:
-            server.drain()
-        indices = [ex["request_index"] for ex in server.exemplars()]
-        assert indices == [i for i in indices if i % 4 == 0]
-        assert len(indices) >= 2
-
-    def test_capacity_bounds_the_ring(self, splits):
-        server = make_server(splits, exemplar_every=1, exemplar_capacity=3)
-        _, _, test = splits
-        server.start(ts=int(test.timestamps[0]))
-        try:
-            import numpy as np
-
-            queries = np.array([[0, 0]], dtype=np.int64)
-            for _ in range(8):
-                server.score(queries)
-        finally:
-            server.drain()
-        assert len(server.exemplars()) == 3
+        requests = [s for s in collector.spans if s.name == "request"]
+        assert len(requests) == 6  # every query records its chain
+        for request, response in zip(requests, responses):
+            assert request.meta["status"] == response.status
+            assert request.seconds == pytest.approx(response.latency_ms / 1000.0)
+            chain = collector.children(request)
+            assert [s.name for s in chain] == ["admit", "queue_wait", "decode", "respond"]
+            # Contiguous: each span starts where the previous ended, so
+            # the phases partition the request.
+            assert chain[0].start == request.start and chain[-1].end == request.end
+            for left, right in zip(chain, chain[1:]):
+                assert right.start == left.end
+            assert sum(s.seconds for s in chain) == pytest.approx(request.seconds, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
