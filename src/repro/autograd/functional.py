@@ -232,38 +232,6 @@ def rrelu(
     return Tensor._from_op(x.data * slope, (x,), backward, "rrelu")
 
 
-def softplus(x: Tensor) -> Tensor:
-    """Numerically stable ``log(1 + exp(x))``.
-
-    Uses the identity ``softplus(x) = max(x, 0) + log1p(exp(-|x|))`` so
-    neither branch overflows: for large positive ``x`` the result is
-    ``x + log1p(exp(-x)) ≈ x``, for large negative ``x`` it decays to
-    ``exp(x)`` through ``log1p``.  The gradient is ``sigmoid(x)``,
-    computed branch-wise the same way ``Tensor.sigmoid`` does.
-    """
-    z = x.data
-    out_data = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            sig = np.empty_like(z)
-            pos = z >= 0
-            sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-            ez = np.exp(z[~pos])
-            sig[~pos] = ez / (1.0 + ez)
-            x._accumulate(np.asarray(grad) * sig)
-
-    return Tensor._from_op(out_data, (x,), backward, "softplus")
-
-
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last axis (no affine parameters)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5)
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
     """Unfold ``(B, C, H, W)`` into batch-last ``(C*kh*kw, out_h*out_w, B)`` columns."""
     batch, channels, height, width = x.shape

@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli evaluate --dataset ICEWS14 --checkpoint model.npz
     python -m repro.cli diagnose --dataset ICEWS14 --checkpoint model.npz
     python -m repro.cli hypergraph --dataset YAGO --time 3
-    python -m repro.cli drill --dataset YAGO --fault kill --at-batch 5
+    python -m repro.cli drill --dataset YAGO --fault kill --at-batch 30
 
 ``train`` fits RETIA with validation early stopping and writes an
 ``.npz`` checkpoint; with ``--checkpoint-dir`` it also maintains
@@ -112,7 +112,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         resilience = ResilienceConfig(
             checkpoint_dir=args.checkpoint_dir,
             keep=args.keep,
-            checkpoint_every_batches=args.checkpoint_every,
         )
         trainer_config = TrainerConfig(epochs=args.epochs, patience=args.patience, seed=args.seed)
         probes = ProbeConfig(every_batches=args.probe_every) if args.probe_every else None
@@ -137,8 +136,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"interrupted: {exc}", file=sys.stderr)
         if exc.checkpoint_path:
             print(
-                f"run state saved to {exc.checkpoint_path}; "
-                f"re-run with --resume to continue",
+                f"newest run state is {exc.checkpoint_path}; re-run with "
+                f"--resume to continue from the start of the interrupted epoch",
                 file=sys.stderr,
             )
         return EXIT_RESUMABLE
@@ -360,9 +359,12 @@ def cmd_drill(args: argparse.Namespace) -> int:
 
     Exercises the exact recovery paths the resilience tests assert:
     ``nan-loss`` (sentinel skip leaves parameters finite), ``kill``
-    (mid-run crash, resume matches the uninterrupted run bit-for-bit)
-    and ``corrupt`` (newest checkpoint bit-flipped, loader falls back
-    to the previous good one).  Returns 0 when the drill recovers.
+    (crash before global batch ``--at-batch``; resuming from the last
+    epoch-boundary checkpoint matches the uninterrupted run
+    bit-for-bit) and ``corrupt`` (newest checkpoint bit-flipped, loader
+    falls back to the previous good one, so the crash must come after
+    the second epoch boundary).  Returns 0 when the drill recovers and
+    1 when it does not or cannot run as asked.
     """
     dataset = load_dataset(args.dataset)
     directory = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-drill-")
@@ -377,11 +379,7 @@ def cmd_drill(args: argparse.Namespace) -> int:
     train_config = TrainerConfig(epochs=args.epochs, patience=10, seed=args.seed)
 
     def fresh(injector=None, checkpoint_dir=None):
-        resilience = ResilienceConfig(
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_batches=1,
-            handle_signals=False,
-        )
+        resilience = ResilienceConfig(checkpoint_dir=checkpoint_dir, handle_signals=False)
         return Trainer(
             RETIA(model_config), train_config,
             resilience=resilience, fault_injector=injector,
@@ -409,7 +407,16 @@ def cmd_drill(args: argparse.Namespace) -> int:
 
     if args.fault == "corrupt":
         manager = CheckpointManager(directory, keep=args.keep)
-        latest = manager.latest()
+        saved = manager.checkpoints()
+        if len(saved) < 2:
+            print(
+                f"corrupt drill needs two checkpoints to fall back between, "
+                f"found {len(saved)}: crash after the second epoch boundary "
+                f"(a later --at-batch or more --epochs)",
+                file=sys.stderr,
+            )
+            return 1
+        latest = saved[-1]
         offset = flip_bit(latest)
         print(f"flipped bit at offset {offset} of {latest}")
         _, fallback = manager.load_latest()
@@ -566,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", default="retia_checkpoint.npz")
     train.add_argument(
         "--checkpoint-dir",
-        help="directory for atomic run-state checkpoints (enables crash recovery)",
+        help="directory for atomic run-state checkpoints, one per epoch "
+        "(enables crash recovery)",
     )
     train.add_argument(
         "--resume",
@@ -577,12 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--run-report",
         help="stream JSONL run telemetry (epochs, evals, checkpoints, skips) here",
-    )
-    train.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="also checkpoint every N batches (0: epoch boundaries only)",
     )
     train.add_argument(
         "--probe-every",

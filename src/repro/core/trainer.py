@@ -11,17 +11,18 @@ Both loops run on the fault-tolerant runtime in
 :mod:`repro.resilience`: every backward/step is guarded against
 NaN/Inf (skip the batch, roll back, back off the learning rate after
 repeated failures), and when a :class:`~repro.resilience.ResilienceConfig`
-with a checkpoint directory is given, ``fit`` writes atomic, checksummed
-:class:`~repro.resilience.RunState` checkpoints it can resume from
-bit-for-bit — the shuffled batch order, partial epoch sums and every
-random-generator state are part of the checkpoint, so a run killed at
-batch *k* and resumed matches the uninterrupted run exactly.
+with a checkpoint directory is given, ``fit`` writes an atomic,
+checksummed :class:`~repro.resilience.RunState` checkpoint at every
+epoch boundary.  Every random-generator state is part of the
+checkpoint, so a run killed (or signalled) at batch *k* and resumed
+re-runs the interrupted epoch from its start and matches the
+uninterrupted run exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from repro.nn import Adam
 from repro.obs import SCHEMA_VERSION, ProbeConfig, ProbeSuite, RunReporter, tracing
 from repro.resilience import (
     STATUS_COMPLETED,
-    STATUS_INTERRUPTED,
     STATUS_RUNNING,
     CheckpointManager,
     FaultInjector,
@@ -105,11 +105,9 @@ class Trainer:
         self.optimizer = Adam(
             model.parameters(), lr=config.lr, weight_decay=config.weight_decay
         )
-        # Introspection probes (repro.obs.probes), built against this
-        # trainer's optimizer.
+        # Introspection probes (repro.obs.probes).
         self.probes: Optional[ProbeSuite] = (
-            None if probes is None
-            else ProbeSuite(model, self.optimizer, probes, reporter=reporter)
+            None if probes is None else ProbeSuite(model, probes, reporter=reporter)
         )
         self.guard = NonFiniteGuard(self.optimizer, self.resilience.sentinel_config())
         if reporter is not None:
@@ -152,9 +150,6 @@ class Trainer:
     def _capture(
         self,
         epoch: int,
-        batch_index: int,
-        order: List[int],
-        sums: dict,
         best_metric: float,
         best_state,
         bad_epochs: int,
@@ -162,14 +157,7 @@ class Trainer:
     ) -> RunState:
         return RunState(
             epoch=epoch,
-            batch_index=batch_index,
             global_batch=self._global_batch,
-            order=list(order),
-            joint_sum=sums["joint"],
-            entity_sum=sums["entity"],
-            relation_sum=sums["relation"],
-            batches=sums["batches"],
-            epoch_nonfinite=sums["nonfinite"],
             best_metric=best_metric,
             bad_epochs=bad_epochs,
             guard_state=self.guard.state_dict(),
@@ -240,11 +228,13 @@ class Trainer:
     ) -> List[EpochLog]:
         """Train on ``train``; early-stop on validation entity MRR.
 
-        ``resume`` restarts a checkpointed run: ``True`` picks the
-        newest verified checkpoint in the configured directory (falling
-        back over corrupt files), a path loads that exact file, and a
-        :class:`~repro.resilience.RunState` is used directly.  Returns
-        the per-epoch loss log (also kept on ``self.log``).
+        ``resume`` restarts a checkpointed run at the epoch boundary its
+        checkpoint was written at: ``True`` picks the newest verified
+        checkpoint in the configured directory (falling back over
+        corrupt files; none at all starts fresh), a path loads that
+        exact file, and a :class:`~repro.resilience.RunState` is used
+        directly.  Returns the per-epoch loss log (also kept on
+        ``self.log``).
 
         With a :class:`~repro.obs.RunReporter` attached, the run streams
         one JSONL event per epoch / evaluation / checkpoint / non-finite
@@ -275,7 +265,6 @@ class Trainer:
         resume: Union[None, bool, str, RunState],
     ) -> List[EpochLog]:
         cfg = self.config
-        res = self.resilience
         model = self.model
         model.set_history(train)
         # Every timestamp with at least one preceding timestamp is a
@@ -314,123 +303,15 @@ class Trainer:
             best_metric = state.best_metric
             best_state = state.best_state
             bad_epochs = state.bad_epochs
-            pending = state if state.batch_index > 0 else None
         else:
             start_epoch = 0
             best_metric = -np.inf
             best_state = None
             bad_epochs = 0
-            pending = None
 
-        every = res.checkpoint_every_batches if self.checkpoints else 0
-        with GracefulInterrupt(enabled=res.handle_signals) as interrupt:
+        with GracefulInterrupt(enabled=self.resilience.handle_signals) as interrupt:
             for epoch in range(start_epoch, cfg.epochs):
-                self._current_epoch = epoch
-                model.train()
-                if pending is not None:
-                    order = list(pending.order)
-                    start_index = pending.batch_index
-                    sums = {
-                        "joint": pending.joint_sum,
-                        "entity": pending.entity_sum,
-                        "relation": pending.relation_sum,
-                        "batches": pending.batches,
-                        "nonfinite": pending.epoch_nonfinite,
-                    }
-                    pending = None
-                else:
-                    order = list(target_times)
-                    if cfg.shuffle:
-                        self._rng.shuffle(order)
-                    start_index = 0
-                    sums = {
-                        "joint": 0.0, "entity": 0.0, "relation": 0.0,
-                        "batches": 0, "nonfinite": 0,
-                    }
-
-                # Telemetry: with a reporter attached, trace the batch
-                # loop's spans (hypergraph / ram / eam / decoder and
-                # their children) so the epoch event carries per-phase
-                # time shares and the span-balance invariant.
-                collector = (
-                    tracing.SpanCollector() if self.reporter is not None else None
-                )
-                epoch_start = time.perf_counter()
-                if collector is not None:
-                    span_guard = tracing.collect_spans(collector)
-                    span_guard.__enter__()
-                try:
-                    for index in range(start_index, len(order)):
-                        snapshot = train.snapshot(order[index])
-                        if snapshot.is_empty:
-                            continue
-                        if self.fault_injector is not None:
-                            self.fault_injector.on_batch_start(self._global_batch)
-                        # Probe arming must precede the forward pass so
-                        # the TIM gate statistics cover this batch; the
-                        # no-probe path costs one ``is None`` check.
-                        probing = self.probes is not None and self.probes.arm(
-                            self._global_batch
-                        )
-                        joint, loss_e, loss_r = model.loss_on_snapshot(snapshot)
-                        if self.fault_injector is not None:
-                            self.fault_injector.poison_loss(joint, self._global_batch)
-                        if probing:
-                            self.probes.before_step()
-                        stepped = self.guard.guarded_step(joint, cfg.grad_clip)
-                        if probing:
-                            self.probes.after_step(
-                                epoch, self._global_batch, stepped
-                            )
-                        if stepped:
-                            model.mark_updated()
-                            sums["joint"] += joint.item()
-                            sums["entity"] += loss_e.item()
-                            sums["relation"] += loss_r.item()
-                            sums["batches"] += 1
-                        else:
-                            sums["nonfinite"] += 1
-                        self._global_batch += 1
-
-                        if interrupt.triggered:
-                            path = None
-                            if self.checkpoints is not None:
-                                path = self.checkpoints.save(self._capture(
-                                    epoch, index + 1, order, sums,
-                                    best_metric, best_state, bad_epochs,
-                                    STATUS_INTERRUPTED,
-                                ))
-                                self._report_checkpoint(path, epoch, "interrupt")
-                            raise TrainingInterrupted(
-                                f"interrupted by signal {interrupt.signal_number} "
-                                f"at epoch {epoch}, batch {index + 1}/{len(order)}",
-                                checkpoint_path=path,
-                                signal_number=interrupt.signal_number,
-                            )
-                        if every and self._global_batch % every == 0:
-                            path = self.checkpoints.save(self._capture(
-                                epoch, index + 1, order, sums,
-                                best_metric, best_state, bad_epochs, STATUS_RUNNING,
-                            ))
-                            self._report_checkpoint(path, epoch, "periodic")
-                finally:
-                    if collector is not None:
-                        span_guard.__exit__(None, None, None)
-                epoch_seconds = time.perf_counter() - epoch_start
-
-                # Average over the batches actually processed: empty
-                # snapshots and sentinel-skipped batches must not
-                # deflate the epoch losses.
-                count = max(1, sums["batches"])
-                entry = EpochLog(
-                    epoch=epoch,
-                    loss_joint=sums["joint"] / count,
-                    loss_entity=sums["entity"] / count,
-                    loss_relation=sums["relation"] / count,
-                    nonfinite_skips=sums["nonfinite"],
-                    lr=self.optimizer.lr,
-                )
-
+                entry, telemetry = self._run_epoch(epoch, train, target_times, interrupt)
                 if valid is not None and len(valid):
                     entry.valid_mrr = self.validate(valid)
                     metric = entry.valid_mrr
@@ -453,13 +334,7 @@ class Trainer:
                         loss_relation=entry.loss_relation,
                         lr=entry.lr,
                         nonfinite_skips=entry.nonfinite_skips,
-                        batches=sums["batches"],
-                        global_batch=self._global_batch,
-                        seconds=epoch_seconds,
-                        phase_seconds=collector.summary(max_depth=0),
-                        spans_open=collector.open_count,
-                        spans_recorded=len(collector.spans),
-                        spans_dropped=collector.dropped,
+                        **telemetry,
                         valid_mrr=entry.valid_mrr,
                     )
 
@@ -473,25 +348,12 @@ class Trainer:
                     stop = bad_epochs >= cfg.patience
 
                 if self.checkpoints is not None:
-                    empty = {
-                        "joint": 0.0, "entity": 0.0, "relation": 0.0,
-                        "batches": 0, "nonfinite": 0,
-                    }
                     path = self.checkpoints.save(self._capture(
-                        epoch + 1, 0, [], empty,
-                        best_metric, best_state, bad_epochs, STATUS_RUNNING,
+                        epoch + 1, best_metric, best_state, bad_epochs, STATUS_RUNNING
                     ))
                     self._report_checkpoint(path, epoch + 1, "epoch")
                 if interrupt.triggered:
-                    path = None
-                    if self.checkpoints is not None:
-                        path = self.checkpoints.latest()
-                    raise TrainingInterrupted(
-                        f"interrupted by signal {interrupt.signal_number} "
-                        f"after epoch {epoch}",
-                        checkpoint_path=path,
-                        signal_number=interrupt.signal_number,
-                    )
+                    raise self._interrupted(interrupt, f"after epoch {epoch}")
                 if stop:
                     break
 
@@ -500,13 +362,8 @@ class Trainer:
             model.mark_updated()
         model.eval()
         if self.checkpoints is not None:
-            empty = {
-                "joint": 0.0, "entity": 0.0, "relation": 0.0,
-                "batches": 0, "nonfinite": 0,
-            }
             path = self.checkpoints.save(self._capture(
-                cfg.epochs, 0, [], empty,
-                best_metric, best_state, bad_epochs, STATUS_COMPLETED,
+                cfg.epochs, best_metric, best_state, bad_epochs, STATUS_COMPLETED
             ))
             self._report_checkpoint(path, cfg.epochs, "final")
         if self.reporter is not None:
@@ -514,6 +371,111 @@ class Trainer:
                 "run_end", status="completed", epochs_completed=len(self.log)
             )
         return self.log
+
+    def _run_epoch(
+        self,
+        epoch: int,
+        train: TemporalKG,
+        target_times: List[int],
+        interrupt: GracefulInterrupt,
+    ) -> Tuple[EpochLog, Optional[dict]]:
+        """One pass over the (shuffled) training timestamps.
+
+        Returns the epoch's loss entry and, with a reporter attached,
+        the batch-loop telemetry of its ``epoch`` event (``None``
+        otherwise).  After a SIGINT/SIGTERM the pass stops once the
+        current batch is done and raises :class:`TrainingInterrupted`.
+        """
+        cfg = self.config
+        model = self.model
+        self._current_epoch = epoch
+        model.train()
+        order = list(target_times)
+        if cfg.shuffle:
+            self._rng.shuffle(order)
+        total_joint = total_entity = total_relation = 0.0
+        stepped_batches = skipped_batches = 0
+
+        # Telemetry: with a reporter attached, trace the batch loop's
+        # spans (hypergraph / ram / eam / decoder and their children) so
+        # the epoch event carries per-phase time shares and the
+        # span-balance invariant.
+        collector = tracing.SpanCollector() if self.reporter is not None else None
+        epoch_start = time.perf_counter()
+        if collector is not None:
+            span_guard = tracing.collect_spans(collector)
+            span_guard.__enter__()
+        try:
+            for index, ts in enumerate(order):
+                snapshot = train.snapshot(ts)
+                if snapshot.is_empty:
+                    continue
+                if self.fault_injector is not None:
+                    self.fault_injector.on_batch_start(self._global_batch)
+                # Probe arming must precede the forward pass so the TIM
+                # gate statistics cover this batch; the no-probe path
+                # costs one ``is None`` check.
+                probing = self.probes is not None and self.probes.arm(
+                    self._global_batch
+                )
+                joint, loss_e, loss_r = model.loss_on_snapshot(snapshot)
+                if self.fault_injector is not None:
+                    self.fault_injector.poison_loss(joint, self._global_batch)
+                if probing:
+                    self.probes.before_step()
+                stepped = self.guard.guarded_step(joint, cfg.grad_clip)
+                if probing:
+                    self.probes.after_step(epoch, self._global_batch, stepped)
+                if stepped:
+                    model.mark_updated()
+                    total_joint += joint.item()
+                    total_entity += loss_e.item()
+                    total_relation += loss_r.item()
+                    stepped_batches += 1
+                else:
+                    skipped_batches += 1
+                self._global_batch += 1
+                if interrupt.triggered:
+                    raise self._interrupted(
+                        interrupt, f"at epoch {epoch}, batch {index + 1}/{len(order)}"
+                    )
+        finally:
+            if collector is not None:
+                span_guard.__exit__(None, None, None)
+        epoch_seconds = time.perf_counter() - epoch_start
+
+        # Average over the batches actually processed: empty snapshots
+        # and sentinel-skipped batches must not deflate the epoch losses.
+        count = max(1, stepped_batches)
+        entry = EpochLog(
+            epoch=epoch,
+            loss_joint=total_joint / count,
+            loss_entity=total_entity / count,
+            loss_relation=total_relation / count,
+            nonfinite_skips=skipped_batches,
+            lr=self.optimizer.lr,
+        )
+        telemetry = None if collector is None else dict(
+            batches=stepped_batches,
+            global_batch=self._global_batch,
+            seconds=epoch_seconds,
+            phase_seconds=collector.summary(max_depth=0),
+            spans_open=collector.open_count,
+            spans_recorded=len(collector.spans),
+            spans_dropped=collector.dropped,
+        )
+        return entry, telemetry
+
+    def _interrupted(
+        self, interrupt: GracefulInterrupt, where: str
+    ) -> TrainingInterrupted:
+        """The exception that ends a signalled run; it names the newest
+        epoch-boundary checkpoint, which a resume restarts from."""
+        return TrainingInterrupted(
+            f"interrupted by signal {interrupt.signal_number} {where}",
+            checkpoint_path=None if self.checkpoints is None else self.checkpoints.latest(),
+            signal_number=interrupt.signal_number,
+        )
 
     def validate(self, valid: TemporalKG) -> float:
         """Entity MRR on a validation graph, leaving history untouched."""

@@ -2,9 +2,9 @@
 
 Provides the PyTorch-like building blocks the RETIA reproduction needs:
 ``Module``/``Parameter`` bookkeeping, dense and embedding layers, gated
-recurrent cells (GRU/LSTM), 2D convolution, normalisation, dropout, the
-RReLU activation the paper uses, weight initialisers, optimizers and loss
-functions.
+recurrent cells (GRU/LSTM), 2D convolution, dropout, the RReLU
+activation the paper uses, weight initialisers, the Adam optimizer and
+loss functions.
 """
 
 from repro.nn.module import Module, Parameter
@@ -12,13 +12,11 @@ from repro.nn.layers import (
     Conv2d,
     Dropout,
     Embedding,
-    LayerNorm,
     Linear,
     RReLU,
-    Sequential,
 )
 from repro.nn.rnn import GRUCell, LSTMCell
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn import init, losses
 
 __all__ = [
@@ -28,13 +26,10 @@ __all__ = [
     "Embedding",
     "Conv2d",
     "Dropout",
-    "LayerNorm",
     "RReLU",
-    "Sequential",
     "GRUCell",
     "LSTMCell",
     "Adam",
-    "SGD",
     "clip_grad_norm",
     "init",
     "losses",

@@ -20,12 +20,6 @@ def uniform_(tensor: Tensor, low: float = -0.1, high: float = 0.1, rng=None) -> 
     return tensor
 
 
-def normal_(tensor: Tensor, mean: float = 0.0, std: float = 0.02, rng=None) -> Tensor:
-    """Fill in place from N(mean, std^2)."""
-    tensor.data[...] = _rng(rng).normal(mean, std, size=tensor.data.shape)
-    return tensor
-
-
 def _fan_in_out(shape: tuple) -> tuple:
     if len(shape) < 2:
         return shape[0], shape[0]

@@ -1,4 +1,4 @@
-"""Feed-forward layers: Linear, Embedding, Conv2d, Dropout, LayerNorm, RReLU."""
+"""Feed-forward layers: Linear, Embedding, Conv2d, Dropout, RReLU."""
 
 from __future__ import annotations
 
@@ -105,20 +105,6 @@ class Dropout(Module):
         return F.dropout(x, self.p, training=self.training, rng=self._rng)
 
 
-class LayerNorm(Module):
-    """Layer normalisation over the last axis with learned affine terms."""
-
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.weight = Parameter(np.ones(normalized_shape))
-        self.bias = Parameter(np.zeros(normalized_shape))
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Normalise the last axis, then apply the learned affine."""
-        return F.layer_norm(x, eps=self.eps) * self.weight + self.bias
-
-
 class RReLU(Module):
     """Randomized leaky ReLU — the activation RETIA's GCN layers use."""
 
@@ -132,26 +118,3 @@ class RReLU(Module):
         """Apply RReLU (random slope in training, mean slope in eval)."""
         return F.rrelu(x, self.lower, self.upper, training=self.training, rng=self._rng)
 
-
-class Sequential(Module):
-    """Run child modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._order = []
-        for i, module in enumerate(modules):
-            name = f"layer{i}"
-            setattr(self, name, module)
-            self._order.append(name)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Pipe ``x`` through the children in registration order."""
-        for name in self._order:
-            x = getattr(self, name)(x)
-        return x
-
-    def __iter__(self):
-        return (getattr(self, name) for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)

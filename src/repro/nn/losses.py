@@ -44,17 +44,3 @@ def nll_of_summed_probs(probs: Tensor, targets: np.ndarray, eps: float = 1e-12) 
     picked = total[(rows, targets)] + eps
     return -picked.log().mean()
 
-
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Multi-label BCE from logits; ``targets`` is a {0,1} array.
-
-    Uses the stable identity
-    ``-[t·log σ(x) + (1-t)·log(1-σ(x))] = softplus(x) - x·t``
-    (since ``log σ(x) = -softplus(-x)``, ``log(1-σ(x)) = -softplus(x)``
-    and ``softplus(-x) = softplus(x) - x``), so the loss stays exact for
-    arbitrarily large |logits| instead of saturating through
-    ``sigmoid().clip().log()``.
-    """
-    targets_t = Tensor(np.asarray(targets, dtype=logits.data.dtype))
-    loss = F.softplus(logits) - logits * targets_t
-    return loss.mean()

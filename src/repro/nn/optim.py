@@ -1,4 +1,4 @@
-"""Optimizers: SGD and Adam (the paper trains with Adam, lr=1e-3)."""
+"""The Adam optimizer the paper trains with (lr=1e-3), and gradient clipping."""
 
 from __future__ import annotations
 
@@ -68,45 +68,6 @@ class Optimizer:
                 )
             restored.append(arr.copy())
         return restored
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        """One (momentum) SGD update."""
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-    def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "velocity": [v.copy() for v in self._velocity],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._velocity = self._check_buffers("velocity", state["velocity"])
 
 
 class Adam(Optimizer):

@@ -66,7 +66,7 @@ def _mean_row_norm(data: np.ndarray) -> float:
 
 
 class ProbeSuite:
-    """Model introspection hooks for one trainer/optimizer pair.
+    """Model introspection hooks for one trained model.
 
     Lifecycle per probed batch (driven by ``Trainer.fit``):
 
@@ -83,12 +83,10 @@ class ProbeSuite:
     def __init__(
         self,
         model,
-        optimizer,
         config: ProbeConfig = ProbeConfig(),
         reporter=None,
     ):
         self.model = model
-        self.optimizer = optimizer
         self.config = config
         self.reporter = reporter
         self.fired = 0

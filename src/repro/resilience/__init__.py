@@ -2,18 +2,19 @@
 
 The paper's protocol (Section IV-A4) leans on long multi-epoch runs
 with early stopping plus online continuous training during evaluation —
-workloads where a mid-epoch crash or one diverging batch used to cost
-the whole run.  This package makes runs recoverable:
+workloads where a crash or one diverging batch used to cost the whole
+run.  This package makes runs recoverable:
 
 * :mod:`~repro.resilience.runstate` — the versioned :class:`RunState`
-  schema (parameters, optimizer moments, rng states, epoch position,
-  log, early-stop bookkeeping, best-state snapshot);
+  schema (parameters, optimizer moments, rng states, next epoch, log,
+  early-stop bookkeeping, best-state snapshot), written at epoch
+  boundaries;
 * :mod:`~repro.resilience.checkpoint` — atomic, checksummed, rotating
   keep-N checkpoints with corrupt-file fallback;
 * :mod:`~repro.resilience.sentinel` — NaN/Inf sentinels with parameter
   rollback and learning-rate backoff;
-* :mod:`~repro.resilience.interrupt` — SIGINT/SIGTERM → final
-  checkpoint → resumable exit;
+* :mod:`~repro.resilience.interrupt` — SIGINT/SIGTERM → stop after the
+  current batch → resumable exit;
 * :mod:`~repro.resilience.faults` — deterministic fault injectors used
   by the tests and the ``repro.cli drill`` command.
 
@@ -48,7 +49,6 @@ from repro.resilience.interrupt import (
 from repro.resilience.runstate import (
     RUNSTATE_VERSION,
     STATUS_COMPLETED,
-    STATUS_INTERRUPTED,
     STATUS_RUNNING,
     RunState,
     RunStateError,
@@ -61,14 +61,12 @@ class ResilienceConfig:
     """Runtime knobs for a fault-tolerant :class:`~repro.core.Trainer`.
 
     ``checkpoint_dir=None`` disables checkpointing (sentinels still
-    run); ``checkpoint_every_batches=0`` checkpoints at epoch
-    boundaries only, ``>=1`` additionally checkpoints every that many
-    batches for mid-epoch kill recovery.
+    run); otherwise the trainer checkpoints at every epoch boundary and
+    keeps the newest ``keep`` files.
     """
 
     checkpoint_dir: Optional[str] = None
     keep: int = 3
-    checkpoint_every_batches: int = 0
     handle_signals: bool = True
     backoff_patience: int = 3
     backoff_factor: float = 0.5
@@ -77,10 +75,6 @@ class ResilienceConfig:
     def __post_init__(self):
         if self.keep < 1:
             raise ValueError(f"keep must be >= 1, got {self.keep}")
-        if self.checkpoint_every_batches < 0:
-            raise ValueError(
-                f"checkpoint_every_batches must be >= 0, got {self.checkpoint_every_batches}"
-            )
 
     def sentinel_config(self) -> SentinelConfig:
         return SentinelConfig(
@@ -96,7 +90,6 @@ __all__ = [
     "RunStateError",
     "RUNSTATE_VERSION",
     "STATUS_RUNNING",
-    "STATUS_INTERRUPTED",
     "STATUS_COMPLETED",
     "CheckpointManager",
     "CheckpointCorruptError",

@@ -1,9 +1,10 @@
 """Graceful SIGINT/SIGTERM handling for long training runs.
 
 :class:`GracefulInterrupt` is a context manager that swaps in signal
-handlers which only set a flag; the training loop polls the flag at
-batch boundaries, writes a final checkpoint and raises
-:class:`TrainingInterrupted`.  The CLI maps that to
+handlers which only set a flag; the training loop polls the flag after
+each batch and raises :class:`TrainingInterrupted`, which names the
+newest epoch-boundary checkpoint (a resume re-runs the interrupted
+epoch from its start).  The CLI maps that to
 :data:`EXIT_RESUMABLE` (75, ``EX_TEMPFAIL``) so schedulers can tell "re-
 queue me" apart from a real failure.
 
@@ -34,10 +35,11 @@ _SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
 class TrainingInterrupted(RuntimeError):
-    """Raised by the trainer after checkpointing on SIGINT/SIGTERM.
+    """Raised by the trainer when SIGINT/SIGTERM stops a run.
 
-    ``checkpoint_path`` is the final checkpoint written before exiting
-    (None when the trainer has no checkpoint directory configured).
+    ``checkpoint_path`` is the newest epoch-boundary checkpoint, which a
+    resume continues from (None when the trainer has no checkpoint
+    directory or no epoch has finished yet).
     """
 
     def __init__(self, message: str, checkpoint_path: Optional[str] = None,
@@ -51,7 +53,7 @@ class GracefulInterrupt:
     """Context manager turning SIGINT/SIGTERM into a pollable flag.
 
     First signal: set :attr:`triggered` and return (the training loop
-    checkpoints at the next batch boundary).  Second signal of the same
+    stops after the current batch).  Second signal of the same
     kind: restore the previous handlers and re-raise, so the default
     behaviour (usually immediate termination) takes over.
     """

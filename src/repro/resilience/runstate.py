@@ -1,10 +1,11 @@
 """The resumable run-state schema.
 
 A :class:`RunState` is everything :class:`~repro.core.trainer.Trainer`
-needs to continue a killed run bit-for-bit: model parameters, optimizer
-moments, every random-generator state, the position inside the current
-epoch (including the shuffled batch order and partial loss sums), the
-epoch log, early-stopping bookkeeping and the best-state snapshot.
+needs to continue a killed run bit-for-bit from an epoch boundary:
+model parameters, optimizer moments, every random-generator state, the
+next epoch and global batch counter, the epoch log, early-stopping
+bookkeeping and the best-state snapshot.  A run interrupted inside an
+epoch resumes from the last boundary and re-runs that epoch.
 
 Serialisation is a flat ``{str: np.ndarray}`` payload (one ``.npz``
 archive): arrays go under prefixed keys (``model/``, ``best/``,
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-RUNSTATE_VERSION = 1
+RUNSTATE_VERSION = 2
 
 _META_KEY = "meta"
 _MODEL_PREFIX = "model/"
@@ -32,7 +33,6 @@ _OPTIM_PREFIX = "optim/"
 
 #: fit() lifecycle values stored in ``RunState.status``.
 STATUS_RUNNING = "running"
-STATUS_INTERRUPTED = "interrupted"
 STATUS_COMPLETED = "completed"
 
 
@@ -44,20 +44,11 @@ class RunStateError(ValueError):
 class RunState:
     """Complete snapshot of a :class:`~repro.core.trainer.Trainer` run."""
 
-    # Position: `epoch` is the epoch currently (or next) being processed;
-    # `batch_index` is the next position inside `order` (0 = epoch start,
-    # in which case `order` is regenerated from the shuffle rng).
+    # Position: `epoch` is the next epoch to run (its batch order is
+    # drawn from the restored shuffle rng); `global_batch` counts every
+    # batch run so far.
     epoch: int = 0
-    batch_index: int = 0
     global_batch: int = 0
-    order: List[int] = field(default_factory=list)
-
-    # Partial sums of the in-flight epoch (mid-epoch checkpoints only).
-    joint_sum: float = 0.0
-    entity_sum: float = 0.0
-    relation_sum: float = 0.0
-    batches: int = 0
-    epoch_nonfinite: int = 0
 
     # Early stopping.
     best_metric: float = -np.inf
@@ -79,9 +70,7 @@ class RunState:
     trainer_rng_state: Optional[dict] = None
     model_rng_states: List[dict] = field(default_factory=list)
 
-    # Precision policy of the model that produced this state.  Optional
-    # in the meta blob (absent in pre-dtype version-1 archives, which
-    # were all float64), so the schema version stays at 1.
+    # Precision policy of the model that produced this state.
     dtype: str = "float64"
 
     status: str = STATUS_RUNNING
@@ -111,14 +100,7 @@ class RunState:
             "version": self.version,
             "status": self.status,
             "epoch": self.epoch,
-            "batch_index": self.batch_index,
             "global_batch": self.global_batch,
-            "order": [int(t) for t in self.order],
-            "joint_sum": self.joint_sum,
-            "entity_sum": self.entity_sum,
-            "relation_sum": self.relation_sum,
-            "batches": self.batches,
-            "epoch_nonfinite": self.epoch_nonfinite,
             # -inf is not valid JSON; use None as the sentinel.
             "best_metric": None if np.isneginf(self.best_metric) else self.best_metric,
             "bad_epochs": self.bad_epochs,
@@ -150,16 +132,6 @@ class RunState:
                 f"unsupported RunState version {version!r} "
                 f"(this build reads version {RUNSTATE_VERSION})"
             )
-        # Archives written while data-parallel training existed carry the
-        # run's gradient-shard plan; 0 was the serial path.  A sharded
-        # run's moments and RNG streams cannot be continued serially
-        # bit-for-bit, so such archives are refused rather than resumed.
-        grad_shards = meta.get("grad_shards", 0)
-        if grad_shards != 0:
-            raise RunStateError(
-                f"RunState meta has grad_shards={grad_shards!r}; only serial "
-                f"checkpoints (grad_shards absent or 0) can be resumed"
-            )
         model_state: Dict[str, np.ndarray] = {}
         best_state: Dict[str, np.ndarray] = {}
         optim_arrays: Dict[str, object] = {}
@@ -186,14 +158,7 @@ class RunState:
         best_metric = meta["best_metric"]
         return cls(
             epoch=int(meta["epoch"]),
-            batch_index=int(meta["batch_index"]),
             global_batch=int(meta["global_batch"]),
-            order=[int(t) for t in meta["order"]],
-            joint_sum=float(meta["joint_sum"]),
-            entity_sum=float(meta["entity_sum"]),
-            relation_sum=float(meta["relation_sum"]),
-            batches=int(meta["batches"]),
-            epoch_nonfinite=int(meta["epoch_nonfinite"]),
             best_metric=-np.inf if best_metric is None else float(best_metric),
             bad_epochs=int(meta["bad_epochs"]),
             guard_state=meta.get("guard_state", {}),
@@ -203,7 +168,7 @@ class RunState:
             optimizer_state=optimizer_state,
             trainer_rng_state=meta.get("trainer_rng_state"),
             model_rng_states=list(meta.get("model_rng_states", [])),
-            dtype=str(meta.get("dtype", "float64")),
+            dtype=str(meta["dtype"]),
             status=str(meta.get("status", STATUS_RUNNING)),
             version=int(version),
         )

@@ -206,26 +206,6 @@ class TestBranchFreeSelects:
             F.rrelu(Tensor(np.ones(3, dtype=dtype)), lower=0.5, upper=1.5)
 
 
-class TestLayerNorm:
-    def test_layer_norm_zero_mean_unit_var(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(4, 16)) * 5 + 3)
-        out = F.layer_norm(x).data
-        np.testing.assert_allclose(out.mean(axis=-1), np.zeros(4), atol=1e-8)
-        np.testing.assert_allclose(out.std(axis=-1), np.ones(4), atol=1e-3)
-
-    def test_layer_norm_gradient(self):
-        rng = np.random.default_rng(5)
-        x_data = rng.normal(size=(2, 6))
-        x = Tensor(x_data.copy(), requires_grad=True)
-        weights = rng.normal(size=(2, 6))
-        (F.layer_norm(x) * Tensor(weights)).sum().backward()
-        expected = numerical_grad(
-            lambda arr: (F.layer_norm(Tensor(arr)) * Tensor(weights)).sum().item(),
-            x_data.copy(),
-        )
-        np.testing.assert_allclose(x.grad, expected, atol=1e-4)
-
-
 class TestConv2d:
     def test_conv2d_known_values(self):
         # 1x1x3x3 input, 1x1x2x2 kernel of ones = sliding window sums.

@@ -30,7 +30,7 @@ from repro.eval.filters import FilterIndex
 from repro.eval.metrics import RANK_BLOCK_BYTES, dedup_rows, ranks_from_scores
 from repro.graph import TemporalKG
 from repro.nn.layers import Dropout, RReLU
-from repro.nn.losses import binary_cross_entropy_with_logits, nll_of_summed_probs
+from repro.nn.losses import nll_of_summed_probs
 from repro.resilience import ResilienceConfig, RunState, RunStateError
 from tests.oracles import (
     forbidden,
@@ -83,9 +83,7 @@ def small_dataset():
 
 
 def make_trainer(model, *, checkpoint_dir=None, epochs=1):
-    resilience = ResilienceConfig(
-        checkpoint_dir=checkpoint_dir, checkpoint_every_batches=1, handle_signals=False
-    )
+    resilience = ResilienceConfig(checkpoint_dir=checkpoint_dir, handle_signals=False)
     return Trainer(
         model, TrainerConfig(epochs=epochs, patience=10), resilience=resilience
     )
@@ -615,17 +613,19 @@ class TestRunStateDtype:
         with pytest.raises(RunStateError, match="float32"):
             trainer.fit(train, valid, resume=True)
 
-    def test_legacy_payload_defaults_to_float64(self):
-        # Pre-dtype archives have no "dtype" in the meta blob.
+    def test_pre_dtype_payload_is_refused(self):
+        # Archives without "dtype" in the meta blob are all version 1.
         payload = RunState(epoch=1).to_payload()
         import json
 
         meta = json.loads(bytes(payload["meta"]).decode("utf-8"))
-        meta.pop("dtype", None)
+        meta.pop("dtype")
+        meta["version"] = 1
         payload["meta"] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         )
-        assert RunState.from_payload(payload).dtype == "float64"
+        with pytest.raises(RunStateError, match="version 1"):
+            RunState.from_payload(payload)
 
 
 # ----------------------------------------------------------------------
@@ -657,48 +657,6 @@ class TestStackedNLL:
     def test_stacked_requires_a_snapshot(self):
         with pytest.raises(ValueError):
             nll_of_summed_probs(Tensor(np.ones((0, 2, 3))), np.array([0, 1]))
-
-
-# ----------------------------------------------------------------------
-# BCE-with-logits is exact at extreme logits
-# ----------------------------------------------------------------------
-class TestStableBCE:
-    def test_matches_naive_formula_at_moderate_logits(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 5))
-        targets = (rng.random((4, 5)) > 0.5).astype(np.float64)
-        loss = binary_cross_entropy_with_logits(Tensor(x), targets)
-        sig = 1.0 / (1.0 + np.exp(-x))
-        naive = -np.mean(targets * np.log(sig) + (1 - targets) * np.log(1 - sig))
-        assert float(loss.data) == pytest.approx(naive, rel=1e-12)
-
-    def test_extreme_logits_stay_finite_and_exact(self):
-        x = np.array([[50.0, -50.0], [-50.0, 50.0]])
-        targets = np.array([[1.0, 0.0], [0.0, 1.0]])
-        logits = Tensor(x, requires_grad=True)
-        loss = binary_cross_entropy_with_logits(logits, targets)
-        # Every cell is correctly classified with huge margin: the exact
-        # loss is softplus(-50) = log1p(e^-50) ~ 1.93e-22 per cell — tiny
-        # but nonzero, where sigmoid().clip().log() would round to 0 or
-        # blow up to log(clip_floor).
-        assert float(loss.data) == pytest.approx(np.log1p(np.exp(-50.0)), rel=1e-12)
-        loss.backward()
-        assert np.all(np.isfinite(logits.grad))
-
-    def test_gradient_is_mean_sigmoid_minus_target(self):
-        x = np.array([[2.0, -3.0, 0.5]])
-        targets = np.array([[1.0, 0.0, 1.0]])
-        logits = Tensor(x, requires_grad=True)
-        binary_cross_entropy_with_logits(logits, targets).backward()
-        expected = (1.0 / (1.0 + np.exp(-x)) - targets) / x.size
-        np.testing.assert_allclose(logits.grad, expected, rtol=1e-12)
-
-    def test_worst_case_logits_no_overflow_warning(self):
-        x = np.array([[750.0, -750.0]])  # exp(750) overflows float64
-        targets = np.array([[0.0, 1.0]])
-        with np.errstate(over="raise"):
-            loss = binary_cross_entropy_with_logits(Tensor(x, requires_grad=True), targets)
-        assert float(loss.data) == pytest.approx(750.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

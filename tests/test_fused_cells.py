@@ -359,15 +359,14 @@ class TestTrainingParity:
             resilience=ResilienceConfig(handle_signals=False),
         ).fit(train, valid)
 
-        resilience = ResilienceConfig(
-            checkpoint_dir=str(tmp_path), checkpoint_every_batches=1,
-            handle_signals=False,
-        )
+        resilience = ResilienceConfig(checkpoint_dir=str(tmp_path), handle_signals=False)
+        # Batch 10 is inside epoch 1: the resume restarts from the first
+        # epoch-boundary checkpoint.
         crashed = Trainer(
             make_model(),
             TrainerConfig(epochs=2, patience=10),
             resilience=resilience,
-            fault_injector=FaultInjector(kill_at_batch=5),
+            fault_injector=FaultInjector(kill_at_batch=10),
         )
         with pytest.raises(SimulatedCrash):
             crashed.fit(train, valid)

@@ -386,14 +386,12 @@ class TestCLI:
         [
             (["train", "--keep", "0", "--checkpoint-dir", "{tmp}/runs"],
              "invalid training config: keep must be >= 1, got 0"),
-            (["train", "--checkpoint-every", "-1"],
-             "invalid training config: checkpoint_every_batches must be >= 0, got -1"),
             (["train", "--probe-every", "-2"],
              "invalid training config: every_batches must be >= 1"),
             (["evaluate", "--checkpoint", "{tmp}/model.npz", "--online", "--online-steps", "-1"],
              "invalid evaluation config: online_steps must be >= 1, got -1"),
         ],
-        ids=["keep", "checkpoint-every", "probe-every", "online-steps"],
+        ids=["keep", "probe-every", "online-steps"],
     )
     def test_out_of_range_run_options_exit_2_before_any_work(
         self, tmp_path, capsys, argv, message
@@ -460,3 +458,14 @@ class TestCLI:
         ) == 0
         out = capsys.readouterr().out
         assert "parameters finite: True" in out
+
+    def test_drill_corrupt_before_second_boundary_exits_1(self, tmp_path, capsys):
+        # Batch 3 is inside epoch 0: no checkpoint exists to corrupt or
+        # fall back to, so the drill says so instead of crashing.
+        assert main(
+            ["drill", "--dataset", "YAGO", "--fault", "corrupt", "--at-batch", "3",
+             "--epochs", "1", "--checkpoint-dir", str(tmp_path / "runs")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "corrupt drill needs two checkpoints to fall back between, found 0" in err
+        assert "Traceback" not in err

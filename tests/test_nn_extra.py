@@ -71,13 +71,6 @@ class TestAdamInvariance:
         steps = np.abs(w.data - before)
         assert np.all(steps <= 0.1 * 1.1)
 
-    def test_sgd_scales_with_gradient(self):
-        w = nn.Parameter(np.zeros(2))
-        opt = nn.SGD([w], lr=0.5)
-        w.grad = np.array([1.0, 2.0])
-        opt.step()
-        np.testing.assert_allclose(w.data, [-0.5, -1.0])
-
 
 class TestLossesExtra:
     def test_cross_entropy_invariant_to_logit_shift(self):

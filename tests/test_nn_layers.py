@@ -67,37 +67,11 @@ class TestConv2dLayer:
         assert conv.bias is None
 
 
-class TestLayerNormLayer:
-    def test_affine_identity_at_init(self):
-        ln = nn.LayerNorm(8)
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 8)))
-        out = ln(x).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-8)
-
-    def test_affine_params_learnable(self):
-        ln = nn.LayerNorm(4)
-        ln(Tensor(np.random.default_rng(0).normal(size=(2, 4)))).sum().backward()
-        assert ln.weight.grad is not None
-        assert ln.bias.grad is not None
-
-
 class TestRReLUModule:
     def test_eval_deterministic(self):
         act = nn.RReLU().eval()
         x = Tensor(-np.ones((2, 2)))
         np.testing.assert_array_equal(act(x).data, act(x).data)
-
-
-class TestSequential:
-    def test_runs_in_order(self):
-        seq = nn.Sequential(nn.Linear(3, 4), nn.Linear(4, 2))
-        assert seq(Tensor(np.ones((1, 3)))).shape == (1, 2)
-        assert len(seq) == 2
-        assert len(list(iter(seq))) == 2
-
-    def test_registers_parameters(self):
-        seq = nn.Sequential(nn.Linear(3, 4), nn.Linear(4, 2))
-        assert len(seq.parameters()) == 4
 
 
 class TestGRUCell:
@@ -185,16 +159,6 @@ class TestOptimizers:
         w = nn.Parameter(np.zeros(2))
         return w, target
 
-    def test_sgd_converges_on_quadratic(self):
-        w, target = self._quadratic_problem()
-        opt = nn.SGD([w], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = ((w - Tensor(target)) ** 2).sum()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, target, atol=1e-3)
-
     def test_adam_converges_on_quadratic(self):
         w, target = self._quadratic_problem()
         opt = nn.Adam([w], lr=0.1)
@@ -204,18 +168,9 @@ class TestOptimizers:
             opt.step()
         np.testing.assert_allclose(w.data, target, atol=1e-2)
 
-    def test_sgd_momentum(self):
-        w, target = self._quadratic_problem()
-        opt = nn.SGD([w], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            opt.zero_grad()
-            ((w - Tensor(target)) ** 2).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, target, atol=5e-2)
-
     def test_weight_decay_shrinks(self):
         w = nn.Parameter(np.array([10.0]))
-        opt = nn.SGD([w], lr=0.1, weight_decay=1.0)
+        opt = nn.Adam([w], lr=0.1, weight_decay=1.0)
         opt.zero_grad()
         (w * 0.0).sum().backward()
         opt.step()
@@ -267,11 +222,6 @@ class TestLosses:
     def test_nll_summed_probs_empty_rejected(self):
         with pytest.raises(ValueError):
             losses.nll_of_summed_probs(Tensor(np.zeros((0, 1, 2))), [0])
-
-    def test_bce_with_logits(self):
-        logits = Tensor(np.zeros((2, 2)))
-        loss = losses.binary_cross_entropy_with_logits(logits, np.eye(2))
-        assert loss.item() == pytest.approx(np.log(2.0))
 
 
 @given(

@@ -5,7 +5,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
@@ -133,7 +132,7 @@ class TestProbeSuite:
 
     def test_disarm_cancels_armed_probe(self):
         model = make_model()
-        suite = ProbeSuite(model, None, ProbeConfig(every_batches=1))
+        suite = ProbeSuite(model, ProbeConfig(every_batches=1))
         assert suite.arm(0)
         assert model.tim.lstm.collect_gate_stats is True
         suite.disarm()

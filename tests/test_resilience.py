@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import SyntheticTKGConfig, generate_tkg
-from repro.nn import SGD, Adam, Parameter
+from repro.nn import Adam, Parameter
 from repro.resilience import (
     CheckpointCorruptError,
     CheckpointManager,
@@ -37,10 +37,6 @@ from repro.resilience import (
     truncate_file,
     write_payload,
 )
-
-
-#: Marks a meta key to delete when rewriting an archive.
-_ABSENT = object()
 
 
 def small_dataset():
@@ -63,12 +59,10 @@ def make_model(**overrides):
     return RETIA(RETIAConfig(**defaults))
 
 
-def make_trainer(model, *, checkpoint_dir=None, every=1, injector=None, epochs=3,
+def make_trainer(model, *, checkpoint_dir=None, injector=None, epochs=3,
                  handle_signals=False):
     resilience = ResilienceConfig(
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every_batches=every,
-        handle_signals=handle_signals,
+        checkpoint_dir=checkpoint_dir, handle_signals=handle_signals
     )
     return Trainer(
         model,
@@ -102,8 +96,8 @@ class TestRunStateRoundtrip:
 
     def test_payload_roundtrip_via_file(self, tmp_path):
         state = RunState(
-            epoch=2, batch_index=3, global_batch=17, order=[5, 1, 9],
-            joint_sum=1.25, batches=3, best_metric=42.0,
+            epoch=2, global_batch=17, best_metric=42.0, bad_epochs=1,
+            dtype="float32", log=[{"epoch": 0, "loss_joint": 1.25}],
             model_state={"w": np.arange(6.0).reshape(2, 3)},
             best_state={"w": np.ones((2, 3))},
             optimizer_state={"lr": 1e-3, "step_count": 17,
@@ -112,9 +106,9 @@ class TestRunStateRoundtrip:
         )
         path = write_payload(str(tmp_path / "state.npz"), state.to_payload())
         back = RunState.from_payload(read_payload(path))
-        assert back.epoch == 2 and back.batch_index == 3 and back.global_batch == 17
-        assert back.order == [5, 1, 9]
-        assert back.best_metric == 42.0
+        assert back.epoch == 2 and back.global_batch == 17
+        assert back.best_metric == 42.0 and back.bad_epochs == 1
+        assert back.dtype == "float32" and back.log == state.log
         np.testing.assert_array_equal(back.model_state["w"], state.model_state["w"])
         np.testing.assert_array_equal(back.best_state["w"], np.ones((2, 3)))
         assert back.optimizer_state["step_count"] == 17
@@ -137,55 +131,45 @@ class TestRunStateRoundtrip:
 
 
 class TestRunStateCompatibility:
-    """Archives written while the run state carried a gradient-shard plan."""
+    """Version-1 archives held a mid-epoch position and, while
+    data-parallel training existed, a ``grad_shards`` plan."""
 
     @staticmethod
-    def _with_plan(path, out, plan):
-        """Copy of the archive at ``path`` with ``grad_shards`` set or absent."""
+    def _as_v1(path, out, plan):
+        """Copy of the archive at ``path`` rewritten as version 1."""
         payload = read_payload(path)
         meta = json.loads(bytes(payload["meta"]).decode())
-        meta.pop("grad_shards", None)
-        if plan is not _ABSENT:
+        meta.update(
+            version=1, batch_index=3, order=[5, 1, 9], joint_sum=1.25,
+            entity_sum=0.5, relation_sum=0.75, batches=3, epoch_nonfinite=0,
+        )
+        if plan is not None:
             meta["grad_shards"] = plan
         payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         return write_payload(str(out), payload)
 
-    def test_new_archives_carry_no_plan(self, tmp_path):
-        path = write_payload(str(tmp_path / "s.npz"), RunState().to_payload())
-        assert "grad_shards" not in json.loads(bytes(read_payload(path)["meta"]).decode())
-
-    @pytest.mark.parametrize("plan", [_ABSENT, 0], ids=["absent", "zero"])
-    def test_serial_archives_round_trip_and_resume(self, tmp_path, plan):
+    @pytest.mark.parametrize("plan", [None, 0, 2], ids=["absent", "zero", "sharded"])
+    def test_v1_archives_refused_naming_the_version(self, tmp_path, plan):
         train, valid, _ = small_dataset()
-        reference = make_model()
-        ref_log = make_trainer(reference, epochs=2).fit(train, valid)
-
-        crash_dir = tmp_path / "crash"
-        with pytest.raises(SimulatedCrash):
-            make_trainer(
-                make_model(), checkpoint_dir=str(crash_dir), epochs=2,
-                injector=FaultInjector(kill_at_batch=9),
-            ).fit(train, valid)
-        latest = CheckpointManager(str(crash_dir)).latest()
-        old = self._with_plan(latest, tmp_path / "old.npz", plan)
-
-        state = load_run_state(old)
-        assert state.batch_index > 0
-        assert RunState.from_payload(state.to_payload()).global_batch == state.global_batch
-        resumed_model = make_model()
-        log = make_trainer(resumed_model, epochs=2).fit(train, valid, resume=old)
-        assert resumed_model.fingerprint() == reference.fingerprint()
-        assert [e.loss_joint for e in log] == [e.loss_joint for e in ref_log]
-
-    @pytest.mark.parametrize("plan", [2, 1, None])
-    def test_sharded_archives_refused_naming_the_plan(self, tmp_path, plan):
-        source = write_payload(str(tmp_path / "s.npz"), RunState().to_payload())
-        old = self._with_plan(source, tmp_path / "old.npz", plan)
-        with pytest.raises(RunStateError, match=f"grad_shards={plan!r}.*serial"):
+        directory = tmp_path / "run"
+        make_trainer(make_model(), checkpoint_dir=str(directory), epochs=1).fit(
+            train, valid
+        )
+        old = self._as_v1(
+            CheckpointManager(str(directory)).latest(), tmp_path / "old.npz", plan
+        )
+        with pytest.raises(RunStateError, match="version 1"):
             load_run_state(old)
-        train, valid, _ = small_dataset()
-        with pytest.raises(RunStateError, match="grad_shards"):
+        with pytest.raises(RunStateError, match="version 1"):
             make_trainer(make_model(), epochs=1).fit(train, valid, resume=old)
+
+    def test_v1_directory_fails_verification_as_a_whole(self, tmp_path):
+        source = write_payload(str(tmp_path / "s.npz"), RunState().to_payload())
+        directory = tmp_path / "run"
+        directory.mkdir()
+        self._as_v1(source, directory / "runstate-000000.npz", None)
+        with pytest.raises(CheckpointCorruptError, match="version 1"):
+            CheckpointManager(str(directory)).load_latest()
 
 
 # ----------------------------------------------------------------------
@@ -283,12 +267,6 @@ class TestOptimizerState:
         fresh.step()
         np.testing.assert_array_equal(p.data, q.data)
 
-    def test_sgd_velocity_survives(self):
-        p, opt = self._stepped(SGD, lr=0.1, momentum=0.9)
-        fresh = SGD([Parameter(np.ones(3))], lr=0.1, momentum=0.9)
-        fresh.load_state_dict(opt.state_dict())
-        np.testing.assert_array_equal(fresh._velocity[0], opt._velocity[0])
-
     def test_shape_mismatch_rejected(self):
         opt = Adam([Parameter(np.ones(3))])
         state = opt.state_dict()
@@ -328,7 +306,7 @@ class TestKillResume:
         make_trainer(reference, epochs=3).fit(train, valid)
 
         crashed = make_trainer(
-            make_model(), checkpoint_dir=str(tmp_path), epochs=3, every=0,
+            make_model(), checkpoint_dir=str(tmp_path), epochs=3,
             injector=FaultInjector(kill_at_batch=14),
         )
         with pytest.raises(SimulatedCrash):
@@ -343,21 +321,46 @@ class TestKillResume:
     def test_resume_from_corrupted_latest_falls_back(self, tmp_path):
         train, valid, _ = small_dataset()
         reference = make_model()
-        make_trainer(reference, epochs=2).fit(train, valid)
+        make_trainer(reference, epochs=3).fit(train, valid)
 
+        # 8 batches an epoch: batch 18 falls after the second boundary,
+        # so the epoch-1 checkpoint is there to fall back to.
         crashed = make_trainer(
-            make_model(), checkpoint_dir=str(tmp_path), epochs=2,
-            injector=FaultInjector(kill_at_batch=7),
+            make_model(), checkpoint_dir=str(tmp_path), epochs=3,
+            injector=FaultInjector(kill_at_batch=18),
         )
         with pytest.raises(SimulatedCrash):
             crashed.fit(train, valid)
-        flip_bit(CheckpointManager(str(tmp_path)).latest())
+        manager = CheckpointManager(str(tmp_path))
+        assert len(manager.checkpoints()) == 2
+        flip_bit(manager.latest())
+        assert manager.load_latest()[0].epoch == 1
 
         resumed_model = make_model()
-        make_trainer(resumed_model, checkpoint_dir=str(tmp_path), epochs=2).fit(
+        make_trainer(resumed_model, checkpoint_dir=str(tmp_path), epochs=3).fit(
             train, valid, resume=True
         )
         assert resumed_model.fingerprint() == reference.fingerprint()
+
+    def test_kill_before_first_boundary_resumes_fresh(self, tmp_path):
+        train, valid, _ = small_dataset()
+        reference = make_model()
+        ref_log = make_trainer(reference, epochs=2).fit(train, valid)
+
+        crashed = make_trainer(
+            make_model(), checkpoint_dir=str(tmp_path), epochs=2,
+            injector=FaultInjector(kill_at_batch=5),
+        )
+        with pytest.raises(SimulatedCrash):
+            crashed.fit(train, valid)
+        assert CheckpointManager(str(tmp_path)).checkpoints() == []
+
+        resumed_model = make_model()
+        log = make_trainer(resumed_model, checkpoint_dir=str(tmp_path), epochs=2).fit(
+            train, valid, resume=True
+        )
+        assert resumed_model.fingerprint() == reference.fingerprint()
+        assert [e.loss_joint for e in log] == [e.loss_joint for e in ref_log]
 
     def test_resume_true_without_checkpoints_starts_fresh(self, tmp_path):
         train, valid, _ = small_dataset()
@@ -496,17 +499,29 @@ class TestNonFiniteSentinel:
 # Graceful interruption
 # ----------------------------------------------------------------------
 class TestGracefulInterruption:
-    def test_sigterm_checkpoints_and_raises_resumable(self, tmp_path):
+    def test_sigterm_names_epoch_checkpoint_and_resumes_identically(self, tmp_path):
         train, valid, _ = small_dataset()
+        reference = make_model()
+        ref_log = make_trainer(reference, epochs=3).fit(train, valid)
+
+        # Batch 10 is inside epoch 1, after the first boundary.
         trainer = make_trainer(
             make_model(), checkpoint_dir=str(tmp_path), epochs=3,
-            injector=FaultInjector(signal_at_batch=6), handle_signals=True,
+            injector=FaultInjector(signal_at_batch=10), handle_signals=True,
         )
         with pytest.raises(TrainingInterrupted) as excinfo:
             trainer.fit(train, valid)
-        assert excinfo.value.checkpoint_path is not None
-        assert os.path.exists(excinfo.value.checkpoint_path)
         assert excinfo.value.signal_number == signal.SIGTERM
+        boundary = excinfo.value.checkpoint_path
+        assert CheckpointManager(str(tmp_path)).checkpoints() == [boundary]
+        assert load_run_state(boundary).epoch == 1
+
+        resumed_model = make_model()
+        log = make_trainer(resumed_model, checkpoint_dir=str(tmp_path), epochs=3).fit(
+            train, valid, resume=True
+        )
+        assert resumed_model.fingerprint() == reference.fingerprint()
+        assert [e.loss_joint for e in log] == [e.loss_joint for e in ref_log]
 
     def test_interrupted_run_resumes_bit_identically(self, tmp_path):
         train, valid, _ = small_dataset()
@@ -517,8 +532,9 @@ class TestGracefulInterruption:
             make_model(), checkpoint_dir=str(tmp_path), epochs=3,
             injector=FaultInjector(signal_at_batch=6), handle_signals=True,
         )
-        with pytest.raises(TrainingInterrupted):
+        with pytest.raises(TrainingInterrupted) as excinfo:
             trainer.fit(train, valid)
+        assert excinfo.value.checkpoint_path is None  # no epoch finished yet
 
         resumed_model = make_model()
         make_trainer(resumed_model, checkpoint_dir=str(tmp_path), epochs=3).fit(
